@@ -8,10 +8,12 @@ extraction, so all gates cost the same wall-clock time under noise.
 
 Execution composes per-gate channel superoperators, which is exactly
 equivalent to concatenated master-equation integration (the dynamics are
-time-local and linear) and keeps long sequences cheap. Randomness is drawn
+time-local and linear) and keeps long sequences cheap. All randomizations of
+one length run as a batch: channels are picked from a (24, 4, 4) Clifford
+table by index and applied to a stack of state vectors. Randomness is drawn
 from counter-based Philox streams keyed by (seed, length index,
-randomization index), so results are reproducible regardless of execution
-order.
+randomization index), one per sequence, so results are reproducible
+regardless of execution order and equal to running the sequences one by one.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import numpy as np
 from .channels import GateChannelCache, vec
 from .errors import FitDiverged
 from .evolution import DeviceParams
-from .qcore import (GateSpec, KET0, clifford_group, clifford_tables,
-                    clifford_index_of, density_of, named_gate, recovery_gate,
-                    axis_angle_unitary, unitary_to_axis_angle)
-from .tomography import ReadoutModel
+from .qcore import (KET0, axis_angle_unitary, clifford_index_of,
+                    clifford_tables, density_of, named_gate, recovery_gate)
+from .tomography import ReadoutModel, readout_model
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
 
@@ -120,7 +121,7 @@ def sample_sequence(m: int, rng) -> tuple[list[int], int]:
         raise ValueError("sequence length must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    indices = [int(k) for k in rng.integers(0, 24, size=m)]
+    indices = rng.integers(0, 24, size=m).tolist()
     return indices, recovery_gate(indices).index
 
 
@@ -145,6 +146,33 @@ def _survival_from_prob(p0: float, shots: int | None, rng,
     return float(est[0])
 
 
+def _interleaved_recoveries(idx: np.ndarray, target_index: int) -> np.ndarray:
+    """Recovery index closing each row of ``idx`` (R, m) to the identity
+    when the target Clifford follows every random one."""
+    compose, inverse = clifford_tables()
+    acc = np.zeros(len(idx), dtype=np.intp)
+    for col in idx.T:
+        acc = compose[target_index, compose[col, acc]]
+    return inverse[acc]
+
+
+def _apply_sequences(table: np.ndarray, idx: np.ndarray,
+                     recovery: np.ndarray,
+                     target: np.ndarray | None = None) -> np.ndarray:
+    """P(|0>) after each row of ``idx`` and its recovery, starting from |0>.
+
+    Channels act as ``T @ v`` on an (R, 4, 1) stack of state vectors, the
+    same product a lone sequence computes, so each row is bit-equal to it.
+    """
+    v = np.tile(vec(density_of(KET0))[:, None], (len(idx), 1, 1))
+    for col in idx.T:
+        v = np.matmul(table[col], v)
+        if target is not None:
+            v = np.matmul(target, v)
+    v = np.matmul(table[recovery], v)
+    return v[:, 0, 0].real
+
+
 def execute_sequence(cliffords, recovery: int, *, channels: GateChannelCache,
                      interleaved_sop: np.ndarray | None = None,
                      shots: int | None = None, rng=None,
@@ -155,15 +183,12 @@ def execute_sequence(cliffords, recovery: int, *, channels: GateChannelCache,
     Applies the cached per-gate channels in order (interleaving the target
     channel if given), then the recovery channel, and reads out P(|0>).
     """
-    group = clifford_group()
-    v = vec(density_of(KET0))
-    for idx in cliffords:
-        v = channels.for_spec(group[idx].spec) @ v
-        if interleaved_sop is not None:
-            v = interleaved_sop @ v
-    v = channels.for_spec(group[recovery].spec) @ v
-    p0 = float(v[0].real)
-    return _survival_from_prob(p0, shots, rng, readout, readout_correction)
+    idx = np.array(cliffords, dtype=np.intp).reshape(1, -1)
+    table = channels.clifford_table(sorted({*cliffords, recovery}))
+    (p0,) = _apply_sequences(table, idx, np.array([recovery]),
+                             interleaved_sop)
+    return _survival_from_prob(float(p0), shots, rng, readout,
+                               readout_correction)
 
 
 def run_sequence(sequence: tuple[list[int], int],
@@ -173,11 +198,9 @@ def run_sequence(sequence: tuple[list[int], int],
     """One-off convenience wrapper around ``execute_sequence``."""
     cliffords, recovery = sequence
     channels = GateChannelCache(device, segment_duration, dt)
-    readout = (ReadoutModel.from_device(device)
-               if (isinstance(device, DeviceParams) and shots) else None)
     return execute_sequence(cliffords, recovery, channels=channels,
                             shots=shots, rng=np.random.default_rng(seed),
-                            readout=readout)
+                            readout=readout_model(device, shots))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +297,31 @@ def fit_decay(curve: DecayCurve, weighted: bool = False,
 # ---------------------------------------------------------------------------
 # benchmark drivers
 
-def _collect_curve(config: RbConfig, run_one) -> DecayCurve:
+def _run_curve(config: RbConfig, channels: GateChannelCache,
+               readout: ReadoutModel | None,
+               target: np.ndarray | None = None,
+               target_index: int | None = None) -> DecayCurve:
+    """Execute all randomizations of each length as one batch.
+
+    Each randomization samples its sequence from its own stream in the order
+    a lone sequence does (Clifford indices, then the shot sample), so the
+    curve equals executing the sequences one by one.
+    """
+    table = channels.clifford_table()
     means = []
     stderrs = []
     samples = []
     for li, m in enumerate(config.sequence_lengths):
-        vals = np.array([run_one(m, li, ri)
-                         for ri in range(config.randomizations)])
+        rngs = [sequence_rng(config.seed, li, ri)
+                for ri in range(config.randomizations)]
+        drawn = [sample_sequence(m, rng) for rng in rngs]
+        idx = np.array([cliffords for cliffords, _ in drawn], dtype=np.intp)
+        recovery = (np.array([r for _, r in drawn]) if target_index is None
+                    else _interleaved_recoveries(idx, target_index))
+        p0 = _apply_sequences(table, idx, recovery, target)
+        vals = np.array([_survival_from_prob(p, config.shots, rng, readout,
+                                             config.readout_correction)
+                         for p, rng in zip(p0.tolist(), rngs)])
         samples.append(vals)
         means.append(vals.mean())
         stderrs.append(vals.std(ddof=1) / math.sqrt(len(vals)))
@@ -303,48 +344,9 @@ def run_reference_rb(config: RbConfig, device: DeviceParams | None = None,
     """Reference RB: sample, execute, average, and fit the decay."""
     if channels is None:
         channels = GateChannelCache(device, segment_duration, dt)
-    readout = (ReadoutModel.from_device(device)
-               if (isinstance(device, DeviceParams) and config.shots) else None)
-
-    def run_one(m, li, ri):
-        rng = sequence_rng(config.seed, li, ri)
-        cliffords, recovery = sample_sequence(m, rng)
-        return execute_sequence(cliffords, recovery, channels=channels,
-                                shots=config.shots, rng=rng, readout=readout,
-                                readout_correction=config.readout_correction)
-
-    curve = _collect_curve(config, run_one)
+    curve = _run_curve(config, channels, readout_model(device, config.shots))
     fit = _fit_or_flag(curve, weighted=config.shots is not None)
     return curve, fit, RbResult.from_fits(fit)
-
-
-def _interleaved_recovery_plan(target_spec: GateSpec):
-    """Recovery lookup for sequences interleaved with the target.
-
-    Clifford targets ride the composition table; anything else falls back to
-    inverting the accumulated matrix product via axis-angle extraction.
-    """
-    target_u = axis_angle_unitary(target_spec)
-    compose, inverse = clifford_tables()
-    group = clifford_group()
-    try:
-        g_idx = clifford_index_of(target_u)
-    except ValueError:
-        g_idx = None
-
-    if g_idx is not None:
-        def recover(cliffords):
-            acc = 0
-            for idx in cliffords:
-                acc = int(compose[g_idx, int(compose[idx, acc])])
-            return group[int(inverse[acc])].spec
-    else:
-        def recover(cliffords):
-            acc = np.eye(2, dtype=complex)
-            for idx in cliffords:
-                acc = target_u @ group[idx].unitary @ acc
-            return unitary_to_axis_angle(acc.conj().T)
-    return recover
 
 
 def run_interleaved_rb(config: RbConfig, device: DeviceParams | None = None,
@@ -369,25 +371,11 @@ def run_interleaved_rb(config: RbConfig, device: DeviceParams | None = None,
         _, reference, _ = run_reference_rb(config, device,
                                            segment_duration, dt,
                                            channels=channels)
-    readout = (ReadoutModel.from_device(device)
-               if (isinstance(device, DeviceParams) and config.shots) else None)
-    target_sop = (target_superop if target_superop is not None
-                  else channels.for_spec(target_spec))
-    recover = _interleaved_recovery_plan(target_spec)
-    group = clifford_group()
-
-    def run_one(m, li, ri):
-        rng = sequence_rng(config.seed, li, ri)
-        cliffords, _ = sample_sequence(m, rng)
-        recovery_spec = recover(cliffords)
-        v = vec(density_of(KET0))
-        for idx in cliffords:
-            v = target_sop @ (channels.for_spec(group[idx].spec) @ v)
-        v = channels.for_spec(recovery_spec) @ v
-        return _survival_from_prob(float(v[0].real), config.shots, rng,
-                                   readout, config.readout_correction)
-
-    curve = _collect_curve(config, run_one)
+    if target_superop is None:
+        target_superop = channels.for_spec(target_spec)
+    target_index = clifford_index_of(axis_angle_unitary(target_spec))
+    curve = _run_curve(config, channels, readout_model(device, config.shots),
+                       target_superop, target_index)
     fit = _fit_or_flag(curve, weighted=config.shots is not None)
     return curve, fit, RbResult.from_fits(reference, fit)
 

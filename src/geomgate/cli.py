@@ -24,7 +24,7 @@ from .channels import GateChannelCache
 from .config import (config_to_dict, load_config, parse_mode,
                      resolve_gate)
 from .errors import ConfigError, GeomgateError
-from .qcore import axis_eigenstates
+from .qcore import axis_eigenstates, clifford_group, named_gate
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -74,6 +74,7 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.qpt is None:
         raise ConfigError("config has no qpt section")
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
+    cache.prefetch(tomography.qpt_specs(cfg.qpt.gates, cfg.device))
     fidelities = []
     for name in cfg.qpt.gates:
         result = tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
@@ -103,6 +104,8 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
                                  shots=cfg.shots, seed=cfg.seed,
                                  readout_correction=section.readout_correction)
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
+    cache.prefetch([element.spec for element in clifford_group()]
+                   + [named_gate(name) for name in section.interleaved])
     curve, ref_fit, ref_result = benchmarking.run_reference_rb(
         base, cfg.device, channels=cache)
     benchmarking.decay_to_csv(curve, outdir / "rb_reference.csv")
@@ -156,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--mode", default=None,
                        help="override the config mode: exact | shots:<n>")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="max parallel workers (results are identical for any value)")
     return parser
 
 

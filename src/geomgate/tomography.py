@@ -61,6 +61,23 @@ class ReadoutModel:
         return cls(f0=device.readout_f0, f1=device.readout_f1)
 
 
+def readout_model(device, shots: int | None) -> ReadoutModel | None:
+    """Readout confusion of a sampled run on a device; None when the run is
+    exact or the noise model is not a device."""
+    if isinstance(device, DeviceParams) and shots:
+        return ReadoutModel.from_device(device)
+    return None
+
+
+def qpt_specs(gates, device: DeviceParams | None) -> list[GateSpec]:
+    """Every gate a QPT run compiles: the targets (names or specs), plus the
+    preparation gates when the inputs are prepared on a noisy device."""
+    specs = [named_gate(g) if isinstance(g, str) else g for g in gates]
+    if device is not None:
+        specs += [named_gate(n) for n in PREP_GATE_NAMES]
+    return specs
+
+
 def prepare_input_states() -> list[np.ndarray]:
     """The four tomography input states: prep gates applied to |0>."""
     return [axis_angle_unitary(named_gate(n)) @ KET0 for n in PREP_GATE_NAMES]
@@ -205,21 +222,21 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     ``clip_cp=True`` projects onto the CP cone first (this biases shot-noise
     fidelities low because clipping discards negative eigenvalue mass).
     """
-    spec = named_gate(gate) if isinstance(gate, str) else gate
+    spec, *prep_specs = qpt_specs([gate], device)
     if channels is None:
         channels = GateChannelCache(device, segment_duration, dt)
+    channels.prefetch([spec, *prep_specs])
     gate_sop = channels.for_spec(spec)
 
     ideal_inputs = [density_of(psi) for psi in prepare_input_states()]
     if device is not None:
         rho0 = vec(density_of(KET0))
-        actual_inputs = [unvec(channels.for_spec(named_gate(n)) @ rho0)
-                         for n in PREP_GATE_NAMES]
+        actual_inputs = [unvec(channels.for_spec(p) @ rho0)
+                         for p in prep_specs]
     else:
         actual_inputs = ideal_inputs
 
-    readout = (ReadoutModel.from_device(device)
-               if (isinstance(device, DeviceParams) and shots) else None)
+    readout = readout_model(device, shots)
     rng = np.random.default_rng(seed)
 
     outputs = []

@@ -10,11 +10,15 @@ from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    run_interleaved_rb, run_reference_rb,
                                    run_sequence, sample_sequence,
                                    save_fit_report, sequence_rng)
+from geomgate import channels as channels_module
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
 from geomgate.errors import FitDiverged
-from geomgate.qcore import (I2, axis_angle_unitary, clifford_group,
-                            clifford_inverse, named_gate, phase_distance)
+from geomgate.qcore import (I2, KET0, axis_angle_unitary, clifford_group,
+                            clifford_index_of, clifford_inverse,
+                            clifford_tables, density_of, named_gate,
+                            phase_distance)
+from geomgate.tomography import ReadoutModel
 
 
 def test_rb_config_validation():
@@ -244,29 +248,126 @@ def test_interleaved_requires_target():
         run_interleaved_rb(cfg, None)
 
 
-def test_interleaved_recovery_plan_non_clifford_target():
-    # falls back to matrix accumulation when the target is not a Clifford
-    from geomgate.benchmarking import _interleaved_recovery_plan
-    from geomgate.qcore import GateSpec
-
-    target = GateSpec(0.4, 0.3, 1.1)
-    recover = _interleaved_recovery_plan(target)
-    group = clifford_group()
-    target_u = axis_angle_unitary(target)
-    cliffords = [3, 17, 8, 21, 0, 11]
-    acc = I2
-    for idx in cliffords:
-        acc = target_u @ group[idx].unitary @ acc
-    recovery_u = axis_angle_unitary(recover(cliffords))
-    assert phase_distance(recovery_u @ acc, I2) < 1e-10
-
-
 def test_interleaved_device_gate_fidelity(device):
     cfg = RbConfig(sequence_lengths=(2, 8, 16, 32, 64), randomizations=8,
                    seed=6, interleaved_target="H")
     cache = GateChannelCache(device)
     _, _, result = run_interleaved_rb(cfg, device, channels=cache)
     assert 0.99 < result.F_g <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# batched execution against a plain per-sequence loop
+
+def _plain_samples(config, channels, device, target=None):
+    """Survival samples of every sequence, one sequence and one gate at a time.
+
+    Channels come from ``for_spec`` per gate and act as one matvec each; the
+    recovery is folded by scalar table lookups; the shot sample is drawn
+    from the sequence's own stream right after its Clifford indices.
+    """
+    group = clifford_group()
+    compose, inverse = clifford_tables()
+    target_index = (None if config.interleaved_target is None else
+                    clifford_index_of(axis_angle_unitary(
+                        named_gate(config.interleaved_target))))
+    readout = (ReadoutModel.from_device(device) if config.shots else None)
+    samples = []
+    for li, m in enumerate(config.sequence_lengths):
+        vals = []
+        for ri in range(config.randomizations):
+            rng = sequence_rng(config.seed, li, ri)
+            acc = 0
+            v = density_of(KET0).reshape(4)
+            for idx in rng.integers(0, 24, size=m):
+                v = channels.for_spec(group[idx].spec) @ v
+                acc = int(compose[idx, acc])
+                if target is not None:
+                    v = target @ v
+                    acc = int(compose[target_index, acc])
+            v = channels.for_spec(group[int(inverse[acc])].spec) @ v
+            p0 = float(v[0].real)
+            if config.shots is None:
+                if -1e-9 < p0 < 0.0:
+                    p0 = 0.0
+                elif 1.0 < p0 < 1.0 + 1e-9:
+                    p0 = 1.0
+                vals.append(p0)
+                continue
+            probs = readout.apply(np.array([p0, 1.0 - p0]))
+            n0 = rng.binomial(config.shots, min(max(probs[0], 0.0), 1.0))
+            est = readout.correct(np.array([n0 / config.shots,
+                                            1.0 - n0 / config.shots]))
+            vals.append(float(est[0]))
+        samples.append(np.array(vals))
+    return samples
+
+
+def _assert_curve_equals_plain(curve, samples):
+    assert len(curve.samples) == len(samples)
+    for got, want in zip(curve.samples, samples):
+        assert np.array_equal(got, want)
+    assert np.array_equal(curve.means, [s.mean() for s in samples])
+
+
+@pytest.mark.parametrize("shots", [None, 512])
+def test_batched_rb_equals_per_sequence_loop(device, shots):
+    lengths = (1, 2, 5, 9)
+    cache = GateChannelCache(device)
+    ref_cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
+                       shots=shots)
+    curve, ref_fit, _ = run_reference_rb(ref_cfg, device, channels=cache)
+    _assert_curve_equals_plain(curve, _plain_samples(ref_cfg, cache, device))
+
+    # H shares its Clifford's cache key; Rz(pi) compiles its own pulse
+    for name in ("H", "Rz(pi)"):
+        cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
+                       shots=shots, interleaved_target=name)
+        icurve, _, _ = run_interleaved_rb(cfg, device, reference=ref_fit,
+                                          channels=cache)
+        target = cache.for_spec(named_gate(name))
+        _assert_curve_equals_plain(
+            icurve, _plain_samples(cfg, cache, device, target))
+
+    cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
+                   shots=shots, interleaved_target="Rx(pi/2)")
+    override = (depolarizing_superop(0.01)
+                @ unitary_superop(axis_angle_unitary(named_gate("Rx(pi/2)"))))
+    icurve, _, _ = run_interleaved_rb(cfg, device, reference=ref_fit,
+                                      target_superop=override, channels=cache)
+    _assert_curve_equals_plain(
+        icurve, _plain_samples(cfg, cache, device, override))
+
+
+def test_execute_sequence_compiles_only_its_gates(monkeypatch, device):
+    compiled = []
+    stacked = channels_module.gate_superops
+
+    def recording(specs, *args):
+        compiled.extend(specs)
+        return stacked(specs, *args)
+
+    monkeypatch.setattr(channels_module, "gate_superops", recording)
+    group = clifford_group()
+    execute_sequence([5, 2, 5], 9, channels=GateChannelCache(device))
+    assert compiled == [group[k].spec for k in (2, 5, 9)]
+
+
+def test_execute_sequence_equals_per_gate_loop(device):
+    cache = GateChannelCache(device)
+    group = clifford_group()
+    target = cache.for_spec(named_gate("Ry(pi)"))
+    indices, recovery = sample_sequence(17, sequence_rng(4, 0, 0))
+    for sop in (None, target):
+        v = density_of(KET0).reshape(4)
+        for idx in indices:
+            v = cache.for_spec(group[idx].spec) @ v
+            if sop is not None:
+                v = sop @ v
+        v = cache.for_spec(group[recovery].spec) @ v
+        got = execute_sequence(indices, recovery, channels=cache,
+                               interleaved_sop=sop)
+        assert got == float(v[0].real)
 
 
 # ---------------------------------------------------------------------------

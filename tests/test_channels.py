@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, gate_superop,
-                               lindblad_generator, schedule_superop,
+                               gate_superops, lindblad_generator,
+                               schedule_superop, schedule_superops,
                                unitary_superop, unvec, vec)
-from geomgate.evolution import evolve_lindblad, schedule_propagator
+from geomgate.evolution import (DeviceParams, _drive_matrix, _envelope_grid,
+                                evolve_lindblad, schedule_propagator)
 from geomgate.pulse import synthesize
-from geomgate.qcore import GateSpec, axis_angle_unitary
+from geomgate.qcore import (GateSpec, axis_angle_unitary, clifford_group,
+                            clifford_index_of, named_gate)
 
 from conftest import random_spec
 
@@ -85,3 +91,135 @@ def test_cache_returns_same_object(device):
     spec = GateSpec(0.3, 0.2, 1.0)
     assert cache.for_spec(spec) is cache.for_spec(spec)
     assert cache.for_unitary(axis_angle_unitary(spec)) is cache.for_spec(spec)
+
+
+def test_cache_clifford_table_and_first_spec_wins(device):
+    cache = GateChannelCache(device)
+    named_h = named_gate("H")
+    cache.prefetch([named_h])
+    table = cache.clifford_table()
+    assert table.shape == (24, 4, 4)
+    group = clifford_group()
+    for k in (0, 7, 23):
+        assert np.array_equal(table[k], cache.for_spec(group[k].spec))
+    # the H Clifford's angles differ from the named spec's by a few ulp;
+    # it shares the rounded key, so it reuses the named pulse
+    h = clifford_index_of(axis_angle_unitary(named_h))
+    assert group[h].spec != named_h
+    assert np.array_equal(table[h], cache.for_spec(named_h))
+
+
+# ---------------------------------------------------------------------------
+# stacked compile
+
+def _loop_superop(schedule, device, dt):
+    """The RK4 superoperator recursion on one schedule, one 4x4 at a time."""
+    l_diss = lindblad_generator(np.zeros((2, 2)), device.gamma1_per_ns,
+                                device.gamma_phi_per_ns)
+    s = np.eye(4, dtype=complex)
+    for seg in schedule.segments:
+        n = int(round(seg.duration / dt))
+        h = seg.duration / n
+        w_full, w_half = _envelope_grid(seg, n, h)
+        l_drive = lindblad_generator(_drive_matrix(seg), 0.0, 0.0)
+        for i in range(n):
+            l0 = w_full[i] * l_drive + l_diss
+            lh = w_half[i] * l_drive + l_diss
+            l1 = w_full[i + 1] * l_drive + l_diss
+            k1 = l0 @ s
+            k2 = lh @ (s + 0.5 * h * k1)
+            k3 = lh @ (s + 0.5 * h * k2)
+            k4 = l1 @ (s + h * k3)
+            s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return s
+
+
+def test_stacked_compile_bit_equal_to_single(rng, device):
+    group = clifford_group()
+    specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),
+             random_spec(rng)]
+    stack = gate_superops(specs, device)
+    assert stack.shape == (len(specs), 4, 4)
+    for spec, sop in zip(specs, stack):
+        assert np.array_equal(sop, gate_superop(spec, device))
+        assert np.array_equal(sop, _loop_superop(synthesize(spec), device,
+                                                 0.01))
+    for noise in (None, DepolarizingNoise(0.05)):
+        stack = gate_superops(specs, noise)
+        for spec, sop in zip(specs, stack):
+            assert np.array_equal(sop, gate_superop(spec, noise))
+            # the unstacked expressions, written out
+            ideal = unitary_superop(schedule_propagator(synthesize(spec)))
+            want = (ideal if noise is None
+                    else depolarizing_superop(noise.strength) @ ideal)
+            assert np.array_equal(sop, want)
+
+
+def test_stacked_compile_mixed_envelopes(rng, device):
+    spec = random_spec(rng)
+    schedules = [synthesize(spec, 10.0, envelope="square"),
+                 synthesize(spec, 10.0)]
+    stack = schedule_superops(schedules, device, dt=0.01)
+    for sched, sop in zip(schedules, stack):
+        assert np.array_equal(sop, schedule_superop(sched, device, dt=0.01))
+
+
+def test_stacked_compile_rejects_unequal_durations(device):
+    spec = named_gate("H")
+    with pytest.raises(ValueError, match="durations"):
+        schedule_superops([synthesize(spec, 10.0), synthesize(spec, 12.0)],
+                          device)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: adaptive ODE solve of the master equation
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_SM = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def _oracle_superop(schedule, t1_ns, t2_ns):
+    """Superoperator from solve_ivp on d rho/dt in density-matrix form.
+
+    Written from the master equation alone: H(t) = Omega(t) (cos p sx +
+    sin p sy) with Omega(t) = Omega0 sin^2(pi t / T) on each segment,
+    relaxation at 1/T1 and pure dephasing at 1/T2*.
+    """
+    g1, gphi = 1.0 / t1_ns, 1.0 / t2_ns
+    sp = _SM.conj().T
+
+    def rhs_for(seg):
+        k = math.cos(seg.phase_offset) * _SX + math.sin(seg.phase_offset) * _SY
+
+        def rhs(t, y):
+            rho = y.reshape(4, 2, 2)
+            ham = seg.peak_amplitude * math.sin(math.pi * t / seg.duration) ** 2 * k
+            out = -1j * (ham @ rho - rho @ ham)
+            out += g1 * (_SM @ rho @ sp - 0.5 * (sp @ _SM @ rho + rho @ sp @ _SM))
+            out += 0.5 * gphi * (_SZ @ rho @ _SZ - rho)
+            return out.reshape(-1)
+        return rhs
+
+    # the four matrix units |i><j|, evolved side by side
+    y = np.eye(4, dtype=complex).reshape(4, 2, 2).reshape(-1)
+    for seg in schedule.segments:
+        sol = solve_ivp(rhs_for(seg), (0.0, seg.duration), y, method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        assert sol.success
+        y = sol.y[:, -1]
+    # column k is vec of the image of the k-th matrix unit
+    return y.reshape(4, 4).T
+
+
+@pytest.mark.parametrize("t1_us, t2_us", [(19.0, 10.0), (0.05, 0.03)])
+def test_stacked_compile_matches_ode_oracle(t1_us, t2_us):
+    device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
+    group = clifford_group()
+    specs = [group[k].spec for k in (1, 9, 16, 23)]
+    stack = gate_superops(specs, device)
+    for spec, sop in zip(specs, stack):
+        want = _oracle_superop(synthesize(spec, 10.0), t1_us * 1e3,
+                               t2_us * 1e3)
+        assert np.abs(sop - want).max() < 1e-8
