@@ -30,7 +30,7 @@ from .errors import FitDiverged
 from .evolution import DeviceParams
 from .qcore import (KET0, axis_angle_unitary, clifford_index_of,
                     clifford_tables, density_of, named_gate, recovery_gate)
-from .tomography import ReadoutModel, readout_model
+from .tomography import ReadoutModel, readout_model, sample_outcomes
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
 
@@ -136,14 +136,8 @@ def _survival_from_prob(p0: float, shots: int | None, rng,
         if 1.0 < p0 < 1.0 + 1e-9:
             return 1.0
         return float(p0)
-    probs = np.array([p0, 1.0 - p0])
-    if readout is not None:
-        probs = readout.apply(probs)
-    n0 = rng.binomial(shots, min(max(probs[0], 0.0), 1.0))
-    est = np.array([n0 / shots, 1.0 - n0 / shots])
-    if readout is not None and readout_correction:
-        est = readout.correct(est)
-    return float(est[0])
+    return float(sample_outcomes(np.array([p0, 1.0 - p0]), shots, rng,
+                                 readout, readout_correction)[0])
 
 
 def _interleaved_recoveries(idx: np.ndarray, target_index: int) -> np.ndarray:
@@ -189,18 +183,6 @@ def execute_sequence(cliffords, recovery: int, *, channels: GateChannelCache,
                              interleaved_sop)
     return _survival_from_prob(float(p0), shots, rng, readout,
                                readout_correction)
-
-
-def run_sequence(sequence: tuple[list[int], int],
-                 device: DeviceParams | None = None,
-                 shots: int | None = None, seed: int = 0,
-                 segment_duration: float = 10.0, dt: float = 0.01) -> float:
-    """One-off convenience wrapper around ``execute_sequence``."""
-    cliffords, recovery = sequence
-    channels = GateChannelCache(device, segment_duration, dt)
-    return execute_sequence(cliffords, recovery, channels=channels,
-                            shots=shots, rng=np.random.default_rng(seed),
-                            readout=readout_model(device, shots))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (DeviceParams, _drive_matrix, _envelope_grid,
-                        _segment_steps, _segments_of, schedule_propagator)
+from .evolution import (I4, DeviceParams, _segments_of, lindblad_rk4_steps,
+                        schedule_propagator)
 from .pulse import synthesize
-from .qcore import (GateSpec, SIGMA_MINUS, SIGMA_Z, clifford_group,
-                    unitary_to_axis_angle)
-
-I4 = np.eye(4, dtype=complex)
+from .qcore import GateSpec, clifford_group
 
 
 @dataclass(frozen=True)
@@ -55,66 +52,23 @@ def depolarizing_superop(strength: float) -> np.ndarray:
     return (1.0 - strength) * I4 + strength * np.outer(half_id, trace_row)
 
 
-def lindblad_generator(h: np.ndarray, gamma1: float, gamma_phi: float) -> np.ndarray:
-    """4x4 generator L with d vec(rho)/dt = L vec(rho)."""
-    sm = SIGMA_MINUS
-    pe = sm.conj().T @ sm
-    gen = -1j * (np.kron(h, np.eye(2)) - np.kron(np.eye(2), h.T))
-    if gamma1:
-        gen = gen + gamma1 * (np.kron(sm, sm.conj())
-                              - 0.5 * (np.kron(pe, np.eye(2))
-                                       + np.kron(np.eye(2), pe.T)))
-    if gamma_phi:
-        gen = gen + 0.5 * gamma_phi * (np.kron(SIGMA_Z, SIGMA_Z.conj()) - I4)
-    return gen
-
-
-def _rk4_segment(s: np.ndarray, segs, l_diss: np.ndarray,
-                 dt: float) -> np.ndarray:
-    """Advance the stacked superoperators s (G, 4, 4) across one segment each."""
-    if len({seg.duration for seg in segs}) != 1:
-        raise ValueError("stacked schedules need equal segment durations")
-    n = _segment_steps(segs[0], dt, 1)
-    h = segs[0].duration / n
-    w_full = np.empty((len(segs), n + 1, 1, 1))
-    w_half = np.empty((len(segs), n, 1, 1))
-    for g, seg in enumerate(segs):
-        w_full[g, :, 0, 0], w_half[g, :, 0, 0] = _envelope_grid(seg, n, h)
-    # L(t) = w(t) * L_drive + L_diss
-    l_drive = np.array([lindblad_generator(_drive_matrix(seg), 0.0, 0.0)
-                        for seg in segs])
-    for i in range(n):
-        l0 = w_full[:, i] * l_drive + l_diss
-        lh = w_half[:, i] * l_drive + l_diss
-        l1 = w_full[:, i + 1] * l_drive + l_diss
-        k1 = l0 @ s
-        k2 = lh @ (s + 0.5 * h * k1)
-        k3 = lh @ (s + 0.5 * h * k2)
-        k4 = l1 @ (s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return s
-
-
 def schedule_superops(schedules, device: DeviceParams | None = None,
                       dt: float = 0.01) -> np.ndarray:
     """Superoperators of a stack of schedules, shape (G, 4, 4).
 
-    RK4 on dS/dt = L(t) S with the same stepping as the trajectory
-    integrators, run on all G schedules at once. Every stacked operation
-    acts on each schedule exactly as it would on that schedule alone, so the
-    result is bit-equal to G separate integrations. Segment k must last
-    equally long in every schedule. With no device this reduces to the exact
-    unitary channels.
+    RK4 on dS/dt = L(t) S, run on all G schedules at once by the same
+    kernel as ``evolve_lindblad``, so the result is bit-equal to G separate
+    integrations. Segment k must last equally long in every schedule. With
+    no device this reduces to the exact unitary channels.
     """
     seg_lists = [_segments_of(schedule) for schedule in schedules]
     if device is None:
         return np.array([unitary_superop(schedule_propagator(segs))
                          for segs in seg_lists])
-    l_diss = lindblad_generator(np.zeros((2, 2)), device.gamma1_per_ns,
-                                device.gamma_phi_per_ns)
+    # keep only the last step, so no per-step stack stays alive
     s = np.repeat(I4[None], len(seg_lists), axis=0)
-    for segs in zip(*seg_lists, strict=True):
-        s = _rk4_segment(s, segs, l_diss, dt)
+    for s in lindblad_rk4_steps(s, seg_lists, device, dt):
+        pass
     return s
 
 
@@ -182,9 +136,6 @@ class GateChannelCache:
     def for_spec(self, spec: GateSpec) -> np.ndarray:
         self.prefetch([spec])
         return self._by_key[self._key(spec)]
-
-    def for_unitary(self, u: np.ndarray) -> np.ndarray:
-        return self.for_spec(unitary_to_axis_angle(u))
 
     def clifford_table(self, indices=range(24)) -> np.ndarray:
         """(24, 4, 4) channels of the Clifford group in canonical order.

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import benchmarking, evolution, pulse, tomography
 from .channels import GateChannelCache
-from .config import (config_to_dict, load_config, parse_mode,
-                     resolve_gate)
+from .config import (ExperimentConfig, config_to_dict, load_config,
+                     parse_mode, resolve_gate)
 from .errors import ConfigError, GeomgateError
 from .qcore import axis_eigenstates, clifford_group, named_gate
 from .selftest import run_selftest
@@ -117,11 +117,7 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
 
     diverged = not ref_fit.converged
     for target in section.interleaved:
-        icfg = benchmarking.RbConfig(sequence_lengths=section.lengths,
-                                     randomizations=section.randomizations,
-                                     shots=cfg.shots, seed=cfg.seed,
-                                     interleaved_target=target,
-                                     readout_correction=section.readout_correction)
+        icfg = dataclasses.replace(base, interleaved_target=target)
         icurve, ifit, iresult = benchmarking.run_interleaved_rb(
             icfg, cfg.device, reference=ref_fit, channels=cache)
         slug = _slug(target)

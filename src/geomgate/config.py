@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .benchmarking import DEFAULT_LENGTHS
+from .benchmarking import DEFAULT_LENGTHS, RbConfig
 from .errors import ConfigError
 from .evolution import DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
@@ -117,13 +117,11 @@ def _parse_rb(data, where: str) -> RbSection:
         interleaved=tuple(data.get("interleaved", ())),
         readout_correction=bool(data.get("readout_correction", True)),
     )
-    lengths = section.lengths
-    if not lengths or any(int(m) < 1 for m in lengths):
-        raise ConfigError(f"{where}: lengths must be positive")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ConfigError(f"{where}: lengths must be strictly increasing")
-    if section.randomizations < 2:
-        raise ConfigError(f"{where}: randomizations must be >= 2")
+    try:
+        RbConfig(sequence_lengths=section.lengths,
+                 randomizations=section.randomizations)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from None
     for g in section.interleaved:
         named_gate(g)
     return section

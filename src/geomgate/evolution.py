@@ -4,8 +4,10 @@ Within one segment the rotating-frame Hamiltonian
 H(t) = Omega(t) (cos(phi') sx + sin(phi') sy) commutes with itself at all
 times, so the exact segment propagator depends only on the pulse area.
 Numerical propagation uses fixed-step classical RK4, either for the pure
-Schrodinger state or for the density matrix under a Lindblad master equation
-with relaxation (rate 1/T1) and pure dephasing (rate 1/T2*).
+Schrodinger state (a scalar loop) or for vec(rho) under a Lindblad master
+equation with relaxation (rate 1/T1) and pure dephasing (rate 1/T2*). The
+Lindblad kernel steps a stack of 4-row arrays, so it also compiles channel
+superoperators.
 
 Trajectory analysis splits the cyclic total phase into dynamical and
 geometric parts and measures the solid angle enclosed by the Bloch path.
@@ -20,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCyclic, PathNotClosed, StepTooLarge
-from .pulse import PulseSchedule, PulseSegment, amplitude_at, segment_area
+from .pulse import PulseSchedule, PulseSegment, segment_area
 from .qcore import I2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+I4 = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -135,40 +139,6 @@ def _segment_steps(segment: PulseSegment, dt: float, min_steps: int) -> int:
     return max(min_steps, int(round(segment.duration / dt)))
 
 
-def _integrate(segments, y0: np.ndarray, dt: float, min_steps: int,
-               make_rhs):
-    """March RK4 across the segments, sampling every step.
-
-    ``make_rhs(k_mat)`` returns f(omega, y) with H = omega * k_mat; omega is
-    the instantaneous Rabi rate. Returns (times, states, hamiltonians).
-    """
-    times = [0.0]
-    states = [y0]
-    hams = [np.zeros((2, 2), dtype=complex)]
-    y = y0
-    t_off = 0.0
-    for seg in segments:
-        n = _segment_steps(seg, dt, min_steps)
-        h = seg.duration / n
-        k_mat = _drive_matrix(seg)
-        rhs = make_rhs(k_mat)
-        for i in range(n):
-            t_loc = i * h
-            w0 = amplitude_at(seg, t_loc)
-            w1 = amplitude_at(seg, t_loc + 0.5 * h)
-            w2 = amplitude_at(seg, min(t_loc + h, seg.duration))
-            k1 = rhs(w0, y)
-            k2 = rhs(w1, y + (0.5 * h) * k1)
-            k3 = rhs(w1, y + (0.5 * h) * k2)
-            k4 = rhs(w2, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times.append(t_off + (i + 1) * h)
-            states.append(y)
-            hams.append(w2 * k_mat)
-        t_off += seg.duration
-    return (np.array(times), np.array(states), np.array(hams))
-
-
 def _envelope_grid(segment: PulseSegment, n: int, h: float):
     """Rabi rate at the n+1 grid points and the n midpoints of a segment."""
     t_full = np.arange(n + 1) * h
@@ -183,31 +153,90 @@ def _envelope_grid(segment: PulseSegment, n: int, h: float):
     return w_full, w_half
 
 
+def _step_samples(segments, counts):
+    """Times and Hamiltonians at t = 0 (H = 0) and after every RK4 step."""
+    times = [np.zeros(1)]
+    hams = [np.zeros((1, 2, 2), dtype=complex)]
+    t_off = 0.0
+    for seg, n in zip(segments, counts):
+        h = seg.duration / n
+        w_full, _ = _envelope_grid(seg, n, h)
+        times.append(t_off + np.arange(1, n + 1) * h)
+        hams.append(w_full[1:, None, None] * _drive_matrix(seg))
+        t_off += seg.duration
+    return np.concatenate(times), np.concatenate(hams)
+
+
+def lindblad_generator(h: np.ndarray, gamma1: float, gamma_phi: float) -> np.ndarray:
+    """4x4 generator L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
+    sm = SIGMA_MINUS
+    pe = sm.conj().T @ sm
+    gen = -1j * (np.kron(h, np.eye(2)) - np.kron(np.eye(2), h.T))
+    if gamma1:
+        gen = gen + gamma1 * (np.kron(sm, sm.conj())
+                              - 0.5 * (np.kron(pe, np.eye(2))
+                                       + np.kron(np.eye(2), pe.T)))
+    if gamma_phi:
+        gen = gen + 0.5 * gamma_phi * (np.kron(SIGMA_Z, SIGMA_Z.conj()) - I4)
+    return gen
+
+
+def lindblad_rk4_steps(y: np.ndarray, seg_lists, device: DeviceParams | None,
+                       dt: float):
+    """Fixed-step RK4 on dY/dt = L(t) Y for a stack of schedules.
+
+    ``y`` has shape (G, 4, k); row g follows the segments ``seg_lists[g]``
+    under L(t) = w(t) L_drive + L_diss, where L_diss is the device's
+    dissipator (zero for ``device=None``). Yields the stack after every
+    step. Segment j must last equally long in every schedule. Every stacked
+    operation acts on each row exactly as it would on that row alone.
+    """
+    g1 = device.gamma1_per_ns if device is not None else 0.0
+    gphi = device.gamma_phi_per_ns if device is not None else 0.0
+    l_diss = lindblad_generator(np.zeros((2, 2)), g1, gphi)
+    for segs in zip(*seg_lists, strict=True):
+        if len({seg.duration for seg in segs}) != 1:
+            raise ValueError("stacked schedules need equal segment durations")
+        n = _segment_steps(segs[0], dt, 1)
+        h = segs[0].duration / n
+        w_full = np.empty((len(segs), n + 1, 1, 1))
+        w_half = np.empty((len(segs), n, 1, 1))
+        for g, seg in enumerate(segs):
+            w_full[g, :, 0, 0], w_half[g, :, 0, 0] = _envelope_grid(seg, n, h)
+        l_drive = np.array([lindblad_generator(_drive_matrix(seg), 0.0, 0.0)
+                            for seg in segs])
+        for i in range(n):
+            l0 = w_full[:, i] * l_drive + l_diss
+            lh = w_half[:, i] * l_drive + l_diss
+            l1 = w_full[:, i + 1] * l_drive + l_diss
+            k1 = l0 @ y
+            k2 = lh @ (y + 0.5 * h * k1)
+            k3 = lh @ (y + 0.5 * h * k2)
+            k4 = l1 @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            yield y
+
+
 def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> over the schedule.
 
     Requires dt <= segment duration / 100; the actual step divides each
     segment exactly. The RK4 update runs on scalar amplitudes, exploiting
-    K |psi> = (e^{-i phi'} c1, e^{+i phi'} c0).
+    K |psi> = (e^{-i phi'} c1, e^{+i phi'} c0). It stays separate from
+    ``lindblad_rk4_steps``, which takes about 12x longer on the same pure
+    state's density matrix, because it is the synthesis hot path.
     """
     segments = _segments_of(schedule)
     counts = [_segment_steps(seg, dt, 100) for seg in segments]
-    total = sum(counts)
-
-    times = np.empty(total + 1)
-    states = np.empty((total + 1, 2), dtype=complex)
-    hams = np.empty((total + 1, 2, 2), dtype=complex)
-    times[0] = 0.0
+    times, hams = _step_samples(segments, counts)
+    states = np.empty((len(times), 2), dtype=complex)
     states[0] = np.asarray(psi0, dtype=complex)
-    hams[0] = 0.0
 
     a, b = complex(psi0[0]), complex(psi0[1])
     pos = 0
-    t_off = 0.0
     for seg, n in zip(segments, counts):
         h = seg.duration / n
         w_full, w_half = _envelope_grid(seg, n, h)
-        k_mat = _drive_matrix(seg)
         em = -1j * complex(math.cos(seg.phase_offset), -math.sin(seg.phase_offset))
         ep = -1j * complex(math.cos(seg.phase_offset), math.sin(seg.phase_offset))
         hh = 0.5 * h
@@ -234,10 +263,7 @@ def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
             b = b + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
             states[pos + i + 1, 0] = a
             states[pos + i + 1, 1] = b
-        times[pos + 1:pos + n + 1] = t_off + np.arange(1, n + 1) * h
-        hams[pos + 1:pos + n + 1] = w_full[1:, None, None] * k_mat
         pos += n
-        t_off += seg.duration
     return Trajectory(times=times, states=states, hamiltonians=hams)
 
 
@@ -248,28 +274,15 @@ def evolve_lindblad(schedule, rho0: np.ndarray,
 
     d rho/dt = -i[H, rho] + G1 D[s-] rho + (Gphi/2) D[sz] rho with
     G1 = 1/T1, Gphi = 1/T2*. ``device=None`` turns dissipation off.
+    vec(rho) runs through ``lindblad_rk4_steps`` as a (1, 4, 1) stack.
     """
     segments = _segments_of(schedule)
-    g1 = device.gamma1_per_ns if device is not None else 0.0
-    gphi = device.gamma_phi_per_ns if device is not None else 0.0
-    sm = SIGMA_MINUS
-    sp = sm.conj().T
-    pe = sp @ sm  # |1><1|
-
-    def make_rhs(k_mat):
-        def rhs(omega, rho):
-            h = omega * k_mat
-            out = -1j * (h @ rho - rho @ h)
-            if g1:
-                out = out + g1 * (sm @ rho @ sp - 0.5 * (pe @ rho + rho @ pe))
-            if gphi:
-                out = out + 0.5 * gphi * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-            return out
-        return rhs
-
-    times, states, hams = _integrate(segments, np.asarray(rho0, dtype=complex),
-                                     dt, 1, make_rhs)
-    return Trajectory(times=times, states=states, hamiltonians=hams)
+    times, hams = _step_samples(segments,
+                                [_segment_steps(seg, dt, 1) for seg in segments])
+    y0 = np.asarray(rho0, dtype=complex).reshape(1, 4, 1)
+    states = np.array([y0, *lindblad_rk4_steps(y0, [segments], device, dt)])
+    return Trajectory(times=times, states=states.reshape(-1, 2, 2),
+                      hamiltonians=hams)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,22 @@ def prepare_input_states() -> list[np.ndarray]:
     return [axis_angle_unitary(named_gate(n)) @ KET0 for n in PREP_GATE_NAMES]
 
 
+def sample_outcomes(p_true: np.ndarray, shots: int, rng,
+                    readout: ReadoutModel | None,
+                    correct: bool = True) -> np.ndarray:
+    """Estimated (P(0), P(1)) of one binary measurement from ``shots`` shots.
+
+    Readout confusion is applied before one binomial draw from ``rng`` and,
+    when ``correct``, removed afterwards by matrix inversion.
+    """
+    p_meas = readout.apply(p_true) if readout is not None else p_true
+    n0 = rng.binomial(shots, min(max(p_meas[0], 0.0), 1.0))
+    est = np.array([n0 / shots, 1.0 - n0 / shots])
+    if readout is not None and correct:
+        est = readout.correct(est)
+    return est
+
+
 def measure_expectations(rho: np.ndarray, shots: int | None = None,
                          readout: ReadoutModel | None = None,
                          rng=None) -> np.ndarray:
@@ -101,12 +117,8 @@ def measure_expectations(rho: np.ndarray, shots: int | None = None,
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     out = np.empty(3)
     for k, ev in enumerate(exact):
-        p_true = np.array([(1.0 + ev) / 2.0, (1.0 - ev) / 2.0])
-        p_meas = readout.apply(p_true) if readout is not None else p_true
-        n0 = rng.binomial(shots, min(max(p_meas[0], 0.0), 1.0))
-        est = np.array([n0 / shots, 1.0 - n0 / shots])
-        if readout is not None:
-            est = readout.correct(est)
+        est = sample_outcomes(np.array([(1.0 + ev) / 2.0, (1.0 - ev) / 2.0]),
+                              shots, rng, readout)
         out[k] = est[0] - est[1]
     return out
 

@@ -8,7 +8,7 @@ from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    RbConfig, RbResult, decay_to_csv,
                                    execute_sequence, fit_decay, fit_report,
                                    run_interleaved_rb, run_reference_rb,
-                                   run_sequence, sample_sequence,
+                                   sample_sequence,
                                    save_fit_report, sequence_rng)
 from geomgate import channels as channels_module
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
@@ -71,14 +71,6 @@ def test_execute_noiseless_survival_is_one():
         assert abs(p - 1.0) < 1e-9
 
 
-def test_run_sequence_wrapper(device):
-    seq = sample_sequence(3, sequence_rng(0, 0, 0))
-    p = run_sequence(seq, device=None)
-    assert abs(p - 1.0) < 1e-9
-    p = run_sequence(seq, device=device)
-    assert 0.99 < p < 1.0
-
-
 def test_execute_depolarizing_matches_closed_form():
     lam = 0.03
     channels = GateChannelCache(DepolarizingNoise(lam))
@@ -94,6 +86,10 @@ def test_execute_survival_bounds(device):
     indices, recovery = sample_sequence(50, sequence_rng(1, 0, 0))
     p = execute_sequence(indices, recovery, channels=channels)
     assert -1e-9 < p < 1.0 + 1e-9
+    # a short noisy sequence loses a little, but not nothing
+    indices, recovery = sample_sequence(3, sequence_rng(0, 0, 0))
+    p = execute_sequence(indices, recovery, channels=channels)
+    assert 0.99 < p < 1.0
 
 
 def test_execute_single_gate_error_scale(device):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, gate_superop,
-                               gate_superops, lindblad_generator,
-                               schedule_superop, schedule_superops,
-                               unitary_superop, unvec, vec)
+                               gate_superops, schedule_superop,
+                               schedule_superops, unitary_superop, unvec, vec)
 from geomgate.evolution import (DeviceParams, _drive_matrix, _envelope_grid,
-                                evolve_lindblad, schedule_propagator)
+                                evolve_lindblad, lindblad_generator,
+                                schedule_propagator)
 from geomgate.pulse import synthesize
 from geomgate.qcore import (GateSpec, axis_angle_unitary, clifford_group,
                             clifford_index_of, named_gate)
@@ -90,7 +91,6 @@ def test_cache_returns_same_object(device):
     cache = GateChannelCache(device)
     spec = GateSpec(0.3, 0.2, 1.0)
     assert cache.for_spec(spec) is cache.for_spec(spec)
-    assert cache.for_unitary(axis_angle_unitary(spec)) is cache.for_spec(spec)
 
 
 def test_cache_clifford_table_and_first_spec_wins(device):
@@ -172,48 +172,68 @@ def test_stacked_compile_rejects_unequal_durations(device):
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: adaptive ODE solve of the master equation
+# independent oracles: adaptive ODE solve and matrix exponential of the
+# master equation, sharing no code with the RK4 kernel
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)
 
+STRENGTHS = [(19.0, 10.0), (0.05, 0.03)]
 
-def _oracle_superop(schedule, t1_ns, t2_ns):
-    """Superoperator from solve_ivp on d rho/dt in density-matrix form.
+
+def _master_rhs(seg, t1_ns, t2_ns):
+    """d rho/dt on one segment, for a flattened stack of density matrices.
 
     Written from the master equation alone: H(t) = Omega(t) (cos p sx +
-    sin p sy) with Omega(t) = Omega0 sin^2(pi t / T) on each segment,
-    relaxation at 1/T1 and pure dephasing at 1/T2*.
+    sin p sy) with Omega(t) = Omega0 sin^2(pi t / T), or Omega0 for a square
+    envelope, relaxation at 1/T1 and pure dephasing at 1/T2*.
     """
     g1, gphi = 1.0 / t1_ns, 1.0 / t2_ns
     sp = _SM.conj().T
+    k = math.cos(seg.phase_offset) * _SX + math.sin(seg.phase_offset) * _SY
 
-    def rhs_for(seg):
-        k = math.cos(seg.phase_offset) * _SX + math.sin(seg.phase_offset) * _SY
+    def rhs(t, y):
+        rho = y.reshape(-1, 2, 2)
+        omega = seg.peak_amplitude
+        if seg.envelope != "square":
+            omega *= math.sin(math.pi * t / seg.duration) ** 2
+        ham = omega * k
+        out = -1j * (ham @ rho - rho @ ham)
+        out += g1 * (_SM @ rho @ sp - 0.5 * (sp @ _SM @ rho + rho @ sp @ _SM))
+        out += 0.5 * gphi * (_SZ @ rho @ _SZ - rho)
+        return out.reshape(-1)
+    return rhs
 
-        def rhs(t, y):
-            rho = y.reshape(4, 2, 2)
-            ham = seg.peak_amplitude * math.sin(math.pi * t / seg.duration) ** 2 * k
-            out = -1j * (ham @ rho - rho @ ham)
-            out += g1 * (_SM @ rho @ sp - 0.5 * (sp @ _SM @ rho + rho @ sp @ _SM))
-            out += 0.5 * gphi * (_SZ @ rho @ _SZ - rho)
-            return out.reshape(-1)
-        return rhs
 
+def _oracle_superop(schedule, t1_ns, t2_ns):
+    """Superoperator from solve_ivp on d rho/dt in density-matrix form."""
     # the four matrix units |i><j|, evolved side by side
-    y = np.eye(4, dtype=complex).reshape(4, 2, 2).reshape(-1)
+    y = np.eye(4, dtype=complex).reshape(-1)
     for seg in schedule.segments:
-        sol = solve_ivp(rhs_for(seg), (0.0, seg.duration), y, method="DOP853",
-                        rtol=1e-12, atol=1e-14)
+        sol = solve_ivp(_master_rhs(seg, t1_ns, t2_ns), (0.0, seg.duration),
+                        y, method="DOP853", rtol=1e-12, atol=1e-14)
         assert sol.success
         y = sol.y[:, -1]
     # column k is vec of the image of the k-th matrix unit
     return y.reshape(4, 4).T
 
 
-@pytest.mark.parametrize("t1_us, t2_us", [(19.0, 10.0), (0.05, 0.03)])
+def _expm_superop(schedule, t1_ns, t2_ns):
+    """Product of exp(L_k T_k) over square-envelope segments, where each
+    segment's generator L_k is constant; column j of L_k is vec of d rho/dt
+    at the j-th matrix unit."""
+    s = np.eye(4, dtype=complex)
+    for seg in schedule.segments:
+        assert seg.envelope == "square"
+        rhs = _master_rhs(seg, t1_ns, t2_ns)
+        gen = np.column_stack([rhs(0.0, e) for e in np.eye(4, dtype=complex)])
+        s = expm(gen * seg.duration) @ s
+    return s
+
+
+@pytest.mark.parametrize("t1_us, t2_us", STRENGTHS)
 def test_stacked_compile_matches_ode_oracle(t1_us, t2_us):
     device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
     group = clifford_group()
@@ -223,3 +243,41 @@ def test_stacked_compile_matches_ode_oracle(t1_us, t2_us):
         want = _oracle_superop(synthesize(spec, 10.0), t1_us * 1e3,
                                t2_us * 1e3)
         assert np.abs(sop - want).max() < 1e-8
+
+
+@pytest.mark.parametrize("t1_us, t2_us", STRENGTHS)
+def test_square_envelope_matches_expm_oracle(rng, t1_us, t2_us):
+    device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
+    for _ in range(3):
+        sched = synthesize(random_spec(rng), 10.0, envelope="square")
+        want = _expm_superop(sched, t1_us * 1e3, t2_us * 1e3)
+        assert np.abs(schedule_superop(sched, device) - want).max() < 1e-8
+        rho0 = _random_density(rng)
+        final = evolve_lindblad(sched, rho0, device).states[-1]
+        assert np.abs(final - unvec(want @ vec(rho0))).max() < 1e-8
+
+
+@pytest.mark.parametrize("t1_us, t2_us", STRENGTHS)
+def test_evolve_lindblad_trajectory_matches_ode_oracle(rng, t1_us, t2_us):
+    device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
+    sched = synthesize(random_spec(rng), 10.0)
+    rho0 = _random_density(rng)
+    traj = evolve_lindblad(sched, rho0, device, dt=0.01)
+    y = rho0.reshape(-1).astype(complex)
+    t_off = 0.0
+    checked = 0
+    for seg in sched.segments:
+        # every quarter of the segment, its end included
+        local = np.linspace(0.0, seg.duration, 5)[1:]
+        sol = solve_ivp(_master_rhs(seg, t1_us * 1e3, t2_us * 1e3),
+                        (0.0, seg.duration), y, method="DOP853",
+                        t_eval=local, rtol=1e-12, atol=1e-14)
+        assert sol.success
+        for t, y_t in zip(local, sol.y.T):
+            k = int(np.argmin(np.abs(traj.times - (t_off + t))))
+            assert abs(traj.times[k] - (t_off + t)) < 1e-9
+            assert np.abs(traj.states[k] - y_t.reshape(2, 2)).max() < 1e-8
+            checked += 1
+        y = sol.y[:, -1]
+        t_off += seg.duration
+    assert checked == 12

@@ -1,5 +1,7 @@
 import json
 import math
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from geomgate.errors import ConfigError
 from geomgate.selftest import run_selftest
 
 PI = math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = {
     "device": {"T1_us": 19.0, "T2_star_us": 10.0, "f10_GHz": 5.266,
@@ -74,6 +77,9 @@ def test_invalid_values_rejected(tmp_path):
     path = _write_config(tmp_path, {"rb": {"lengths": [4, 2]}})
     with pytest.raises(ConfigError, match="increasing"):
         load_config(path)
+    path = _write_config(tmp_path, {"rb": {"randomizations": 1}})
+    with pytest.raises(ConfigError, match="randomizations"):
+        load_config(path)
     path = _write_config(tmp_path, {"dt_ns": 5.0})
     with pytest.raises(ConfigError, match="dt_ns"):
         load_config(path)
@@ -116,8 +122,29 @@ def test_config_to_dict_materializes_defaults():
     assert data["synth"]["theta"] == pytest.approx(PI / 4)
 
 
+def test_shipped_configs_load():
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert [p.name for p in paths] == ["qpt_xmon.json", "rb_xmon.json"]
+    for path in paths:
+        load_config(path)
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
+
+def test_command_annotations_resolve():
+    for command in (cli.cmd_synth, cli.cmd_qpt, cli.cmd_rb):
+        hints = typing.get_type_hints(command)
+        assert hints["cfg"].__name__ == "ExperimentConfig"
+
+
+def test_cli_qpt_shipped_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["qpt", "--config", str(CONFIGS / "qpt_xmon.json"),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "qpt_summary.json").read_text())
+    assert len(summary["fidelities"]) == 8
+    assert 0.99 < summary["average_fidelity"] < 1.0
 
 def test_cli_synth_writes_artifacts(tmp_path, capsys):
     path = _write_config(tmp_path, {"synth": {"gate": "H"}})

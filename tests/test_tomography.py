@@ -15,8 +15,8 @@ from geomgate.tomography import (ReadoutModel,
                                  measure_expectations, pauli_coefficients,
                                  prepare_input_states, process_fidelity,
                                  qpt_report, reconstruct_chi,
-                                 reconstruct_state, run_qpt, save_qpt_report,
-                                 validate_process_matrix)
+                                 reconstruct_state, run_qpt, sample_outcomes,
+                                 save_qpt_report, validate_process_matrix)
 
 SQ2 = math.sqrt(2.0)
 
@@ -65,6 +65,18 @@ def test_measure_expectations_shot_unbiased(device):
         readout.f0 + readout.f1 - 1.0)
     assert abs(got[2] - 1.0) < 3.0 * sigma
     assert abs(got[0]) < 5e-3 and abs(got[1]) < 5e-3
+
+
+def test_sample_outcomes_one_draw_then_correction(device):
+    readout = ReadoutModel.from_device(device)
+    p_true = np.array([0.7, 0.3])
+    raw = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout,
+                          correct=False)
+    # one binomial draw on the confused probabilities, nothing else
+    n0 = np.random.default_rng(4).binomial(1000, readout.apply(p_true)[0])
+    assert raw.tolist() == [n0 / 1000, 1.0 - n0 / 1000]
+    fixed = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout)
+    assert np.array_equal(fixed, readout.correct(raw))
 
 
 def test_readout_model_invariants(device):
