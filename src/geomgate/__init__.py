@@ -4,8 +4,8 @@ propagation, geometric-phase analysis, quantum process tomography, and
 Clifford randomized benchmarking."""
 
 from .benchmarking import (DecayCurve, DecayFit, RbConfig, RbResult,
-                           fit_decay, run_interleaved_rb, run_reference_rb,
-                           sample_sequence)
+                           fit_decay, run_interleaved_rb, run_rb,
+                           run_reference_rb, sample_sequence)
 from .channels import DepolarizingNoise, GateChannelCache
 from .errors import GeomgateError
 from .evolution import (DeviceParams, PhaseReport, Trajectory,
@@ -30,5 +30,6 @@ __all__ = [
     "enclosed_solid_angle", "evolve_lindblad", "evolve_unitary", "fit_decay",
     "named_gate", "phase_decomposition", "phase_distance", "process_fidelity",
     "reconstruct_chi", "recovery_gate", "run_interleaved_rb", "run_qpt",
-    "run_reference_rb", "sample_sequence", "schedule_propagator", "synthesize",
+    "run_rb", "run_reference_rb", "sample_sequence", "schedule_propagator",
+    "synthesize",
 ]

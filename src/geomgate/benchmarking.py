@@ -8,12 +8,16 @@ extraction, so all gates cost the same wall-clock time under noise.
 
 Execution composes per-gate channel superoperators, which is exactly
 equivalent to concatenated master-equation integration (the dynamics are
-time-local and linear) and keeps long sequences cheap. All randomizations of
-one length run as a batch: channels are picked from a (24, 4, 4) Clifford
-table by index and applied to a stack of state vectors. Randomness is drawn
+time-local and linear) and keeps long sequences cheap. Randomness is drawn
 from counter-based Philox streams keyed by (seed, length index,
-randomization index), one per sequence, so results are reproducible
-regardless of execution order and equal to running the sequences one by one.
+randomization index). Each stream draws its Clifford indices once per run,
+and the reference curve and every interleaved curve run that same sequence:
+all curves and randomizations of one length execute as one batch, with
+channels picked from a (24, 4, 4) Clifford table by index and applied to a
+stack of state vectors. In shot mode each curve draws its own sample from
+the stream position right after the indices. So every curve is
+reproducible regardless of execution order, does not depend on which other
+curves share its run, and equals running its sequences one by one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,14 @@ from .tomography import ReadoutModel, readout_model, sample_outcomes
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; it must be a whole number, not a bool or text."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or int(value) != value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RbConfig:
     """Benchmarking run parameters; ``shots=None`` means exact survival."""
@@ -47,9 +60,14 @@ class RbConfig:
     readout_correction: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "sequence_lengths",
-                           tuple(int(m) for m in self.sequence_lengths))
-        lengths = self.sequence_lengths
+        lengths = tuple(_whole(m, "sequence length")
+                        for m in self.sequence_lengths)
+        object.__setattr__(self, "sequence_lengths", lengths)
+        object.__setattr__(self, "randomizations",
+                           _whole(self.randomizations, "randomizations"))
+        if not isinstance(self.readout_correction, bool):
+            raise ValueError("readout_correction must be true or false, "
+                             f"got {self.readout_correction!r}")
         if not lengths or any(m < 1 for m in lengths):
             raise ValueError("sequence lengths must be positive")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -140,31 +158,38 @@ def _survival_from_prob(p0: float, shots: int | None, rng,
                                  readout, readout_correction)[0])
 
 
-def _interleaved_recoveries(idx: np.ndarray, target_index: int) -> np.ndarray:
-    """Recovery index closing each row of ``idx`` (R, m) to the identity
-    when the target Clifford follows every random one."""
+def _interleaved_recoveries(idx: np.ndarray,
+                            target_indices: np.ndarray) -> np.ndarray:
+    """Recovery indices, shape (C, R), closing each row of ``idx`` (R, m)
+    to the identity when target Clifford ``target_indices[c]`` follows
+    every random one."""
     compose, inverse = clifford_tables()
-    acc = np.zeros(len(idx), dtype=np.intp)
+    targets = target_indices[:, None]
+    acc = np.zeros((len(targets), len(idx)), dtype=np.intp)
     for col in idx.T:
-        acc = compose[target_index, compose[col, acc]]
+        acc = compose[targets, compose[col, acc]]
     return inverse[acc]
 
 
 def _apply_sequences(table: np.ndarray, idx: np.ndarray,
-                     recovery: np.ndarray,
-                     target: np.ndarray | None = None) -> np.ndarray:
-    """P(|0>) after each row of ``idx`` and its recovery, starting from |0>.
+                     recovery: np.ndarray, targets=()) -> np.ndarray:
+    """P(|0>), shape (C, R), after each row of ``idx`` and its recovery
+    ``recovery[c, r]``, starting from |0>.
 
-    Channels act as ``T @ v`` on an (R, 4, 1) stack of state vectors, the
-    same product a lone sequence computes, so each row is bit-equal to it.
+    The last ``len(targets)`` curves apply their target channel after every
+    random Clifford; the others run plain. Channels act as ``T @ v`` on a
+    (C, R, 4, 1) stack of state vectors, the same product a lone sequence
+    computes, so each row is bit-equal to it.
     """
-    v = np.tile(vec(density_of(KET0))[:, None], (len(idx), 1, 1))
+    v = np.tile(vec(density_of(KET0))[:, None], (*recovery.shape, 1, 1))
+    plain = len(recovery) - len(targets)
+    targets = np.reshape(targets, (-1, 1, 4, 4))
     for col in idx.T:
         v = np.matmul(table[col], v)
-        if target is not None:
-            v = np.matmul(target, v)
+        if len(targets):
+            v[plain:] = np.matmul(targets, v[plain:])
     v = np.matmul(table[recovery], v)
-    return v[:, 0, 0].real
+    return v[..., 0, 0].real
 
 
 def execute_sequence(cliffords, recovery: int, *, channels: GateChannelCache,
@@ -179,8 +204,8 @@ def execute_sequence(cliffords, recovery: int, *, channels: GateChannelCache,
     """
     idx = np.array(cliffords, dtype=np.intp).reshape(1, -1)
     table = channels.clifford_table(sorted({*cliffords, recovery}))
-    (p0,) = _apply_sequences(table, idx, np.array([recovery]),
-                             interleaved_sop)
+    targets = () if interleaved_sop is None else [interleaved_sop]
+    ((p0,),) = _apply_sequences(table, idx, np.array([[recovery]]), targets)
     return _survival_from_prob(float(p0), shots, rng, readout,
                                readout_correction)
 
@@ -279,37 +304,51 @@ def fit_decay(curve: DecayCurve, weighted: bool = False,
 # ---------------------------------------------------------------------------
 # benchmark drivers
 
-def _run_curve(config: RbConfig, channels: GateChannelCache,
-               readout: ReadoutModel | None,
-               target: np.ndarray | None = None,
-               target_index: int | None = None) -> DecayCurve:
-    """Execute all randomizations of each length as one batch.
+def _run_curves(config: RbConfig, table: np.ndarray,
+                readout: ReadoutModel | None, targets) -> list[DecayCurve]:
+    """Decay curves of several RB experiments on shared sequences.
 
-    Each randomization samples its sequence from its own stream in the order
-    a lone sequence does (Clifford indices, then the shot sample), so the
-    curve equals executing the sequences one by one.
+    ``targets`` holds one entry per curve: None for reference RB, or
+    ``(superop, clifford_index)`` for a target interleaved after every
+    random Clifford. Each (length, randomization) draws its Clifford
+    indices once, from its own stream, and every curve runs them, all
+    curves of a length as one batch. In shot mode each curve draws its
+    sample from the stream position right after the indices, as a lone
+    sequence does, so every curve equals executing it on its own.
     """
-    table = channels.clifford_table()
-    means = []
-    stderrs = []
-    samples = []
+    plain = [c for c, t in enumerate(targets) if t is None]
+    interleaved = [c for c, t in enumerate(targets) if t is not None]
+    sops = [targets[c][0] for c in interleaved]
+    target_indices = np.array([targets[c][1] for c in interleaved],
+                              dtype=np.intp)
+    samples = [[] for _ in targets]
     for li, m in enumerate(config.sequence_lengths):
         rngs = [sequence_rng(config.seed, li, ri)
                 for ri in range(config.randomizations)]
         drawn = [sample_sequence(m, rng) for rng in rngs]
+        # shot samples start where the index draw left each stream
+        states = ([rng.bit_generator.state for rng in rngs]
+                  if config.shots is not None else None)
         idx = np.array([cliffords for cliffords, _ in drawn], dtype=np.intp)
-        recovery = (np.array([r for _, r in drawn]) if target_index is None
-                    else _interleaved_recoveries(idx, target_index))
-        p0 = _apply_sequences(table, idx, recovery, target)
-        vals = np.array([_survival_from_prob(p, config.shots, rng, readout,
-                                             config.readout_correction)
-                         for p, rng in zip(p0.tolist(), rngs)])
-        samples.append(vals)
-        means.append(vals.mean())
-        stderrs.append(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return DecayCurve(lengths=config.sequence_lengths,
-                      means=np.array(means), stderrs=np.array(stderrs),
-                      samples=samples)
+        recovery = np.concatenate([
+            np.tile([r for _, r in drawn], (len(plain), 1)),
+            _interleaved_recoveries(idx, target_indices)])
+        p0 = _apply_sequences(table, idx, recovery, sops)
+        for c, row in zip(plain + interleaved, p0.tolist()):
+            if states is not None:
+                for rng, state in zip(rngs, states):
+                    rng.bit_generator.state = state
+            samples[c].append(np.array([
+                _survival_from_prob(p, config.shots, rng, readout,
+                                    config.readout_correction)
+                for p, rng in zip(row, rngs)]))
+    return [DecayCurve(lengths=config.sequence_lengths,
+                       means=np.array([vals.mean() for vals in curve]),
+                       stderrs=np.array([vals.std(ddof=1)
+                                         / math.sqrt(len(vals))
+                                         for vals in curve]),
+                       samples=curve)
+            for curve in samples]
 
 
 def _fit_or_flag(curve: DecayCurve, weighted: bool) -> DecayFit:
@@ -319,16 +358,57 @@ def _fit_or_flag(curve: DecayCurve, weighted: bool) -> DecayFit:
         return err.fit
 
 
+def _fitted_curves(config: RbConfig, device: DeviceParams | None,
+                   channels: GateChannelCache,
+                   targets) -> list[tuple[DecayCurve, DecayFit]]:
+    """Run and fit one curve per entry of ``targets``: None for reference
+    RB, or ``(name, superop)`` for an interleaved target whose superop,
+    when not None, overrides the compiled channel of gate ``name``."""
+    table = channels.clifford_table()
+    entries = []
+    for target in targets:
+        if target is None:
+            entries.append(None)
+            continue
+        name, sop = target
+        spec = named_gate(name)
+        entries.append((channels.for_spec(spec) if sop is None else sop,
+                        clifford_index_of(axis_angle_unitary(spec))))
+    curves = _run_curves(config, table, readout_model(device, config.shots),
+                         entries)
+    return [(curve, _fit_or_flag(curve, weighted=config.shots is not None))
+            for curve in curves]
+
+
+def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
+           segment_duration: float = 10.0, dt: float = 0.01,
+           channels: GateChannelCache | None = None
+           ) -> list[tuple[DecayCurve, DecayFit, RbResult]]:
+    """Reference RB plus one interleaved RB curve per target, fitted.
+
+    Each target is a gate name, or a ``(name, superop)`` pair whose superop
+    overrides the gate's compiled channel (e.g. a synthetic depolarizing
+    stub). Every curve runs the same sampled sequences, drawn once per
+    (length, randomization); ``config.interleaved_target`` is not used.
+    Returns ``(curve, fit, result)`` for the reference, then for each
+    target in order.
+    """
+    if channels is None:
+        channels = GateChannelCache(device, segment_duration, dt)
+    targets = [(t, None) if isinstance(t, str) else tuple(t) for t in targets]
+    (curve, fit), *rest = _fitted_curves(config, device, channels,
+                                         [None, *targets])
+    return [(curve, fit, RbResult.from_fits(fit))] + [
+        (icurve, ifit, RbResult.from_fits(fit, ifit)) for icurve, ifit in rest]
+
+
 def run_reference_rb(config: RbConfig, device: DeviceParams | None = None,
                      segment_duration: float = 10.0, dt: float = 0.01,
                      channels: GateChannelCache | None = None
                      ) -> tuple[DecayCurve, DecayFit, RbResult]:
     """Reference RB: sample, execute, average, and fit the decay."""
-    if channels is None:
-        channels = GateChannelCache(device, segment_duration, dt)
-    curve = _run_curve(config, channels, readout_model(device, config.shots))
-    fit = _fit_or_flag(curve, weighted=config.shots is not None)
-    return curve, fit, RbResult.from_fits(fit)
+    (reference,) = run_rb(config, (), device, segment_duration, dt, channels)
+    return reference
 
 
 def run_interleaved_rb(config: RbConfig, device: DeviceParams | None = None,
@@ -340,25 +420,21 @@ def run_interleaved_rb(config: RbConfig, device: DeviceParams | None = None,
     """Interleaved RB for ``config.interleaved_target``.
 
     The target gate follows every random Clifford; the recovery inverts the
-    whole combination. ``reference`` supplies the reference decay fit (it is
-    computed on the spot when omitted). ``target_superop`` overrides the
-    target's channel, e.g. to wrap it in a synthetic depolarizing stub.
+    whole combination. ``reference`` supplies the reference decay fit (when
+    omitted, the reference curve runs in the same batch). ``target_superop``
+    overrides the target's channel, e.g. to wrap it in a synthetic
+    depolarizing stub.
     """
     if config.interleaved_target is None:
         raise ValueError("config.interleaved_target is not set")
-    target_spec = named_gate(config.interleaved_target)
     if channels is None:
         channels = GateChannelCache(device, segment_duration, dt)
-    if reference is None:
-        _, reference, _ = run_reference_rb(config, device,
-                                           segment_duration, dt,
-                                           channels=channels)
-    if target_superop is None:
-        target_superop = channels.for_spec(target_spec)
-    target_index = clifford_index_of(axis_angle_unitary(target_spec))
-    curve = _run_curve(config, channels, readout_model(device, config.shots),
-                       target_superop, target_index)
-    fit = _fit_or_flag(curve, weighted=config.shots is not None)
+    target = (config.interleaved_target, target_superop)
+    *ref, (curve, fit) = _fitted_curves(
+        config, device, channels,
+        [None, target] if reference is None else [target])
+    if ref:
+        reference = ref[0][1]
     return curve, fit, RbResult.from_fits(reference, fit)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonPhysicalChannel
 from .evolution import (I4, DeviceParams, _segments_of, lindblad_rk4_steps,
                         schedule_propagator)
 from .pulse import synthesize
@@ -103,6 +104,39 @@ def gate_superop(spec: GateSpec, noise=None, segment_duration: float = 10.0,
     return gate_superops([spec], noise, segment_duration, dt)[0]
 
 
+PHYSICAL_TOL = 1e-10
+
+
+def check_physical(sops: np.ndarray, specs) -> None:
+    """Raise NonPhysicalChannel unless every superop of the (G, 4, 4) stack
+    is finite, trace preserving and completely positive, each to
+    ``PHYSICAL_TOL``; ``specs`` name the gates in the message."""
+    def fail(bad, what):
+        spec = specs[int(np.flatnonzero(bad)[0])]
+        raise NonPhysicalChannel(
+            f"compiled channel of gate ({spec.theta:.6f}, {spec.phi:.6f}, "
+            f"{spec.gamma:.6f}) is {what}; dt_ns may be too coarse "
+            "for the device rates")
+
+    finite = np.isfinite(sops).all(axis=(1, 2))
+    if not finite.all():
+        fail(~finite, "not finite")
+    # Tr(S rho) = Tr(rho): rows 0 and 3 of S sum to vec(I)
+    trace_row = sops[:, 0, :] + sops[:, 3, :] - vec(np.eye(2))
+    tp_defect = np.abs(trace_row).max(axis=1)
+    if (tp_defect > PHYSICAL_TOL).any():
+        fail(tp_defect > PHYSICAL_TOL,
+             f"not trace preserving (defect {tp_defect.max():.1e})")
+    # Choi matrix J[(i,k),(j,l)] = S[(i,j),(k,l)]; CP iff J >= 0
+    choi = (sops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+            .reshape(-1, 4, 4))
+    choi = 0.5 * (choi + choi.conj().swapaxes(1, 2))
+    choi_min = np.linalg.eigvalsh(choi)[:, 0]
+    if (choi_min < -PHYSICAL_TOL).any():
+        fail(choi_min < -PHYSICAL_TOL,
+             f"not completely positive (Choi eigenvalue {choi_min.min():.1e})")
+
+
 class GateChannelCache:
     """Memoized gate -> superoperator compilation for a fixed noise model.
 
@@ -129,8 +163,10 @@ class GateChannelCache:
             if key not in self._by_key:
                 missing.setdefault(key, spec)
         if missing:
-            sops = gate_superops(list(missing.values()), self.noise,
-                                 self.segment_duration, self.dt)
+            specs = list(missing.values())
+            sops = gate_superops(specs, self.noise, self.segment_duration,
+                                 self.dt)
+            check_physical(sops, specs)
             self._by_key.update(zip(missing, sops))
 
     def for_spec(self, spec: GateSpec) -> np.ndarray:

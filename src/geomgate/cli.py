@@ -4,7 +4,9 @@ Reads a JSON experiment config, runs the requested characterization, and
 writes plot-ready CSV / JSON artifacts into the output directory (flag
 --out, falling back to $GEOMGATE_OUT, then ./geomgate_out). Every report
 embeds the fully resolved configuration. Exit codes: 0 success, 2 config
-error, 3 fit divergence, 4 invariant failure.
+error or unwritable output directory, 3 fit divergence, 4 invariant failure
+(including a compiled channel that is not finite, trace preserving and
+completely positive).
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
     cache.prefetch([element.spec for element in clifford_group()]
                    + [named_gate(name) for name in section.interleaved])
-    curve, ref_fit, ref_result = benchmarking.run_reference_rb(
-        base, cfg.device, channels=cache)
+    (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
+        base, section.interleaved, cfg.device, channels=cache)
     benchmarking.decay_to_csv(curve, outdir / "rb_reference.csv")
     payload = benchmarking.fit_report(ref_result)
     payload["config"] = config_to_dict(cfg)
@@ -116,10 +118,8 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
           f"F_avg={ref_result.F_avg:.6f} converged={ref_fit.converged}")
 
     diverged = not ref_fit.converged
-    for target in section.interleaved:
-        icfg = dataclasses.replace(base, interleaved_target=target)
-        icurve, ifit, iresult = benchmarking.run_interleaved_rb(
-            icfg, cfg.device, reference=ref_fit, channels=cache)
+    for target, (icurve, ifit, iresult) in zip(section.interleaved,
+                                                interleaved):
         slug = _slug(target)
         benchmarking.decay_to_csv(icurve, outdir / f"rb_interleaved_{slug}.csv")
         payload = benchmarking.fit_report(iresult)
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except GeomgateError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -111,17 +111,16 @@ def _parse_qpt(data, where: str) -> QptSection:
 def _parse_rb(data, where: str) -> RbSection:
     _check_fields(data, {"lengths", "randomizations", "interleaved",
                          "readout_correction"}, where)
-    section = RbSection(
-        lengths=tuple(data.get("lengths", DEFAULT_LENGTHS)),
-        randomizations=int(data.get("randomizations", 50)),
-        interleaved=tuple(data.get("interleaved", ())),
-        readout_correction=bool(data.get("readout_correction", True)),
-    )
     try:
-        RbConfig(sequence_lengths=section.lengths,
-                 randomizations=section.randomizations)
-    except ValueError as err:
+        rb = RbConfig(sequence_lengths=data.get("lengths", DEFAULT_LENGTHS),
+                      randomizations=data.get("randomizations", 50),
+                      readout_correction=data.get("readout_correction", True))
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
+    section = RbSection(lengths=rb.sequence_lengths,
+                        randomizations=rb.randomizations,
+                        interleaved=tuple(data.get("interleaved", ())),
+                        readout_correction=rb.readout_correction)
     for g in section.interleaved:
         named_gate(g)
     return section
@@ -179,6 +178,8 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file") from None
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     if not isinstance(data, dict):

@@ -47,3 +47,7 @@ class FitDiverged(GeomgateError):
 
 class ConfigError(GeomgateError):
     """Experiment configuration failed to load or validate."""
+
+
+class NonPhysicalChannel(GeomgateError):
+    """A compiled gate channel is not finite, trace preserving or CP."""

@@ -7,8 +7,8 @@ import pytest
 from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    RbConfig, RbResult, decay_to_csv,
                                    execute_sequence, fit_decay, fit_report,
-                                   run_interleaved_rb, run_reference_rb,
-                                   sample_sequence,
+                                   run_interleaved_rb, run_rb,
+                                   run_reference_rb, sample_sequence,
                                    save_fit_report, sequence_rng)
 from geomgate import channels as channels_module
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
@@ -329,10 +329,29 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
                    shots=shots, interleaved_target="Rx(pi/2)")
     override = (depolarizing_superop(0.01)
                 @ unitary_superop(axis_angle_unitary(named_gate("Rx(pi/2)"))))
-    icurve, _, _ = run_interleaved_rb(cfg, device, reference=ref_fit,
-                                      target_superop=override, channels=cache)
+    # no reference given: it runs in the same batch as the target
+    icurve, _, iresult = run_interleaved_rb(cfg, device,
+                                            target_superop=override,
+                                            channels=cache)
     _assert_curve_equals_plain(
         icurve, _plain_samples(cfg, cache, device, override))
+    assert iresult.reference.p == ref_fit.p
+
+    # one run of every curve on shared draws equals each curve on its own
+    targets = ["H", "Rz(pi)", ("Rx(pi/2)", override)]
+    runs = run_rb(ref_cfg, targets, device, channels=cache)
+    assert len(runs) == 1 + len(targets)
+    _assert_curve_equals_plain(runs[0][0],
+                               _plain_samples(ref_cfg, cache, device))
+    assert runs[0][1].p == ref_fit.p
+    for target, (icurve, ifit, iresult) in zip(targets, runs[1:]):
+        name, sop = ((target, cache.for_spec(named_gate(target)))
+                     if isinstance(target, str) else target)
+        cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
+                       shots=shots, interleaved_target=name)
+        _assert_curve_equals_plain(
+            icurve, _plain_samples(cfg, cache, device, sop))
+        assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
 
 
 def test_execute_sequence_compiles_only_its_gates(monkeypatch, device):

@@ -6,12 +6,13 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
-                               depolarizing_superop, gate_superop,
+                               check_physical, depolarizing_superop, gate_superop,
                                gate_superops, schedule_superop,
                                schedule_superops, unitary_superop, unvec, vec)
 from geomgate.evolution import (DeviceParams, _drive_matrix, _envelope_grid,
                                 evolve_lindblad, lindblad_generator,
                                 schedule_propagator)
+from geomgate.errors import NonPhysicalChannel
 from geomgate.pulse import synthesize
 from geomgate.qcore import (GateSpec, axis_angle_unitary, clifford_group,
                             clifford_index_of, named_gate)
@@ -132,6 +133,31 @@ def _loop_superop(schedule, device, dt):
             k4 = l1 @ (s + h * k3)
             s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return s
+
+
+def test_physical_channel_check(device):
+    specs = [e.spec for e in clifford_group()[:3]]
+    for noise in (None, device, DepolarizingNoise(0.05),
+                  DeviceParams(T1_us=0.05, T2_star_us=0.05)):
+        check_physical(gate_superops(specs, noise), specs)
+    good = gate_superops(specs, device)
+    # each defect is caught and names the offending gate of the stack
+    transpose = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # TP, not CP
+    leaky = good[1] @ np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9])
+    nan = np.where(np.eye(4, dtype=bool), np.nan, good[1])
+    for sop, what in ((nan, "not finite"), (leaky, "not trace preserving"),
+                      (transpose, "not completely positive")):
+        stack = np.array([good[0], sop, good[2]])
+        with pytest.raises(NonPhysicalChannel, match=what) as err:
+            check_physical(stack, specs)
+        assert f"{specs[1].theta:.6f}" in str(err.value)
+
+
+def test_cache_refuses_diverged_compile():
+    cache = GateChannelCache(DeviceParams(T1_us=1e-6, T2_star_us=10.0))
+    with np.errstate(all="ignore"), pytest.raises(NonPhysicalChannel):
+        cache.prefetch([named_gate("H")])
+    assert not cache._by_key
 
 
 def test_stacked_compile_bit_equal_to_single(rng, device):

@@ -3,6 +3,7 @@ import math
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geomgate import cli
@@ -86,6 +87,23 @@ def test_invalid_values_rejected(tmp_path):
     path = _write_config(tmp_path, {"qpt": {"gates": ["Nope"]}})
     with pytest.raises(ConfigError):
         load_config(path)
+    # RB settings are checked before any int()/bool() coercion
+    for rb, field in (({"lengths": [1.5, 2.9, 4]}, "length"),
+                      ({"lengths": ["2", "4", "6"]}, "length"),
+                      ({"lengths": [True, 2, 3]}, "length"),
+                      ({"randomizations": 2.7}, "randomizations"),
+                      ({"randomizations": "50"}, "randomizations"),
+                      ({"readout_correction": "false"}, "readout_correction"),
+                      ({"readout_correction": 0}, "readout_correction")):
+        path = _write_config(tmp_path, {"rb": rb})
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+    assert cli.main(["rb", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == 2
+    section = config_from_dict({"rb": {"lengths": [2.0, 4],
+                                       "randomizations": 3.0}}).rb
+    assert section.lengths == (2, 4) and section.randomizations == 3
+    assert all(type(m) is int for m in section.lengths)
 
 
 def test_json_syntax_error_reports_line(tmp_path):
@@ -207,6 +225,60 @@ def test_cli_rb_noiseless(tmp_path, capsys):
     assert (out / "rb_reference.csv").exists()
     inter = json.loads((out / "rb_interleaved_i_fit.json").read_text())
     assert inter["F_g"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_cli_rb_curves_independent_of_batch_and_reproducible(tmp_path,
+                                                             capsys):
+    rb = {"lengths": [2, 8, 16, 32, 64, 96], "randomizations": 6,
+          "interleaved": ["H", "Rz(pi)"]}
+    both = _write_config(tmp_path, {"mode": "shots:256", "rb": rb},
+                         name="both.json")
+    alone = _write_config(tmp_path, {"mode": "shots:256",
+                                     "rb": {**rb, "interleaved": ["H"]}},
+                          name="alone.json")
+    outs = [tmp_path / name for name in ("b1", "b2", "a")]
+    for path, out in zip((both, both, alone), outs):
+        assert cli.main(["rb", "--config", str(path), "--out", str(out)]) == 0
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == ["rb_interleaved_h.csv", "rb_interleaved_h_fit.json",
+                     "rb_interleaved_rz_pi.csv", "rb_interleaved_rz_pi_fit.json",
+                     "rb_reference.csv", "rb_reference_fit.json"]
+    # the same seed writes the same bytes
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # a curve does not depend on which other curves share its batch
+    assert ((outs[0] / "rb_interleaved_h.csv").read_bytes()
+            == (outs[2] / "rb_interleaved_h.csv").read_bytes())
+    fits = [json.loads((out / "rb_interleaved_h_fit.json").read_text())
+            for out in (outs[0], outs[2])]
+    assert fits[0]["config"]["rb"]["interleaved"] == ["H", "Rz(pi)"]
+    for fit in fits:
+        del fit["config"]["rb"]["interleaved"]
+    assert fits[0] == fits[1]
+
+
+def test_cli_unwritable_out_is_clean_error(tmp_path, capsys):
+    path = _write_config(tmp_path, {"synth": {"gate": "H"}})
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(["synth", "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:")
+        assert len(err.splitlines()) == 1
+
+
+def test_cli_non_physical_channel_exit_4(tmp_path, capsys):
+    path = _write_config(tmp_path, {
+        "device": {"T1_us": 1e-6, "T2_star_us": 10.0},
+        "qpt": {"gates": ["H"]}})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert cli.main(["qpt", "--config", str(path),
+                         "--out", str(out)]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "qpt_summary.json").exists()
 
 
 def test_cli_mode_and_seed_overrides(tmp_path):
