@@ -8,9 +8,11 @@ the CLI embed the fully resolved configuration so no defaults stay hidden.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
-from .benchmarking import DEFAULT_LENGTHS, RbConfig
+from .benchmarking import DEFAULT_LENGTHS, RbConfig, _whole
 from .errors import ConfigError
 from .evolution import DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
@@ -71,6 +73,14 @@ def parse_mode(text: str) -> int | None:
 
 def mode_string(shots: int | None) -> str:
     return "exact" if shots is None else f"shots:{shots}"
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; it must be a finite real number, not a bool or text."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _check_fields(section: dict, allowed: set[str], where: str) -> None:
@@ -148,15 +158,16 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     _check_fields(data, {"device", "segment_duration_ns", "dt_ns", "mode",
                          "seed", "synth", "qpt", "rb"}, where)
     device = _parse_device(data.get("device"), f"{where}.device")
-    seg_t = float(data.get("segment_duration_ns", 10.0))
-    dt = float(data.get("dt_ns", 0.01))
+    seg_t = _finite(data.get("segment_duration_ns", 10.0),
+                    f"{where}: segment_duration_ns")
+    dt = _finite(data.get("dt_ns", 0.01), f"{where}: dt_ns")
     if not seg_t > 0:
         raise ConfigError(f"{where}: segment_duration_ns must be positive")
     if not 0 < dt <= seg_t / 100.0:
         raise ConfigError(f"{where}: dt_ns must be in (0, segment_duration_ns/100]")
     shots = parse_mode(data.get("mode", "exact"))
-    seed = int(data.get("seed", 0))
     try:
+        seed = _whole(data.get("seed", 0), "seed")
         synth = (_parse_synth(data["synth"], f"{where}.synth")
                  if "synth" in data and data["synth"] is not None else None)
         qpt = (_parse_qpt(data["qpt"], f"{where}.qpt")

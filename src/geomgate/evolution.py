@@ -346,18 +346,16 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Pure: t_ns, re_c0, im_c0, re_c1, im_c1. Density: the 4 real dof."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
+        # csv spells the Python floats of .tolist() with repr: every digit
+        st = traj.states
         if traj.is_pure:
             writer.writerow(["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"])
-            for t, s in zip(traj.times, traj.states):
-                writer.writerow([repr(float(t)),
-                                 repr(float(s[0].real)), repr(float(s[0].imag)),
-                                 repr(float(s[1].real)), repr(float(s[1].imag))])
+            cols = (st[:, 0].real, st[:, 0].imag, st[:, 1].real, st[:, 1].imag)
         else:
             writer.writerow(["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"])
-            for t, r in zip(traj.times, traj.states):
-                writer.writerow([repr(float(t)),
-                                 repr(float(r[0, 0].real)), repr(float(r[0, 1].real)),
-                                 repr(float(r[0, 1].imag)), repr(float(r[1, 1].real))])
+            cols = (st[:, 0, 0].real, st[:, 0, 1].real, st[:, 0, 1].imag,
+                    st[:, 1, 1].real)
+        writer.writerows(np.column_stack((traj.times,) + cols).tolist())
 
 
 def bloch_path_to_csv(traj: Trajectory, path) -> None:
@@ -366,6 +364,4 @@ def bloch_path_to_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_ns", "x", "y", "z"])
-        for t, v in zip(traj.times, vectors):
-            writer.writerow([repr(float(t)), repr(float(v[0])),
-                             repr(float(v[1])), repr(float(v[2]))])
+        writer.writerows(np.column_stack((traj.times, vectors)).tolist())

@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import InvalidDuration, OutOfRange
 from .qcore import GateSpec
 
@@ -61,13 +59,6 @@ def segment_area(segment: PulseSegment) -> float:
     if segment.envelope == "square":
         return segment.peak_amplitude * segment.duration
     return 0.5 * segment.peak_amplitude * segment.duration
-
-
-def segment_area_quadrature(segment: PulseSegment) -> float:
-    """Adaptive-quadrature pulse area; oracle for the closed form."""
-    val, _ = quad(lambda t: amplitude_at(segment, t), 0.0, segment.duration,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
 
 
 @dataclass(frozen=True)

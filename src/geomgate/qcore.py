@@ -223,15 +223,18 @@ def _clifford_data():
         GateSpec(_HALF_PI, _HALF_PI, _HALF_PI),   # Ry(+pi/2)
         GateSpec(_HALF_PI, _HALF_PI, -_HALF_PI),  # Ry(-pi/2)
     ]
-    gen_mats = [axis_angle_unitary(g) for g in gens]
+    gen_mats = np.array([axis_angle_unitary(g) for g in gens])
 
+    # phase distances 1 - |Tr(W^dag M)| / 2 of the four candidates W = G M_i
+    # to every element M found so far, in one einsum; the four are distinct
+    # from each other, since no two generators agree up to phase.
+    # unitary_to_axis_angle checks each element for unitarity below.
     mats = [I2.copy()]
     i = 0
     while i < len(mats):
-        for g in gen_mats:
-            w = g @ mats[i]
-            if all(phase_distance(w, m) > 1e-9 for m in mats):
-                mats.append(w)
+        cands = gen_mats @ mats[i]
+        dist = 1.0 - abs(np.einsum("kab,gab->gk", mats, cands.conj())) / 2.0
+        mats.extend(w for w, d in zip(cands, dist) if d.min() > 1e-9)
         i += 1
     if len(mats) != 24:
         raise RuntimeError(f"Clifford expansion produced {len(mats)} elements")
@@ -251,10 +254,7 @@ def _clifford_data():
     if not np.all(overlap.max(axis=2) > 1.0 - 1e-9):
         raise RuntimeError("Clifford composition table is not closed")
 
-    inverse = np.empty(24, dtype=np.intp)
-    for k in range(24):
-        (hits,) = np.nonzero(compose[k] == 0)
-        inverse[k] = hits[0]
+    inverse = (compose == 0).argmax(axis=1)  # each row holds one identity
 
     compose.setflags(write=False)
     inverse.setflags(write=False)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -14,7 +17,8 @@ from geomgate.errors import ConfigError
 from geomgate.selftest import run_selftest
 
 PI = math.pi
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 BASE = {
     "device": {"T1_us": 19.0, "T2_star_us": 10.0, "f10_GHz": 5.266,
@@ -104,6 +108,38 @@ def test_invalid_values_rejected(tmp_path):
                                        "randomizations": 3.0}}).rb
     assert section.lengths == (2, 4) and section.randomizations == 3
     assert all(type(m) is int for m in section.lengths)
+
+
+def test_top_level_numbers_checked_before_coercion(tmp_path):
+    for extra, field in (({"seed": 1.5}, "seed"),
+                         ({"seed": "7"}, "seed"),
+                         ({"seed": True}, "seed"),
+                         ({"seed": None}, "seed"),
+                         ({"segment_duration_ns": "10"}, "segment_duration_ns"),
+                         ({"segment_duration_ns": True}, "segment_duration_ns"),
+                         ({"dt_ns": "0.01"}, "dt_ns"),
+                         ({"dt_ns": False}, "dt_ns"),
+                         ({"dt_ns": [0.01]}, "dt_ns")):
+        path = _write_config(tmp_path, {**extra, "synth": {"gate": "H"}})
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+        assert cli.main(["synth", "--config", str(path), "--out",
+                         str(tmp_path / "o")]) == 2
+    # infinities and NaN are not JSON, but Python's json module reads them
+    for text in ('{"segment_duration_ns": Infinity}', '{"dt_ns": NaN}'):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+    cfg = config_from_dict({"seed": 2.0, "segment_duration_ns": 10,
+                            "dt_ns": 0.01, "synth": {"gate": "H"}})
+    assert type(cfg.seed) is int and cfg.seed == 2
+    assert type(cfg.segment_duration_ns) is float
+    out = tmp_path / "two"
+    path = _write_config(tmp_path, {"seed": 2.0, "synth": {"gate": "H"}})
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+    # reported as 2, not 2.0
+    assert '"seed": 2,' in (out / "phase_report.json").read_text()
 
 
 def test_json_syntax_error_reports_line(tmp_path):
@@ -311,6 +347,40 @@ def test_cli_missing_section_is_config_error(tmp_path):
     path = _write_config(tmp_path, {})
     assert cli.main(["synth", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+_IMPORT_PROBE = """
+import sys
+import geomgate
+import geomgate.cli
+codes = [geomgate.cli.main([cmd, "--config", path, "--out", out])
+         for cmd, path, out in zip(sys.argv[1::3], sys.argv[2::3],
+                                   sys.argv[3::3])]
+print(codes)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # SciPy serves only the test oracles; a fresh interpreter (this one has
+    # imported SciPy through other tests) must run every command without it
+    docs = {"synth": {"synth": {"gate": "H"}},
+            "qpt": {"qpt": {"gates": ["H"]}},
+            "rb": {"rb": {"lengths": [1, 2, 4], "randomizations": 2}}}
+    argv = []
+    for cmd, extra in docs.items():
+        path = _write_config(tmp_path, extra, name=f"{cmd}.json")
+        argv += [cmd, str(path), str(tmp_path / f"out_{cmd}")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = proc.stdout.splitlines()[-2:]
+    assert codes == "[0, 0, 0]"
+    assert scipy_modules == "[]"
 
 
 def test_cli_selftest_passes(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geomgate.errors import NotCyclic, PathNotClosed, StepTooLarge
-from geomgate.evolution import (DeviceParams, bloch_path_to_csv,
+from geomgate.evolution import (DeviceParams, Trajectory, bloch_path_to_csv,
                                 bloch_trajectory, enclosed_solid_angle,
                                 evolve_lindblad, evolve_unitary,
                                 phase_decomposition, schedule_propagator,
@@ -304,6 +304,53 @@ def test_bloch_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_ns", "x", "y", "z"]
     assert float(rows[1][1]) == pytest.approx(1.0)
+
+
+def _repr_rows(path, header, rows):
+    # per-row reference writer: every value spelled with repr(float(...))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_csv_writers_match_per_row_repr(tmp_path, rng):
+    # -0.0, values below 1e-4 and at or above 1e16 are spelled with a sign
+    # or in exponent notation by repr; the bulk writers must keep them
+    times = np.array([-0.0, 0.0, 1e-5, 2.5e-300, 0.1, 1e16, 3.7e17, 12.25])
+    special = np.array([-0.0, 5e-5, -1e-4, 1e16, -2.5e20, 0.1 + 0.2,
+                        9.999e-5, 0.0])
+    n = len(times)
+    pure = special + 1j * special[::-1]
+    states = np.column_stack([pure, rng.normal(size=n) * 1e-7 + 1j * pure])
+    dens = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) * 1e-6
+    dens[:, 0, 0] = special
+    dens[:, 0, 1] = special[::-1] - 1j * special
+    dens[:, 1, 1] = -special
+    ham = np.zeros((n, 2, 2), dtype=complex)
+
+    traj = Trajectory(times, states, ham)
+    trajectory_to_csv(traj, tmp_path / "pure.csv")
+    _repr_rows(tmp_path / "pure_ref.csv",
+               ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
+               [(t, s[0].real, s[0].imag, s[1].real, s[1].imag)
+                for t, s in zip(times, states)])
+    bloch_path_to_csv(traj, tmp_path / "bloch.csv")
+    _repr_rows(tmp_path / "bloch_ref.csv", ["t_ns", "x", "y", "z"],
+               [(t, *v) for t, v in zip(times, bloch_trajectory(traj))])
+    trajectory_to_csv(Trajectory(times, dens, ham), tmp_path / "rho.csv")
+    _repr_rows(tmp_path / "rho_ref.csv",
+               ["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"],
+               [(t, r[0, 0].real, r[0, 1].real, r[0, 1].imag, r[1, 1].real)
+                for t, r in zip(times, dens)])
+
+    for stem in ("pure", "bloch", "rho"):
+        got = (tmp_path / f"{stem}.csv").read_bytes()
+        assert got == (tmp_path / f"{stem}_ref.csv").read_bytes(), stem
+    text = (tmp_path / "pure.csv").read_text()
+    for spelled in ("-0.0", "1e-05", "2.5e-300", "1e+16", "3.7e+17", "-2.5e+20"):
+        assert spelled in text
 
 
 def test_device_params_validation():

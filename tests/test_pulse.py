@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from geomgate.errors import InvalidDuration, OutOfRange
 from geomgate.evolution import schedule_propagator
 from geomgate.pulse import (PulseSchedule, PulseSegment, amplitude_at,
                             load_schedule, save_schedule,
                             schedule_from_dict, schedule_to_dict,
-                            segment_area, segment_area_quadrature, synthesize)
+                            segment_area, synthesize)
 from geomgate.qcore import GateSpec, I2
 
 from conftest import random_spec
@@ -82,6 +83,13 @@ def test_segment_area_closed_form():
     assert segment_area(PulseSegment(10.0, PI / 10, 0.0)) == pytest.approx(PI / 2)
     assert segment_area(PulseSegment(10.0, 0.0, 0.0)) == 0.0
     assert segment_area(PulseSegment(4.0, 0.5, 0.0, envelope="square")) == 2.0
+
+
+def segment_area_quadrature(segment: PulseSegment) -> float:
+    """Adaptive-quadrature pulse area; oracle for the closed form."""
+    val, _ = quad(lambda t: amplitude_at(segment, t), 0.0, segment.duration,
+                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
 
 
 def test_segment_area_quadrature_oracle(rng):

@@ -198,6 +198,39 @@ def test_clifford_closure_and_inverse_exhaustive():
         assert compose_cliffords(i, inv) == 0
 
 
+def test_clifford_tables_match_pairwise_expansion():
+    # the breadth-first expansion written pair by pair with phase_distance;
+    # the group must come out bit-identical, in the same order
+    half = math.pi / 2.0
+    gens = [axis_angle_unitary(GateSpec(half, phi, gamma))
+            for phi, gamma in ((0.0, half), (0.0, -half),
+                               (half, half), (half, -half))]
+    mats = [I2.copy()]
+    i = 0
+    while i < len(mats):
+        for g in gens:
+            w = g @ mats[i]
+            if all(phase_distance(w, m) > 1e-9 for m in mats):
+                mats.append(w)
+        i += 1
+    assert len(mats) == 24
+    specs = [unitary_to_axis_angle(m) for m in mats]
+    canon = [axis_angle_unitary(s) for s in specs]
+
+    group = clifford_group()
+    assert [e.spec for e in group] == specs
+    assert all(np.array_equal(e.unitary, u) for e, u in zip(group, canon))
+
+    want_compose = np.array(
+        [[int(np.argmin([phase_distance(a @ b, c) for c in canon]))
+          for b in canon] for a in canon])
+    want_inverse = np.array([int(np.flatnonzero(row == 0)[0])
+                             for row in want_compose])
+    compose, inverse = clifford_tables()
+    assert np.array_equal(compose, want_compose)
+    assert np.array_equal(inverse, want_inverse)
+
+
 def test_clifford_index_of_round_trip():
     for e in clifford_group():
         assert clifford_index_of(np.exp(0.3j) * e.unitary) == e.index
