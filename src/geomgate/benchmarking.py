@@ -23,7 +23,6 @@ curves share its run, and equals running its sequences one by one.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -190,24 +189,6 @@ def _apply_sequences(table: np.ndarray, idx: np.ndarray,
             v[plain:] = np.matmul(targets, v[plain:])
     v = np.matmul(table[recovery], v)
     return v[..., 0, 0].real
-
-
-def execute_sequence(cliffords, recovery: int, *, channels: GateChannelCache,
-                     interleaved_sop: np.ndarray | None = None,
-                     shots: int | None = None, rng=None,
-                     readout: ReadoutModel | None = None,
-                     readout_correction: bool = True) -> float:
-    """Survival probability of |0> for one compiled sequence.
-
-    Applies the cached per-gate channels in order (interleaving the target
-    channel if given), then the recovery channel, and reads out P(|0>).
-    """
-    idx = np.array(cliffords, dtype=np.intp).reshape(1, -1)
-    table = channels.clifford_table(sorted({*cliffords, recovery}))
-    targets = () if interleaved_sop is None else [interleaved_sop]
-    ((p0,),) = _apply_sequences(table, idx, np.array([[recovery]]), targets)
-    return _survival_from_prob(float(p0), shots, rng, readout,
-                               readout_correction)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +448,3 @@ def fit_report(result: RbResult) -> dict:
             "interleaved_residual": result.interleaved.residual_norm,
         })
     return out
-
-
-def save_fit_report(result: RbResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit_report(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -173,16 +173,8 @@ class GateChannelCache:
         self.prefetch([spec])
         return self._by_key[self._key(spec)]
 
-    def clifford_table(self, indices=range(24)) -> np.ndarray:
-        """(24, 4, 4) channels of the Clifford group in canonical order.
-
-        Only the elements in ``indices`` are compiled (as one stack) and
-        filled in; the other rows are zero.
-        """
-        group = clifford_group()
-        specs = [group[k].spec for k in indices]
+    def clifford_table(self) -> np.ndarray:
+        """(24, 4, 4) channels of the Clifford group in canonical order."""
+        specs = [element.spec for element in clifford_group()]
         self.prefetch(specs)
-        table = np.zeros((24, 4, 4), dtype=complex)
-        for k, spec in zip(indices, specs):
-            table[k] = self.for_spec(spec)
-        return table
+        return np.array([self.for_spec(s) for s in specs])

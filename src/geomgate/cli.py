@@ -162,6 +162,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = None
         if args.config is not None:
             cfg = load_config(args.config)

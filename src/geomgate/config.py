@@ -54,13 +54,13 @@ class ExperimentConfig:
 DEFAULT_SHOTS = 4096
 
 
-def parse_mode(text: str) -> int | None:
+def parse_mode(text) -> int | None:
     """"exact" -> None; "shots:<n>" -> n; bare "shots" -> 4096."""
     if text == "exact":
         return None
     if text == "shots":
         return DEFAULT_SHOTS
-    if text.startswith("shots:"):
+    if isinstance(text, str) and text.startswith("shots:"):
         try:
             n = int(text.split(":", 1)[1])
         except ValueError:
@@ -168,6 +168,8 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     shots = parse_mode(data.get("mode", "exact"))
     try:
         seed = _whole(data.get("seed", 0), "seed")
+        if seed < 0:
+            raise ConfigError(f"{where}: seed must be >= 0, got {seed}")
         synth = (_parse_synth(data["synth"], f"{where}.synth")
                  if "synth" in data and data["synth"] is not None else None)
         qpt = (_parse_qpt(data["qpt"], f"{where}.qpt")

@@ -17,10 +17,6 @@ class InvalidDuration(GeomgateError):
     """Segment duration must be strictly positive."""
 
 
-class OutOfRange(GeomgateError):
-    """Time argument lies outside the segment."""
-
-
 class StepTooLarge(GeomgateError):
     """Integrator step too coarse for the requested evolution."""
 

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidDuration, OutOfRange
+from .errors import InvalidDuration
 from .qcore import GateSpec
 
 ENVELOPES = ("sin2", "square")
@@ -40,18 +40,6 @@ class PulseSegment:
             raise ValueError("peak_amplitude must be nonnegative")
         if self.envelope not in ENVELOPES:
             raise ValueError(f"unknown envelope {self.envelope!r}")
-
-
-def amplitude_at(segment: PulseSegment, t: float) -> float:
-    """Instantaneous Rabi rate at local time t in [0, duration]."""
-    if not 0 <= t <= segment.duration:
-        raise OutOfRange(f"t={t} outside [0, {segment.duration}]")
-    if segment.envelope == "square":
-        return segment.peak_amplitude
-    if t == 0.0 or t == segment.duration:
-        return 0.0
-    s = math.sin(math.pi * t / segment.duration)
-    return segment.peak_amplitude * s * s
 
 
 def segment_area(segment: PulseSegment) -> float:
@@ -97,10 +85,6 @@ class PulseSchedule:
         for seg, p in zip(self.segments, want_phases):
             if abs(seg.phase_offset - p) > 1e-12:
                 raise ValueError("segment phases inconsistent with source spec")
-
-    @property
-    def total_duration(self) -> float:
-        return self.tau
 
 
 def synthesize(spec: GateSpec, segment_duration: float = 10.0,

@@ -43,10 +43,6 @@ def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.linalg.norm(u.conj().T @ u - I2) < tol)
 
 
-def is_traceless(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(abs(np.trace(m)) < tol)
-
-
 def is_normalized(psi: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(abs(np.vdot(psi, psi).real - 1.0) < tol)
 

@@ -12,7 +12,6 @@ rank-1 chi via the process fidelity Tr(chi chi_ideal).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,24 +179,6 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     return float(np.trace(chi @ chi_ideal).real)
 
 
-def clip_to_cp(chi: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Project onto the completely positive cone, preserving the trace.
-
-    Negative eigenvalues are clipped to zero and the spectrum rescaled; a
-    no-op (flag False) when chi is already positive semidefinite.
-    """
-    vals, vecs = np.linalg.eigh(chi)
-    if vals.min() >= 0.0:
-        return chi, False
-    clipped = np.clip(vals, 0.0, None)
-    total = clipped.sum()
-    target = max(np.trace(chi).real, 0.0)
-    if total > 0 and target > 0:
-        clipped *= target / total
-    fixed = (vecs * clipped) @ vecs.conj().T
-    return fixed, True
-
-
 def validate_process_matrix(chi: np.ndarray, herm_tol: float = 1e-9,
                             trace_tol: float = 1e-6,
                             cp_tol: float = 1e-6) -> bool:
@@ -222,17 +203,14 @@ class QptResult:
 
 def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
             seed: int = 0, segment_duration: float = 10.0, dt: float = 0.01,
-            clip_cp: bool = False, channels: GateChannelCache | None = None) -> QptResult:
+            channels: GateChannelCache | None = None) -> QptResult:
     """Full tomography pipeline for one gate.
 
     With a device, preparation pulses are compiled schedules and incur the
     same Lindblad noise as the gate itself; expectation readout is exact
     unless ``shots`` is given, in which case readout confusion from the
-    device is applied and corrected.
-
-    The fidelity is computed from the raw hermitized linear-inversion chi;
-    ``clip_cp=True`` projects onto the CP cone first (this biases shot-noise
-    fidelities low because clipping discards negative eigenvalue mass).
+    device is applied and corrected. The fidelity is computed from the raw
+    hermitized linear-inversion chi.
     """
     spec, *prep_specs = qpt_specs([gate], device)
     if channels is None:
@@ -261,8 +239,6 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
         outputs.append(rho_rec)
 
     chi = reconstruct_chi(ideal_inputs, outputs)
-    if clip_cp:
-        chi, _ = clip_to_cp(chi)
     chi_id = ideal_chi(spec)
     return QptResult(gate=spec, chi=chi, chi_ideal=chi_id,
                      fidelity=process_fidelity(chi, chi_id),
@@ -290,12 +266,6 @@ def qpt_report(result: QptResult, gate_name: str | None = None) -> dict:
         "fidelity": result.fidelity,
         "projected_reconstructions": result.projected_count,
     }
-
-
-def save_qpt_report(result: QptResult, path, gate_name: str | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(qpt_report(result, gate_name), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def chi_to_csv(chi: np.ndarray, path) -> None:

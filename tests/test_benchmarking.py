@@ -6,13 +6,13 @@ import pytest
 
 from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    RbConfig, RbResult, decay_to_csv,
-                                   execute_sequence, fit_decay, fit_report,
+                                   fit_decay, fit_report,
                                    run_interleaved_rb, run_rb,
                                    run_reference_rb, sample_sequence,
-                                   save_fit_report, sequence_rng)
-from geomgate import channels as channels_module
+                                   sequence_rng)
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
+from geomgate.cli import _write_json
 from geomgate.errors import FitDiverged
 from geomgate.qcore import (I2, KET0, axis_angle_unitary, clifford_group,
                             clifford_index_of, clifford_inverse,
@@ -63,41 +63,37 @@ def test_sample_sequence_products_close(rng):
 # ---------------------------------------------------------------------------
 # execution
 
+def _survivals(lengths, noise, randomizations, seed=0):
+    """Per-randomization survivals of a reference RB run, one row per length."""
+    cfg = RbConfig(sequence_lengths=lengths, randomizations=randomizations,
+                   seed=seed)
+    curve, _, _ = run_reference_rb(cfg, noise)
+    return dict(zip(lengths, curve.samples))
+
+
 def test_execute_noiseless_survival_is_one():
-    channels = GateChannelCache(None)
-    for seed in range(5):
-        indices, recovery = sample_sequence(30, sequence_rng(seed, 1, 2))
-        p = execute_sequence(indices, recovery, channels=channels)
-        assert abs(p - 1.0) < 1e-9
+    for vals in _survivals((1, 2, 30), None, 5).values():
+        assert np.abs(vals - 1.0).max() < 1e-9
 
 
 def test_execute_depolarizing_matches_closed_form():
     lam = 0.03
-    channels = GateChannelCache(DepolarizingNoise(lam))
-    for m in (1, 2, 5, 10, 40):
-        indices, recovery = sample_sequence(m, sequence_rng(3, 0, m))
-        p = execute_sequence(indices, recovery, channels=channels)
+    survivals = _survivals((1, 2, 5, 10, 40), DepolarizingNoise(lam), 3)
+    for m, vals in survivals.items():
         want = 0.5 + 0.5 * (1.0 - lam) ** (m + 1)
-        assert abs(p - want) < 1e-12
+        assert np.abs(vals - want).max() < 1e-12
 
 
 def test_execute_survival_bounds(device):
-    channels = GateChannelCache(device)
-    indices, recovery = sample_sequence(50, sequence_rng(1, 0, 0))
-    p = execute_sequence(indices, recovery, channels=channels)
-    assert -1e-9 < p < 1.0 + 1e-9
+    survivals = _survivals((3, 4, 50), device, 5, seed=1)
+    assert all(-1e-9 < p < 1.0 + 1e-9
+               for vals in survivals.values() for p in vals)
     # a short noisy sequence loses a little, but not nothing
-    indices, recovery = sample_sequence(3, sequence_rng(0, 0, 0))
-    p = execute_sequence(indices, recovery, channels=channels)
-    assert 0.99 < p < 1.0
+    assert 0.99 < survivals[3].min() and survivals[3].max() < 1.0
 
 
 def test_execute_single_gate_error_scale(device):
-    channels = GateChannelCache(device)
-    vals = []
-    for seed in range(10):
-        indices, recovery = sample_sequence(1, sequence_rng(seed, 0, 0))
-        vals.append(execute_sequence(indices, recovery, channels=channels))
+    vals = _survivals((1, 2, 3), device, 10)[1]
     # two compiled gates of 30 ns each at the coherence-limited error scale
     assert 0.99 < min(vals) and max(vals) < 0.9999
 
@@ -354,37 +350,6 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
         assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
 
 
-def test_execute_sequence_compiles_only_its_gates(monkeypatch, device):
-    compiled = []
-    stacked = channels_module.gate_superops
-
-    def recording(specs, *args):
-        compiled.extend(specs)
-        return stacked(specs, *args)
-
-    monkeypatch.setattr(channels_module, "gate_superops", recording)
-    group = clifford_group()
-    execute_sequence([5, 2, 5], 9, channels=GateChannelCache(device))
-    assert compiled == [group[k].spec for k in (2, 5, 9)]
-
-
-def test_execute_sequence_equals_per_gate_loop(device):
-    cache = GateChannelCache(device)
-    group = clifford_group()
-    target = cache.for_spec(named_gate("Ry(pi)"))
-    indices, recovery = sample_sequence(17, sequence_rng(4, 0, 0))
-    for sop in (None, target):
-        v = density_of(KET0).reshape(4)
-        for idx in indices:
-            v = cache.for_spec(group[idx].spec) @ v
-            if sop is not None:
-                v = sop @ v
-        v = cache.for_spec(group[recovery].spec) @ v
-        got = execute_sequence(indices, recovery, channels=cache,
-                               interleaved_sop=sop)
-        assert got == float(v[0].real)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -405,7 +370,7 @@ def test_fit_report_round_trip(tmp_path):
     inter = DecayFit(A=0.49, B=0.5, p=0.990, residual_norm=2e-8, converged=True)
     result = RbResult.from_fits(ref, inter)
     path = tmp_path / "fit.json"
-    save_fit_report(result, path)
+    _write_json(fit_report(result), path)
     data = json.loads(path.read_text())
     assert data["p"] == 0.994
     assert data["r"] == pytest.approx(0.003)

@@ -91,6 +91,13 @@ def test_invalid_values_rejected(tmp_path):
     path = _write_config(tmp_path, {"qpt": {"gates": ["Nope"]}})
     with pytest.raises(ConfigError):
         load_config(path)
+    # a mode that is not a string
+    for mode in (5, None):
+        path = _write_config(tmp_path, {"mode": mode, "synth": {"gate": "H"}})
+        with pytest.raises(ConfigError, match="mode"):
+            load_config(path)
+        assert cli.main(["synth", "--config", str(path), "--out",
+                         str(tmp_path / "o")]) == 2
     # RB settings are checked before any int()/bool() coercion
     for rb, field in (({"lengths": [1.5, 2.9, 4]}, "length"),
                       ({"lengths": ["2", "4", "6"]}, "length"),
@@ -115,6 +122,7 @@ def test_top_level_numbers_checked_before_coercion(tmp_path):
                          ({"seed": "7"}, "seed"),
                          ({"seed": True}, "seed"),
                          ({"seed": None}, "seed"),
+                         ({"seed": -1}, "seed"),
                          ({"segment_duration_ns": "10"}, "segment_duration_ns"),
                          ({"segment_duration_ns": True}, "segment_duration_ns"),
                          ({"dt_ns": "0.01"}, "dt_ns"),
@@ -327,6 +335,19 @@ def test_cli_mode_and_seed_overrides(tmp_path):
     assert report["seed"] == 7
 
 
+def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path, {"synth": {"gate": "H"},
+                                    "qpt": {"gates": ["H"]},
+                                    "rb": {"lengths": [1, 2, 4],
+                                           "randomizations": 2}})
+    for cmd in ("synth", "qpt", "rb"):
+        assert cli.main([cmd, "--config", str(path), "--out",
+                         str(tmp_path / "o"), "--seed", "-3"]) == 2
+    assert cli.main(["selftest", "--seed", "-3"]) == 2
+    assert capsys.readouterr().err.count("--seed must be >= 0") == 4
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_out_from_environment(tmp_path, monkeypatch):
     path = _write_config(tmp_path, {"synth": {"gate": "Rz(pi)"}})
     envdir = tmp_path / "envout"
@@ -412,4 +433,6 @@ def test_selftest_deterministic_hash():
 def test_selftest_corrupted_clifford_table_fails():
     report = run_selftest(seed=0, corrupt_clifford=True)
     assert not report.all_passed
-    assert any(line.startswith("FAIL clifford-group") for line in report.lines)
+    # the first failing product in row-major order, as a pair-by-pair scan
+    # of the corrupted list finds it
+    assert "FAIL clifford-group: closure fails at (1, 1)" in report.lines

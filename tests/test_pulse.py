@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from geomgate.errors import InvalidDuration, OutOfRange
-from geomgate.evolution import schedule_propagator
-from geomgate.pulse import (PulseSchedule, PulseSegment, amplitude_at,
+from geomgate.errors import InvalidDuration
+from geomgate.evolution import _envelope_grid, schedule_propagator
+from geomgate.pulse import (PulseSchedule, PulseSegment,
                             load_schedule, save_schedule,
                             schedule_from_dict, schedule_to_dict,
                             segment_area, synthesize)
@@ -57,16 +57,39 @@ def test_synthesize_deterministic():
     assert a == b
 
 
+def amplitude_at(segment: PulseSegment, t: float) -> float:
+    """Instantaneous Rabi rate at local time t in [0, duration], one scalar
+    at a time; oracle for the vectorized ``_envelope_grid``."""
+    if segment.envelope == "square":
+        return segment.peak_amplitude
+    if t == 0.0 or t == segment.duration:
+        return 0.0
+    s = math.sin(math.pi * t / segment.duration)
+    return segment.peak_amplitude * s * s
+
+
 def test_amplitude_examples():
     seg = PulseSegment(duration=10.0, peak_amplitude=0.1, phase_offset=0.0)
     assert amplitude_at(seg, 5.0) == pytest.approx(0.1, abs=1e-15)
     assert amplitude_at(seg, 0.0) == 0.0
     assert amplitude_at(seg, 10.0) == 0.0
     assert amplitude_at(seg, 2.5) == pytest.approx(0.05, abs=1e-15)
-    with pytest.raises(OutOfRange):
-        amplitude_at(seg, -0.1)
-    with pytest.raises(OutOfRange):
-        amplitude_at(seg, 10.1)
+
+
+def test_envelope_grid_matches_scalar_oracle(rng):
+    for envelope in ("sin2", "square"):
+        for _ in range(20):
+            seg = PulseSegment(duration=rng.uniform(1.0, 20.0),
+                               peak_amplitude=rng.uniform(0.0, 0.5),
+                               phase_offset=0.0, envelope=envelope)
+            n = int(rng.integers(1, 500))
+            h = seg.duration / n
+            w_full, w_half = _envelope_grid(seg, n, h)
+            want_full = [amplitude_at(seg, k * h) for k in range(n + 1)]
+            want_half = [amplitude_at(seg, (k + 0.5) * h) for k in range(n)]
+            assert w_full.shape == (n + 1,) and w_half.shape == (n,)
+            assert np.abs(w_full - want_full).max() < 1e-15
+            assert np.abs(w_half - want_half).max() < 1e-15
 
 
 def test_segment_validation():

@@ -4,19 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomgate.channels import GateChannelCache
+from geomgate.cli import _write_json
 from geomgate.errors import SingularSystem
 from geomgate.evolution import DeviceParams
 from geomgate.qcore import (GATE_NAMES, KET0, KET1, PAULIS, SIGMA_X,
                             density_of, named_gate)
 from geomgate.tomography import (ReadoutModel,
-                                 chi_to_csv, clip_to_cp, ideal_chi,
+                                 chi_to_csv, ideal_chi,
                                  measure_expectations, pauli_coefficients,
                                  prepare_input_states, process_fidelity,
                                  qpt_report, reconstruct_chi,
                                  reconstruct_state, run_qpt, sample_outcomes,
-                                 save_qpt_report, validate_process_matrix)
+                                 validate_process_matrix)
 
 SQ2 = math.sqrt(2.0)
 
@@ -101,6 +104,29 @@ def test_reconstruct_state_examples():
     assert flag
     want = 0.5 * (PAULIS[0] + PAULIS[1])
     assert np.allclose(rho, want, atol=1e-12)
+
+
+FIDELITY = st.floats(0.5, 1.0, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f0=FIDELITY, f1=FIDELITY, p0=st.floats(0.0, 1.0))
+def test_readout_correction_inverts_confusion(f0, f1, p0):
+    model = ReadoutModel(f0, f1)
+    p = np.array([p0, 1.0 - p0])
+    # inverting the confusion amplifies rounding by 1 / det = 1 / (f0 + f1 - 1)
+    tol = 4.0 * np.finfo(float).eps / (f0 + f1 - 1.0)
+    assert np.abs(model.correct(model.apply(p)) - p).max() <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_reconstruct_state_is_a_state(r):
+    rho, flag = reconstruct_state(r)
+    assert flag == (np.linalg.norm(r) > 1.0)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.abs(rho - rho.conj().T).max() == 0.0
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +218,6 @@ def test_ideal_chi_phase_invariant(rng):
     assert np.abs(np.outer(c1, c1.conj()) - np.outer(c2, c2.conj())).max() < 1e-12
 
 
-def test_clip_to_cp():
-    chi = np.diag([1.02, -0.02, 0.0, 0.0]).astype(complex)
-    fixed, clipped = clip_to_cp(chi)
-    assert clipped
-    assert np.linalg.eigvalsh(fixed).min() >= 0.0
-    assert np.trace(fixed).real == pytest.approx(1.0)
-    ok = np.diag([0.9, 0.1, 0.0, 0.0]).astype(complex)
-    same, flag = clip_to_cp(ok)
-    assert not flag and same is ok
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -244,7 +259,7 @@ def test_run_qpt_noisy_prep_uses_pulses(device):
 def test_qpt_report_round_trip(tmp_path):
     res = run_qpt("H", shots=1024, seed=3)
     path = tmp_path / "qpt.json"
-    save_qpt_report(res, path, gate_name="H")
+    _write_json(qpt_report(res, gate_name="H"), path)
     data = json.loads(path.read_text())
     assert data["gate"] == "H"
     assert data["mode"] == "shots:1024"
