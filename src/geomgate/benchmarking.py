@@ -24,27 +24,18 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import GateChannelCache, vec
-from .errors import FitDiverged
+from .errors import FitDiverged, _seed, _whole
 from .evolution import DeviceParams
 from .qcore import (KET0, axis_angle_unitary, clifford_index_of,
                     clifford_tables, density_of, named_gate, recovery_gate)
 from .tomography import ReadoutModel, readout_model, sample_outcomes
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
-
-
-def _whole(value, what: str) -> int:
-    """``value`` as an int; it must be a whole number, not a bool or text."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or int(value) != value):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -64,6 +55,7 @@ class RbConfig:
         object.__setattr__(self, "sequence_lengths", lengths)
         object.__setattr__(self, "randomizations",
                            _whole(self.randomizations, "randomizations"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not isinstance(self.readout_correction, bool):
             raise ValueError("readout_correction must be true or false, "
                              f"got {self.readout_correction!r}")

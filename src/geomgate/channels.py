@@ -164,8 +164,11 @@ class GateChannelCache:
                 missing.setdefault(key, spec)
         if missing:
             specs = list(missing.values())
-            sops = gate_superops(specs, self.noise, self.segment_duration,
-                                 self.dt)
+            # a stiff device overflows the compile; check_physical says so
+            # once instead of numpy warning at every step
+            with np.errstate(over="ignore", invalid="ignore"):
+                sops = gate_superops(specs, self.noise,
+                                     self.segment_duration, self.dt)
             check_physical(sops, specs)
             self._by_key.update(zip(missing, sops))
 

@@ -2,7 +2,8 @@
 
 Reads a JSON experiment config, runs the requested characterization, and
 writes plot-ready CSV / JSON artifacts into the output directory (flag
---out, falling back to $GEOMGATE_OUT, then ./geomgate_out). Every report
+--out, falling back to $GEOMGATE_OUT, then ./geomgate_out), which each
+command creates only after its computation has succeeded. Every report
 embeds the fully resolved configuration. Exit codes: 0 success, 2 config
 error or unwritable output directory, 3 fit divergence, 4 invariant failure
 (including a compiled channel that is not finite, trace preserving and
@@ -50,14 +51,14 @@ def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("config has no synth section")
     spec = resolve_gate(cfg.synth)
     schedule = pulse.synthesize(spec, cfg.segment_duration_ns)
-    pulse.save_schedule(schedule, outdir / "schedule.json")
-
     psi_plus, _ = axis_eigenstates(spec)
     traj = evolution.evolve_unitary(schedule, psi_plus, dt=cfg.dt_ns)
+    report = evolution.phase_decomposition(traj)
+
+    outdir.mkdir(parents=True, exist_ok=True)
+    pulse.save_schedule(schedule, outdir / "schedule.json")
     evolution.trajectory_to_csv(traj, outdir / "trajectory.csv")
     evolution.bloch_path_to_csv(traj, outdir / "bloch_path.csv")
-
-    report = evolution.phase_decomposition(traj)
     _write_json({"config": config_to_dict(cfg),
                  "total_phase": report.total,
                  "dynamical_phase": report.dynamical,
@@ -77,16 +78,18 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("config has no qpt section")
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
     cache.prefetch(tomography.qpt_specs(cfg.qpt.gates, cfg.device))
-    fidelities = []
-    for name in cfg.qpt.gates:
-        result = tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
-                                    seed=cfg.seed, channels=cache)
+    results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
+                                  seed=cfg.seed, channels=cache)
+               for name in cfg.qpt.gates]
+
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, result in zip(cfg.qpt.gates, results):
         payload = tomography.qpt_report(result, gate_name=name)
         payload["config"] = config_to_dict(cfg)
         _write_json(payload, outdir / f"qpt_{_slug(name)}.json")
         tomography.chi_to_csv(result.chi, outdir / f"chi_{_slug(name)}.csv")
-        fidelities.append(result.fidelity)
         print(f"{name:9s} F_P = {result.fidelity:.6f}")
+    fidelities = [result.fidelity for result in results]
     avg = float(np.mean(fidelities))
     _write_json({"config": config_to_dict(cfg),
                  "gates": list(cfg.qpt.gates),
@@ -110,6 +113,8 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
                    + [named_gate(name) for name in section.interleaved])
     (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
         base, section.interleaved, cfg.device, channels=cache)
+
+    outdir.mkdir(parents=True, exist_ok=True)
     benchmarking.decay_to_csv(curve, outdir / "rb_reference.csv")
     payload = benchmarking.fit_report(ref_result)
     payload["config"] = config_to_dict(cfg)
@@ -174,7 +179,6 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
             return cmd_selftest(seed)
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
             return cmd_synth(cfg, outdir)
         if args.command == "qpt":

@@ -12,8 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .benchmarking import DEFAULT_LENGTHS, RbConfig, _whole
-from .errors import ConfigError
+from .benchmarking import DEFAULT_LENGTHS, RbConfig
+from .errors import ConfigError, _seed
 from .evolution import DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
 
@@ -167,9 +167,7 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{where}: dt_ns must be in (0, segment_duration_ns/100]")
     shots = parse_mode(data.get("mode", "exact"))
     try:
-        seed = _whole(data.get("seed", 0), "seed")
-        if seed < 0:
-            raise ConfigError(f"{where}: seed must be >= 0, got {seed}")
+        seed = _seed(data.get("seed", 0))
         synth = (_parse_synth(data["synth"], f"{where}.synth")
                  if "synth" in data and data["synth"] is not None else None)
         qpt = (_parse_qpt(data["qpt"], f"{where}.qpt")

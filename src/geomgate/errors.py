@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and input rules shared across the package."""
+
+import math
+import numbers
 
 
 class GeomgateError(Exception):
@@ -47,3 +50,19 @@ class ConfigError(GeomgateError):
 
 class NonPhysicalChannel(GeomgateError):
     """A compiled gate channel is not finite, trace preserving or CP."""
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int; it must be a whole number, not a bool or text."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or int(value) != value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    """``value`` as a random seed: a whole number >= 0."""
+    seed = _whole(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed

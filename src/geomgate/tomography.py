@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import GateChannelCache, unvec, vec
-from .errors import SingularSystem
+from .errors import SingularSystem, _seed
 from .evolution import DeviceParams
 from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
                     density_of, named_gate)
@@ -212,6 +212,7 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     device is applied and corrected. The fidelity is computed from the raw
     hermitized linear-inversion chi.
     """
+    seed = _seed(seed)
     spec, *prep_specs = qpt_specs([gate], device)
     if channels is None:
         channels = GateChannelCache(device, segment_duration, dt)

@@ -30,6 +30,11 @@ def test_rb_config_validation():
         RbConfig(sequence_lengths=(1, 2), randomizations=1)
     with pytest.raises(ValueError):
         RbConfig(shots=0)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed") as err:
+            RbConfig(seed=seed)
+        assert repr(seed) in str(err.value)
+    assert RbConfig(seed=3.0).seed == 3
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,12 @@ def test_cache_clifford_table_and_first_spec_wins(device):
 # ---------------------------------------------------------------------------
 # stacked compile
 
-def _loop_superop(schedule, device, dt):
-    """The RK4 superoperator recursion on one schedule, one 4x4 at a time."""
+def _loop_steps(schedule, y, device, dt):
+    """The RK4 recursion on one schedule, one 4x4 product at a time: ``y``
+    (4, k) at the start and after every step."""
     l_diss = lindblad_generator(np.zeros((2, 2)), device.gamma1_per_ns,
                                 device.gamma_phi_per_ns)
-    s = np.eye(4, dtype=complex)
+    steps = [y]
     for seg in schedule.segments:
         n = int(round(seg.duration / dt))
         h = seg.duration / n
@@ -127,12 +128,18 @@ def _loop_superop(schedule, device, dt):
             l0 = w_full[i] * l_drive + l_diss
             lh = w_half[i] * l_drive + l_diss
             l1 = w_full[i + 1] * l_drive + l_diss
-            k1 = l0 @ s
-            k2 = lh @ (s + 0.5 * h * k1)
-            k3 = lh @ (s + 0.5 * h * k2)
-            k4 = l1 @ (s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return s
+            k1 = l0 @ y
+            k2 = lh @ (y + 0.5 * h * k1)
+            k3 = lh @ (y + 0.5 * h * k2)
+            k4 = l1 @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            steps.append(y)
+    return steps
+
+
+def _loop_superop(schedule, device, dt):
+    """The RK4 superoperator recursion on one schedule."""
+    return _loop_steps(schedule, np.eye(4, dtype=complex), device, dt)[-1]
 
 
 def test_physical_channel_check(device):
@@ -164,12 +171,14 @@ def test_stacked_compile_bit_equal_to_single(rng, device):
     group = clifford_group()
     specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),
              random_spec(rng)]
-    stack = gate_superops(specs, device)
-    assert stack.shape == (len(specs), 4, 4)
-    for spec, sop in zip(specs, stack):
-        assert np.array_equal(sop, gate_superop(spec, device))
-        assert np.array_equal(sop, _loop_superop(synthesize(spec), device,
-                                                 0.01))
+    # 10/37 gives 37 steps per segment, not a multiple of the kernel's chunk
+    for dt in (0.01, 10 / 37):
+        stack = gate_superops(specs, device, dt=dt)
+        assert stack.shape == (len(specs), 4, 4)
+        for spec, sop in zip(specs, stack):
+            assert np.array_equal(sop, gate_superop(spec, device, dt=dt))
+            assert np.array_equal(sop, _loop_superop(synthesize(spec), device,
+                                                     dt))
     for noise in (None, DepolarizingNoise(0.05)):
         stack = gate_superops(specs, noise)
         for spec, sop in zip(specs, stack):
@@ -179,6 +188,20 @@ def test_stacked_compile_bit_equal_to_single(rng, device):
             want = (ideal if noise is None
                     else depolarizing_superop(noise.strength) @ ideal)
             assert np.array_equal(sop, want)
+
+
+def test_evolve_lindblad_every_step_bit_equal_to_loop(rng, device):
+    # a kernel that yielded one reused buffer would repeat its last state
+    spec = random_spec(rng)
+    rho0 = _random_density(rng)
+    for envelope in ("sin2", "square"):
+        sched = synthesize(spec, 10.0, envelope=envelope)
+        for dt in (0.01, 10 / 37):
+            traj = evolve_lindblad(sched, rho0, device, dt=dt)
+            want = np.array(_loop_steps(sched, vec(rho0).reshape(4, 1),
+                                        device, dt)).reshape(-1, 2, 2)
+            assert traj.states.shape == want.shape
+            assert np.array_equal(traj.states, want), (envelope, dt)
 
 
 def test_stacked_compile_mixed_envelopes(rng, device):

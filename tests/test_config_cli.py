@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,22 @@ def test_cli_non_physical_channel_exit_4(tmp_path, capsys):
                          "--out", str(out)]) == 4
     assert "not finite" in capsys.readouterr().err
     assert not (out / "qpt_summary.json").exists()
+
+
+def test_cli_stiff_device_fails_quietly_and_writes_nothing(tmp_path, capsys):
+    path = _write_config(tmp_path, {
+        "device": {"T1_us": 1e-6, "T2_star_us": 10.0},
+        "qpt": {"gates": ["H"]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["qpt", "--config", str(path),
+                         "--out", str(out)]) == 4
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "not finite" in err
+    assert not out.exists()
 
 
 def test_cli_mode_and_seed_overrides(tmp_path):

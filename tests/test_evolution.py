@@ -315,21 +315,8 @@ def _repr_rows(path, header, rows):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def test_csv_writers_match_per_row_repr(tmp_path, rng):
-    # -0.0, values below 1e-4 and at or above 1e16 are spelled with a sign
-    # or in exponent notation by repr; the bulk writers must keep them
-    times = np.array([-0.0, 0.0, 1e-5, 2.5e-300, 0.1, 1e16, 3.7e17, 12.25])
-    special = np.array([-0.0, 5e-5, -1e-4, 1e16, -2.5e20, 0.1 + 0.2,
-                        9.999e-5, 0.0])
-    n = len(times)
-    pure = special + 1j * special[::-1]
-    states = np.column_stack([pure, rng.normal(size=n) * 1e-7 + 1j * pure])
-    dens = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) * 1e-6
-    dens[:, 0, 0] = special
-    dens[:, 0, 1] = special[::-1] - 1j * special
-    dens[:, 1, 1] = -special
-    ham = np.zeros((n, 2, 2), dtype=complex)
-
+def _check_writers(tmp_path, times, states, dens):
+    ham = np.zeros((len(times), 2, 2), dtype=complex)
     traj = Trajectory(times, states, ham)
     trajectory_to_csv(traj, tmp_path / "pure.csv")
     _repr_rows(tmp_path / "pure_ref.csv",
@@ -348,9 +335,33 @@ def test_csv_writers_match_per_row_repr(tmp_path, rng):
     for stem in ("pure", "bloch", "rho"):
         got = (tmp_path / f"{stem}.csv").read_bytes()
         assert got == (tmp_path / f"{stem}_ref.csv").read_bytes(), stem
-    text = (tmp_path / "pure.csv").read_text()
-    for spelled in ("-0.0", "1e-05", "2.5e-300", "1e+16", "3.7e+17", "-2.5e+20"):
+    return (tmp_path / "pure.csv").read_text()
+
+
+def test_csv_writers_match_per_row_repr(tmp_path, rng):
+    # -0.0, values below 1e-4 and at or above 1e16 are spelled with a sign
+    # or in exponent notation by repr, and nan / inf as words; the bulk
+    # writers must keep them all
+    times = np.array([-0.0, 0.0, 1e-5, 2.5e-300, 0.1, 1e16, 3.7e17, 12.25,
+                      np.nan, np.inf, -np.inf])
+    special = np.array([-0.0, 5e-5, -1e-4, 1e16, -2.5e20, 0.1 + 0.2,
+                        9.999e-5, 0.0, np.inf, -np.inf, np.nan])
+    n = len(times)
+    with np.errstate(invalid="ignore"):  # 0 * inf in the complex products
+        pure = special + 1j * special[::-1]
+        states = np.column_stack([pure, rng.normal(size=n) * 1e-7 + 1j * pure])
+        dens = (rng.normal(size=(n, 2, 2))
+                + 1j * rng.normal(size=(n, 2, 2))) * 1e-6
+        dens[:, 0, 0] = special
+        dens[:, 0, 1] = special[::-1] - 1j * special
+        dens[:, 1, 1] = -special
+        text = _check_writers(tmp_path, times, states, dens)
+    for spelled in ("-0.0", "1e-05", "2.5e-300", "1e+16", "3.7e+17", "-2.5e+20",
+                    "nan", "inf", "-inf"):
         assert spelled in text
+    # a one-row trajectory
+    text = _check_writers(tmp_path, times[4:5], states[4:5], dens[4:5])
+    assert len(text.splitlines()) == 2
 
 
 def test_device_params_validation():

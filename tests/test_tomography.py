@@ -236,6 +236,13 @@ def test_run_qpt_shot_mode_reproducible():
     assert np.array_equal(a.chi, b.chi)
 
 
+def test_run_qpt_refuses_bad_seed():
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed") as err:
+            run_qpt("H", shots=16, seed=seed)
+        assert repr(seed) in str(err.value)
+
+
 def test_run_qpt_noisy_monotone_in_gamma1():
     fids = []
     for t1 in (40.0, 10.0, 2.5):
