@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import GateChannelCache, vec
-from .errors import FitDiverged, _seed, _whole
+from .errors import FitDiverged, _seed, _shots, _whole
 from .evolution import DeviceParams
 from .qcore import (KET0, axis_angle_unitary, clifford_index_of,
                     clifford_tables, density_of, named_gate, recovery_gate)
@@ -56,6 +56,7 @@ class RbConfig:
         object.__setattr__(self, "randomizations",
                            _whole(self.randomizations, "randomizations"))
         object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "shots", _shots(self.shots))
         if not isinstance(self.readout_correction, bool):
             raise ValueError("readout_correction must be true or false, "
                              f"got {self.readout_correction!r}")
@@ -65,8 +66,6 @@ class RbConfig:
             raise ValueError("sequence lengths must be strictly increasing")
         if self.randomizations < 2:
             raise ValueError("need at least 2 randomizations per length")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 or None")
 
 
 @dataclass

@@ -66,3 +66,13 @@ def _seed(value) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _shots(value) -> int | None:
+    """``value`` as a shot count: ``None`` (exact) or a whole number >= 1."""
+    if value is None:
+        return None
+    shots = _whole(value, "shots")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1 or None, got {shots}")
+    return shots

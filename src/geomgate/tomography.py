@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import GateChannelCache, unvec, vec
-from .errors import SingularSystem, _seed
+from .errors import SingularSystem, _seed, _shots
 from .evolution import DeviceParams
 from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
                     density_of, named_gate)
@@ -109,10 +109,9 @@ def measure_expectations(rho: np.ndarray, shots: int | None = None,
     estimate is unbiased in expectation.
     """
     exact = np.array([np.trace(rho @ p).real for p in PAULIS[1:]])
+    shots = _shots(shots)
     if shots is None:
         return exact
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     out = np.empty(3)
     for k, ev in enumerate(exact):
@@ -213,6 +212,7 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     hermitized linear-inversion chi.
     """
     seed = _seed(seed)
+    shots = _shots(shots)
     spec, *prep_specs = qpt_specs([gate], device)
     if channels is None:
         channels = GateChannelCache(device, segment_duration, dt)

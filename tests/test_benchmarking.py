@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ def test_rb_config_validation():
             RbConfig(seed=seed)
         assert repr(seed) in str(err.value)
     assert RbConfig(seed=3.0).seed == 3
+    for shots in (2.5, True, "3", math.inf, 0, -4):
+        with pytest.raises(ValueError, match="shots") as err:
+            RbConfig(shots=shots)
+        assert repr(shots) in str(err.value)
+    assert RbConfig(shots=2.0).shots == 2
+    assert type(RbConfig(shots=2.0).shots) is int
+    assert RbConfig(shots=None).shots is None
 
 
 # ---------------------------------------------------------------------------

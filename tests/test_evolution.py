@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ from geomgate.evolution import (DeviceParams, Trajectory, bloch_path_to_csv,
                                 segment_propagator_exact, trajectory_to_csv,
                                 wrap_angle)
 from geomgate.pulse import PulseSegment, synthesize
-from geomgate.qcore import (GateSpec, I2, KET0, KET1, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, axis_angle_unitary, axis_eigenstates,
-                            density_of, phase_distance)
+from geomgate.qcore import (GATE_NAMES, GateSpec, I2, KET0, KET1, SIGMA_X,
+                            SIGMA_Y, SIGMA_Z, axis_angle_unitary,
+                            axis_eigenstates, density_of, named_gate,
+                            phase_distance)
 
 from conftest import random_spec
 
@@ -99,6 +101,107 @@ def test_evolve_unitary_zero_amplitude_is_constant():
     psi0 = np.array([0.6, 0.8j])
     traj = evolve_unitary(segments, psi0, dt=0.05)
     assert np.abs(traj.states - psi0).max() < 1e-15
+
+
+def scalar_rk4_states(segments, psi0, dt):
+    """Classical RK4 on the two amplitudes, one step at a time, with the
+    Rabi rate evaluated point by point; oracle for ``evolve_unitary``."""
+    a, b = complex(psi0[0]), complex(psi0[1])
+    states = [(a, b)]
+    for seg in segments:
+        n = max(100, int(round(seg.duration / dt)))
+        h = seg.duration / n
+        hh, h6 = 0.5 * h, h / 6.0
+        # K |psi> = (e^{-i phi'} c1, e^{+i phi'} c0)
+        em = -1j * complex(math.cos(seg.phase_offset), -math.sin(seg.phase_offset))
+        ep = -1j * complex(math.cos(seg.phase_offset), math.sin(seg.phase_offset))
+
+        def rabi(t):
+            if seg.envelope == "square":
+                return seg.peak_amplitude
+            if t == 0.0 or t == seg.duration:
+                return 0.0
+            return seg.peak_amplitude * math.sin(math.pi * t / seg.duration) ** 2
+
+        for i in range(n):
+            w0, w1, w2 = rabi(i * h), rabi((i + 0.5) * h), rabi((i + 1) * h)
+            k1a = w0 * em * b
+            k1b = w0 * ep * a
+            a2 = a + hh * k1a
+            b2 = b + hh * k1b
+            k2a = w1 * em * b2
+            k2b = w1 * ep * a2
+            a3 = a + hh * k2a
+            b3 = b + hh * k2b
+            k3a = w1 * em * b3
+            k3b = w1 * ep * a3
+            a4 = a + h * k3a
+            b4 = b + h * k3b
+            k4a = w2 * em * b4
+            k4b = w2 * ep * a4
+            a = a + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
+            b = b + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
+            states.append((a, b))
+    return np.array(states)
+
+
+def _random_state(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return psi / np.linalg.norm(psi)
+
+
+# the default step, and two that leave the step count off a round number
+_ORACLE_STEPS = (0.01, 10.0 / 137.0, 0.0137)
+
+
+def _assert_matches_scalar_oracle(segments, psi0, dt):
+    traj = evolve_unitary(segments, psi0, dt=dt)
+    want = scalar_rk4_states(segments, psi0, dt)
+    assert traj.states.shape == want.shape
+    assert np.abs(traj.states - want).max() < 1e-13
+
+
+def test_evolve_unitary_matches_scalar_oracle_named_gates(rng):
+    for name in GATE_NAMES:
+        spec = named_gate(name)
+        segments = synthesize(spec, 10.0).segments
+        plus, _ = axis_eigenstates(spec)
+        for dt in _ORACLE_STEPS:
+            _assert_matches_scalar_oracle(segments, plus, dt)
+            _assert_matches_scalar_oracle(segments, _random_state(rng), dt)
+
+
+def test_evolve_unitary_matches_scalar_oracle_random(rng):
+    for envelope in ("sin2", "square"):
+        for _ in range(4):
+            spec = random_spec(rng)
+            segments = [dataclasses.replace(seg, envelope=envelope)
+                        for seg in synthesize(spec, rng.uniform(8.0, 20.0)).segments]
+            for dt in _ORACLE_STEPS:
+                _assert_matches_scalar_oracle(segments, _random_state(rng), dt)
+
+
+def test_evolve_unitary_zero_amplitude_middle_segment(rng):
+    segments = [PulseSegment(10.0, 0.3, 0.4),
+                PulseSegment(8.0, 0.0, 1.3),
+                PulseSegment(10.0, 0.2, -2.0, envelope="square")]
+    for dt in _ORACLE_STEPS:
+        psi0 = _random_state(rng)
+        _assert_matches_scalar_oracle(segments, psi0, dt)
+        states = evolve_unitary(segments, psi0, dt=dt).states
+        n1 = max(100, int(round(10.0 / dt)))
+        n2 = max(100, int(round(8.0 / dt)))
+        held = states[n1:n1 + n2 + 1]
+        assert held.tobytes() == np.repeat(states[n1:n1 + 1], n2 + 1, axis=0).tobytes()
+        assert np.abs(states[n1 + n2 + 1] - states[n1]).max() > 1e-6
+
+
+def test_evolve_unitary_long_square_segment_matches_scalar_oracle(rng):
+    # 6,000 equal steps: the same multiplier every step, so a rounding
+    # repeated per step would add up instead of averaging out
+    for amplitude in (0.05, 0.1, 0.2, 0.3, 0.5):
+        segments = [PulseSegment(60.0, amplitude, 0.7, envelope="square")]
+        _assert_matches_scalar_oracle(segments, _random_state(rng), 0.01)
 
 
 def test_evolve_unitary_fourth_order_convergence():
@@ -362,6 +465,17 @@ def test_csv_writers_match_per_row_repr(tmp_path, rng):
     # a one-row trajectory
     text = _check_writers(tmp_path, times[4:5], states[4:5], dens[4:5])
     assert len(text.splitlines()) == 2
+    # a full-size synthesis trajectory: 3,001 rows at the default step
+    spec = named_gate("H")
+    traj = evolve_unitary(synthesize(spec, 10.0), axis_eigenstates(spec)[0])
+    lind = evolve_lindblad(synthesize(spec, 10.0), density_of(KET0), device=None)
+    assert len(traj.times) == len(lind.times) == 3001
+    text = _check_writers(tmp_path, traj.times, traj.states, lind.states)
+    assert len(text.splitlines()) == 3002
+    # a whole number of write blocks
+    text = _check_writers(tmp_path, traj.times[:1024], traj.states[:1024],
+                          lind.states[:1024])
+    assert len(text.splitlines()) == 1025
 
 
 def test_device_params_validation():

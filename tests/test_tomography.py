@@ -57,6 +57,13 @@ def test_measure_expectations_exact():
                        [0, 0, 0], atol=1e-15)
 
 
+def test_measure_expectations_refuses_bad_shots():
+    for shots in (2.5, True, 0):
+        with pytest.raises(ValueError, match="shots") as err:
+            measure_expectations(density_of(KET0), shots=shots, rng=1)
+        assert repr(shots) in str(err.value)
+
+
 def test_measure_expectations_shot_unbiased(device):
     readout = ReadoutModel.from_device(device)
     shots = 1_000_000
@@ -241,6 +248,15 @@ def test_run_qpt_refuses_bad_seed():
         with pytest.raises(ValueError, match="seed") as err:
             run_qpt("H", shots=16, seed=seed)
         assert repr(seed) in str(err.value)
+
+
+def test_run_qpt_refuses_bad_shots():
+    for shots in (2.5, True, "3", math.inf, 0):
+        with pytest.raises(ValueError, match="shots") as err:
+            run_qpt("H", shots=shots, seed=1)
+        assert repr(shots) in str(err.value)
+    result = run_qpt("H", shots=2.0, seed=1)
+    assert result.shots == 2 and type(result.shots) is int
 
 
 def test_run_qpt_noisy_monotone_in_gamma1():
