@@ -10,20 +10,27 @@ Execution composes per-gate channel superoperators, which is exactly
 equivalent to concatenated master-equation integration (the dynamics are
 time-local and linear) and keeps long sequences cheap. Randomness is drawn
 from counter-based Philox streams keyed by (seed, length index,
-randomization index). Each stream draws its Clifford indices once per run,
-and the reference curve and every interleaved curve run that same sequence:
+randomization index): the key of each is NumPy's
+``SeedSequence((seed, li, ri))`` hash, computed for every stream of a run in
+one vectorized pass, and one generator is re-keyed to the start of each
+stream in turn. Each stream draws its Clifford indices once per run, and
+the reference curve and every interleaved curve run that same sequence:
 all curves and randomizations of one length execute as one batch, with
 channels picked from a (24, 4, 4) Clifford table by index and applied to a
-stack of state vectors. In shot mode each curve draws its own sample from
-the stream position right after the indices. So every curve is
-reproducible regardless of execution order, does not depend on which other
-curves share its run, and equals running its sequences one by one.
+stack of state vectors. One integer fold through the composition and
+inverse tables gives the recoveries of every curve, the reference curve
+folding with the identity as its target. In shot mode each curve draws its
+own sample from the stream position right after the indices. So every
+curve is reproducible regardless of execution order, does not depend on
+which other curves share its run, and equals running its sequences one by
+one.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,10 +124,86 @@ class RbResult:
 # ---------------------------------------------------------------------------
 # sequences
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool
+# of uint32 words, run here on uint64 arrays masked to 32 bits
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _stream_keys(seed: int, length_index, rand_index) -> np.ndarray:
+    """Philox keys of the streams (seed, length index, randomization index).
+
+    The indices broadcast against each other; the result has their shape
+    plus a last axis of 2 words, and each key equals
+    ``SeedSequence((seed, li, ri)).generate_state(2, np.uint64)``. The hash
+    constants evolve independently of the data, so one pass over arrays
+    keys every stream at once.
+    """
+    seed = operator.index(seed)
+    li, ri = np.broadcast_arrays(np.asarray(length_index),
+                                 np.asarray(rand_index))
+    shape = li.shape
+    # flat arrays: uint64 arithmetic wraps silently on arrays, on scalars
+    # it warns
+    li, ri = li.ravel(), ri.ravel()
+    if seed < 0 or not np.all((0 <= li) & (li <= _MASK32)
+                              & (0 <= ri) & (ri <= _MASK32)):
+        raise ValueError("stream seed and indices must be non-negative, "
+                         "with indices below 2**32")
+    # the seed's uint32 words, least significant first, then li and ri,
+    # padded with zero words to the pool size
+    entropy = [np.full(li.shape, (seed >> shift) & _MASK32, dtype=np.uint64)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [li.astype(np.uint64), ri.astype(np.uint64)]
+    entropy += [np.zeros(li.shape, dtype=np.uint64)] * (_POOL_SIZE
+                                                        - len(entropy))
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): the same hash, with its own constants,
+    # over the 4 pool words
+    const, mult = _INIT_B, _MULT_B
+    state = [hashmix(value) for value in pool]
+    # little-endian pairs of uint32 words form the two uint64 key words
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    axis=-1).reshape(shape + (2,))
+
+
+def _philox_state(key: np.ndarray) -> dict:
+    """Philox state at the start of the stream with ``key``."""
+    zeros = np.zeros(4, dtype=np.uint64)
+    return {"bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def sequence_rng(seed: int, length_index: int, rand_index: int) -> np.random.Generator:
     """Splittable per-sequence stream; independent of execution order."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, length_index, rand_index))))
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed below
+    rng.bit_generator.state = _philox_state(
+        _stream_keys(seed, length_index, rand_index))
+    return rng
 
 
 def sample_sequence(m: int, rng) -> tuple[list[int], int]:
@@ -133,26 +216,34 @@ def sample_sequence(m: int, rng) -> tuple[list[int], int]:
     return indices, recovery_gate(indices).index
 
 
-def _survival_from_prob(p0: float, shots: int | None, rng,
-                        readout: ReadoutModel | None,
-                        readout_correction: bool) -> float:
-    if shots is None:
-        # absorb integrator dust at the boundaries; anything larger is a bug
-        # and must surface in the invariant checks
-        if -1e-9 < p0 < 0.0:
-            return 0.0
-        if 1.0 < p0 < 1.0 + 1e-9:
-            return 1.0
-        return float(p0)
-    return float(sample_outcomes(np.array([p0, 1.0 - p0]), shots, rng,
-                                 readout, readout_correction)[0])
+def _draw_sequences(config: RbConfig, rng: np.random.Generator):
+    """Per sequence length, the (R, m) Clifford indices of its R streams
+    and, in shot mode, each stream's state right after its indices.
+
+    ``rng`` draws from a Philox bit generator, which is re-keyed to the
+    start of each stream in turn; the keys of all streams of the run come
+    from one ``_stream_keys`` pass.
+    """
+    lengths, n_rand = config.sequence_lengths, config.randomizations
+    keys = _stream_keys(config.seed, np.arange(len(lengths))[:, None],
+                        np.arange(n_rand))
+    bit_gen = rng.bit_generator
+    for m, row in zip(lengths, keys):
+        idx = np.empty((n_rand, m), dtype=np.intp)
+        states = []
+        for ri, key in enumerate(row):
+            bit_gen.state = _philox_state(key)
+            idx[ri] = rng.integers(0, 24, size=m)
+            if config.shots is not None:
+                states.append(bit_gen.state)
+        yield idx, states
 
 
-def _interleaved_recoveries(idx: np.ndarray,
-                            target_indices: np.ndarray) -> np.ndarray:
+def _recoveries(idx: np.ndarray, target_indices: np.ndarray) -> np.ndarray:
     """Recovery indices, shape (C, R), closing each row of ``idx`` (R, m)
     to the identity when target Clifford ``target_indices[c]`` follows
-    every random one."""
+    every random one; target 0, the identity, gives the reference
+    recovery."""
     compose, inverse = clifford_tables()
     targets = target_indices[:, None]
     acc = np.zeros((len(targets), len(idx)), dtype=np.intp)
@@ -291,36 +382,37 @@ def _run_curves(config: RbConfig, table: np.ndarray,
     plain = [c for c, t in enumerate(targets) if t is None]
     interleaved = [c for c, t in enumerate(targets) if t is not None]
     sops = [targets[c][0] for c in interleaved]
-    target_indices = np.array([targets[c][1] for c in interleaved],
+    # a reference curve folds its recovery with target Clifford 0 = I
+    target_indices = np.array([0] * len(plain)
+                              + [targets[c][1] for c in interleaved],
                               dtype=np.intp)
-    samples = [[] for _ in targets]
-    for li, m in enumerate(config.sequence_lengths):
-        rngs = [sequence_rng(config.seed, li, ri)
-                for ri in range(config.randomizations)]
-        drawn = [sample_sequence(m, rng) for rng in rngs]
-        # shot samples start where the index draw left each stream
-        states = ([rng.bit_generator.state for rng in rngs]
-                  if config.shots is not None else None)
-        idx = np.array([cliffords for cliffords, _ in drawn], dtype=np.intp)
-        recovery = np.concatenate([
-            np.tile([r for _, r in drawn], (len(plain), 1)),
-            _interleaved_recoveries(idx, target_indices)])
-        p0 = _apply_sequences(table, idx, recovery, sops)
-        for c, row in zip(plain + interleaved, p0.tolist()):
-            if states is not None:
-                for rng, state in zip(rngs, states):
-                    rng.bit_generator.state = state
-            samples[c].append(np.array([
-                _survival_from_prob(p, config.shots, rng, readout,
-                                    config.readout_correction)
-                for p, rng in zip(row, rngs)]))
-    return [DecayCurve(lengths=config.sequence_lengths,
-                       means=np.array([vals.mean() for vals in curve]),
-                       stderrs=np.array([vals.std(ddof=1)
-                                         / math.sqrt(len(vals))
-                                         for vals in curve]),
-                       samples=curve)
-            for curve in samples]
+    lengths, n_rand = config.sequence_lengths, config.randomizations
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
+    states = []  # shot mode: each stream's post-index state, per length
+    p0 = np.empty((len(targets), len(lengths), n_rand))
+    for li, (idx, drawn) in enumerate(_draw_sequences(config, rng)):
+        states.append(drawn)
+        p0[plain + interleaved, li] = _apply_sequences(
+            table, idx, _recoveries(idx, target_indices), sops)
+    if config.shots is None:
+        # absorb integrator dust at the boundaries; anything larger is a bug
+        # and must surface in the invariant checks
+        survival = np.where((-1e-9 < p0) & (p0 < 0.0), 0.0, p0)
+        survival = np.where((1.0 < survival) & (survival < 1.0 + 1e-9), 1.0,
+                            survival)
+    else:
+        survival = np.empty_like(p0)
+        for c, li, ri in np.ndindex(p0.shape):
+            rng.bit_generator.state = states[li][ri]
+            p = p0[c, li, ri]
+            survival[c, li, ri] = sample_outcomes(
+                np.array([p, 1.0 - p]), config.shots, rng, readout,
+                config.readout_correction)[0]
+    means = survival.mean(axis=2)
+    stderrs = survival.std(axis=2, ddof=1) / math.sqrt(n_rand)
+    return [DecayCurve(lengths=lengths, means=means[c], stderrs=stderrs[c],
+                       samples=list(survival[c]))
+            for c in range(len(targets))]
 
 
 def _fit_or_flag(curve: DecayCurve, weighted: bool) -> DecayFit:

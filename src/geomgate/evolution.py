@@ -220,8 +220,12 @@ def lindblad_rk4_steps(y: np.ndarray, seg_lists, device: DeviceParams | None,
         w_half = np.empty((n, len(segs), 1, 1))
         for g, seg in enumerate(segs):
             w_full[:, g, 0, 0], w_half[:, g, 0, 0] = _envelope_grid(seg, n, h)
-        l_drive = np.array([lindblad_generator(_drive_matrix(seg), 0.0, 0.0)
-                            for seg in segs])
+        # lindblad_generator's drive term for the stack of _drive_matrix
+        cos = np.array([math.cos(seg.phase_offset) for seg in segs])
+        sin = np.array([math.sin(seg.phase_offset) for seg in segs])
+        ham = cos[:, None, None] * SIGMA_X + sin[:, None, None] * SIGMA_Y
+        l_drive = -1j * (np.kron(ham, np.eye(2))
+                         - np.kron(np.eye(2), ham.transpose(0, 2, 1)))
         for start in range(0, n, _CHUNK):
             m = min(_CHUNK, n - start)
             l_full = l_full_buf[:m + 1]

@@ -288,19 +288,12 @@ def clifford_index_of(u: np.ndarray, tol: float = 1e-6) -> int:
     return k
 
 
-@lru_cache(maxsize=1)
-def _table_rows() -> tuple[list[list[int]], list[int]]:
-    # the tables as nested lists: scalar folds index them without numpy
-    _, compose, inverse = _clifford_data()
-    return compose.tolist(), inverse.tolist()
-
-
 def recovery_gate(sequence) -> CliffordElement:
     """Group element inverting the ordered product of the given indices."""
     if len(sequence) == 0:
         raise ValueError("recovery of an empty sequence is undefined")
-    compose, inverse = _table_rows()
+    elements, compose, inverse = _clifford_data()
     acc = 0
     for idx in sequence:
-        acc = compose[idx][acc]
-    return _clifford_data()[0][inverse[acc]]
+        acc = compose[idx, acc]
+    return elements[inverse[acc]]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from geomgate.benchmarking import (DecayCurve, DecayFit,
-                                   RbConfig, RbResult, decay_to_csv,
+                                   RbConfig, RbResult, _draw_sequences,
+                                   _recoveries, _stream_keys, decay_to_csv,
                                    fit_decay, fit_report,
                                    run_interleaved_rb, run_rb,
                                    run_reference_rb, sample_sequence,
@@ -71,6 +72,81 @@ def test_sample_sequence_products_close(rng):
             acc = group[idx].unitary @ acc
         acc = group[recovery].unitary @ acc
         assert phase_distance(acc, I2) < 1e-10
+
+
+def test_sample_sequence_pinned_draws():
+    # draws and recoveries of the SeedSequence-keyed streams, recorded when
+    # every stream was still built through np.random.SeedSequence
+    assert sample_sequence(12, sequence_rng(7, 3, 4)) == (
+        [8, 4, 22, 1, 14, 7, 20, 11, 3, 1, 4, 19], 8)
+    assert sample_sequence(12, sequence_rng(2, 49, 49)) == (
+        [7, 6, 1, 5, 3, 12, 17, 14, 21, 4, 21, 14], 10)
+    assert sample_sequence(12, sequence_rng(2**64 + 1, 0, 0)) == (
+        [20, 18, 16, 19, 11, 12, 10, 3, 8, 1, 11, 22], 1)
+
+
+SEEDS = (0, 2, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1, 2**100 + 3)
+
+
+def _seeded_philox_state(seed, li, ri):
+    return np.random.Philox(
+        np.random.SeedSequence((seed, li, ri))).state
+
+
+def _same_state(a, b):
+    """Equal Philox states: counter, key, buffer and the buffered words."""
+    return (a["state"]["counter"].tolist() == b["state"]["counter"].tolist()
+            and a["state"]["key"].tolist() == b["state"]["key"].tolist()
+            and a["buffer"].tolist() == b["buffer"].tolist()
+            and [a[k] for k in ("bit_generator", "buffer_pos", "has_uint32",
+                                "uinteger")]
+            == [b[k] for k in ("bit_generator", "buffer_pos", "has_uint32",
+                               "uinteger")])
+
+
+def test_stream_keys_equal_seed_sequence():
+    li = np.array([0, 1, 2, 7, 49, 2**31, 2**32 - 1])[:, None]
+    ri = np.array([0, 1, 3, 50, 999, 2**32 - 1])
+    for seed in SEEDS:
+        keys = _stream_keys(seed, li, ri)
+        assert keys.shape == (len(li), len(ri), 2)
+        assert keys.dtype == np.uint64
+        for a, row in zip(li[:, 0].tolist(), keys):
+            for b, key in zip(ri.tolist(), row):
+                want = np.random.SeedSequence((seed, a, b)).generate_state(
+                    2, np.uint64)
+                assert key.tolist() == want.tolist(), (seed, a, b)
+        # scalars give one key; a lone stream starts where SeedSequence does
+        assert _stream_keys(seed, 7, 3).tolist() == keys[3, 2].tolist()
+        assert _same_state(sequence_rng(seed, 7, 3).bit_generator.state,
+                           _seeded_philox_state(seed, 7, 3))
+    for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, 2**32), (1.0, 0, 0)):
+        with pytest.raises((ValueError, TypeError)):
+            _stream_keys(*bad)
+
+
+@pytest.mark.parametrize("shots", [None, 16])
+def test_batch_draws_equal_lone_streams(shots):
+    config = RbConfig(sequence_lengths=(1, 3, 8, 13), randomizations=4,
+                      seed=2**40 + 7, shots=shots)
+    rng = np.random.Generator(np.random.Philox(0))
+    draws = list(_draw_sequences(config, rng))
+    assert len(draws) == len(config.sequence_lengths)
+    for li, (m, (idx, states)) in enumerate(
+            zip(config.sequence_lengths, draws)):
+        assert idx.shape == (config.randomizations, m)
+        assert len(states) == (0 if shots is None else config.randomizations)
+        recovery = _recoveries(idx, np.array([0, 5], dtype=np.intp))
+        for ri in range(config.randomizations):
+            lone = sequence_rng(config.seed, li, ri)
+            indices, want = sample_sequence(m, lone)
+            assert idx[ri].tolist() == indices
+            assert recovery[0, ri] == want
+            if shots is not None:
+                assert _same_state(states[ri], lone.bit_generator.state)
+                # and the stream continues as the lone one does
+                rng.bit_generator.state = states[ri]
+                assert rng.random() == lone.random()
 
 
 # ---------------------------------------------------------------------------
