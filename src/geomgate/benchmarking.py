@@ -13,17 +13,22 @@ from counter-based Philox streams keyed by (seed, length index,
 randomization index): the key of each is NumPy's
 ``SeedSequence((seed, li, ri))`` hash, computed for every stream of a run in
 one vectorized pass, and one generator is re-keyed to the start of each
-stream in turn. Each stream draws its Clifford indices once per run, and
-the reference curve and every interleaved curve run that same sequence:
-all curves and randomizations of one length execute as one batch, with
-channels picked from a (24, 4, 4) Clifford table by index and applied to a
-stack of state vectors. One integer fold through the composition and
-inverse tables gives the recoveries of every curve, the reference curve
-folding with the identity as its target. In shot mode each curve draws its
-own sample from the stream position right after the indices. So every
-curve is reproducible regardless of execution order, does not depend on
-which other curves share its run, and equals running its sequences one by
-one.
+stream in turn. Each stream draws its Clifford indices once per run, as
+``Generator.integers(0, 24)`` does: the stream hands out raw 64-bit words,
+each split into two uint32 draws, and one vectorized pass of Lemire's
+bounded-integer method turns the draws of all streams of a length into
+indices. A stream with a draw the method rejects (p = 16/2**32 per draw)
+is drawn again by ``Generator.integers`` itself. The reference curve and
+every interleaved curve run that same sequence: all curves and
+randomizations of one length execute as one batch, with channels picked
+from a (24, 4, 4) Clifford table by index and applied to a stack of state
+vectors. An integer fold gives the recoveries of every curve, one table
+lookup per sequence position: the lookup composes the random Clifford and
+the curve's target with the product so far, the reference curve folding
+with the identity as its target. In shot mode each curve draws its own
+sample from the stream position right after the indices. So every curve is
+reproducible regardless of execution order, does not depend on which other
+curves share its run, and equals running its sequences one by one.
 """
 
 from __future__ import annotations
@@ -216,26 +221,59 @@ def sample_sequence(m: int, rng) -> tuple[list[int], int]:
     return indices, recovery_gate(indices).index
 
 
+# Generator.integers(0, 24) draws by Lemire's method: each uint32 word u
+# gives the index (24 u) >> 32, and is rejected, to be followed by a fresh
+# word, when the low half of 24 u falls below 2**32 % 24
+_N_CLIFFORD = 24
+_LEMIRE_THRESHOLD = 2**32 % _N_CLIFFORD
+
+
 def _draw_sequences(config: RbConfig, rng: np.random.Generator):
     """Per sequence length, the (R, m) Clifford indices of its R streams
     and, in shot mode, each stream's state right after its indices.
 
     ``rng`` draws from a Philox bit generator, which is re-keyed to the
     start of each stream in turn; the keys of all streams of the run come
-    from one ``_stream_keys`` pass.
+    from one ``_stream_keys`` pass. Each stream hands out the ceil(m/2)
+    raw words that ``rng.integers(0, 24, size=m)`` splits into m uint32
+    draws, and one Lemire pass over the words of all streams of a length
+    gives the indices. A stream with a rejected draw (p = 16/2**32 per
+    draw) is drawn again by ``rng.integers`` itself.
     """
     lengths, n_rand = config.sequence_lengths, config.randomizations
     keys = _stream_keys(config.seed, np.arange(len(lengths))[:, None],
                         np.arange(n_rand))
     bit_gen = rng.bit_generator
+    shots = config.shots is not None
+    start = _philox_state(keys[0, 0])  # the setter copies it; swap the key
+
+    def rekey(key):
+        start["state"]["key"] = key
+        bit_gen.state = start
+
     for m, row in zip(lengths, keys):
-        idx = np.empty((n_rand, m), dtype=np.intp)
+        raw = np.empty((n_rand, (m + 1) // 2), dtype=np.uint64)
         states = []
         for ri, key in enumerate(row):
-            bit_gen.state = _philox_state(key)
-            idx[ri] = rng.integers(0, 24, size=m)
-            if config.shots is not None:
+            rekey(key)
+            raw[ri] = bit_gen.random_raw(raw.shape[1])
+            if shots:
                 states.append(bit_gen.state)
+        if shots:
+            # Philox splits a raw word into uint32 draws low half first;
+            # after m draws it holds the high half of the last word, still
+            # unused when m is odd
+            for state, high in zip(states, (raw[:, -1] >> 32).tolist()):
+                state["has_uint32"], state["uinteger"] = m % 2, high
+        words = np.asarray(raw, dtype="<u8").view("<u4")[:, :m]
+        scaled = words * np.uint64(_N_CLIFFORD)  # 24 u in uint64
+        idx = (scaled >> 32).astype(np.intp)
+        rejected = ((scaled & _MASK32) < _LEMIRE_THRESHOLD).any(axis=1)
+        for ri in np.flatnonzero(rejected):
+            rekey(row[ri])
+            idx[ri] = rng.integers(0, _N_CLIFFORD, size=m)
+            if shots:
+                states[ri] = bit_gen.state
         yield idx, states
 
 
@@ -245,11 +283,17 @@ def _recoveries(idx: np.ndarray, target_indices: np.ndarray) -> np.ndarray:
     every random one; target 0, the identity, gives the reference
     recovery."""
     compose, inverse = clifford_tables()
-    targets = target_indices[:, None]
-    acc = np.zeros((len(targets), len(idx)), dtype=np.intp)
-    for col in idx.T:
-        acc = compose[targets, compose[col, acc]]
-    return inverse[acc]
+    n_curves = len(target_indices)
+    # the fold's state s = 24 c + a is curve c with product a so far; one
+    # step to Clifford k, flattened over (k, s), is
+    # step[k, s] = 24 c + compose[t_c, compose[k, a]]
+    curve = _N_CLIFFORD * np.arange(n_curves)[:, None]
+    step = (compose[target_indices[None, :, None], compose[:, None, :]]
+            + curve).ravel()
+    acc = np.broadcast_to(curve, (n_curves, len(idx)))
+    for offset in idx.T * (_N_CLIFFORD * n_curves):
+        acc = step.take(offset + acc)
+    return inverse[acc - curve]
 
 
 def _apply_sequences(table: np.ndarray, idx: np.ndarray,

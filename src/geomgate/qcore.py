@@ -254,7 +254,7 @@ def _clifford_data():
 
     compose.setflags(write=False)
     inverse.setflags(write=False)
-    return elements, compose, inverse
+    return elements, canon, compose, inverse
 
 
 def clifford_group() -> list[CliffordElement]:
@@ -264,24 +264,25 @@ def clifford_group() -> list[CliffordElement]:
 
 def clifford_tables() -> tuple[np.ndarray, np.ndarray]:
     """(composition table, inverse table) over canonical indices."""
-    _, compose, inverse = _clifford_data()
+    _, _, compose, inverse = _clifford_data()
     return compose, inverse
 
 
 def compose_cliffords(i: int, j: int) -> int:
     """Index of the product U_i @ U_j."""
-    return int(_clifford_data()[1][i, j])
+    return int(_clifford_data()[2][i, j])
 
 
 def clifford_inverse(i: int) -> int:
-    return int(_clifford_data()[2][i])
+    return int(_clifford_data()[3][i])
 
 
 def clifford_index_of(u: np.ndarray, tol: float = 1e-6) -> int:
     """Canonical index of a unitary that is a Clifford up to global phase."""
     _require_unitary(u)
-    elements, _, _ = _clifford_data()
-    dists = [phase_distance(u, e.unitary) for e in elements]
+    # phase distances 1 - |Tr(U^dag E_k)| / 2 to all 24 elements E_k at once
+    canon = _clifford_data()[1]
+    dists = 1.0 - abs(np.einsum("ab,kab->k", u.conj(), canon)) / 2.0
     k = int(np.argmin(dists))
     if dists[k] > tol:
         raise ValueError(f"matrix is not a Clifford (distance {dists[k]:.3g})")
@@ -292,7 +293,7 @@ def recovery_gate(sequence) -> CliffordElement:
     """Group element inverting the ordered product of the given indices."""
     if len(sequence) == 0:
         raise ValueError("recovery of an empty sequence is undefined")
-    elements, compose, inverse = _clifford_data()
+    elements, _, compose, inverse = _clifford_data()
     acc = 0
     for idx in sequence:
         acc = compose[idx, acc]

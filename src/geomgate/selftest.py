@@ -7,7 +7,6 @@ hash), so repeated runs can be compared byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +30,9 @@ class SelftestReport:
 
     @property
     def digest(self) -> str:
+        # imported here, so that no other command pays for it at start-up
+        import hashlib
+
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 

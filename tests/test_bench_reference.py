@@ -1,10 +1,11 @@
 """The benchmark's physics fingerprints, checked in the package's own suite.
 
 ``bench/check.py`` compares every fingerprint of the default-seed
-gates_exact and rb_exact runs with ``bench/reference.json`` to 1e-12. Those
-runs are cheap in-process, so a change that drifts a fingerprint fails here
-and not only in the timed benchmark. The bench modules are loaded read-only
-from their files.
+gates_exact and rb_exact runs with ``bench/reference.json`` to 1e-12, and
+those of rb_shots to 2e-5, which a redrawn set of shot counts (about 3.5e-4
+on p) fails. The runs are cheap in-process, so a change that drifts a
+fingerprint fails here and not only in the timed benchmark. The bench
+modules are loaded read-only from their files.
 """
 
 import importlib.util
@@ -42,7 +43,7 @@ def bench():
     return workloads, check
 
 
-@pytest.mark.parametrize("workload", ["gates_exact", "rb_exact"])
+@pytest.mark.parametrize("workload", ["gates_exact", "rb_exact", "rb_shots"])
 def test_default_seed_matches_stored_fingerprints(bench, workload, tmp_path,
                                                   capsys):
     workloads, check = bench

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from geomgate import benchmarking
 from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    RbConfig, RbResult, _draw_sequences,
                                    _recoveries, _stream_keys, decay_to_csv,
@@ -18,8 +19,8 @@ from geomgate.cli import _write_json
 from geomgate.errors import FitDiverged
 from geomgate.qcore import (I2, KET0, axis_angle_unitary, clifford_group,
                             clifford_index_of, clifford_inverse,
-                            clifford_tables, density_of, named_gate,
-                            phase_distance)
+                            clifford_tables, compose_cliffords, density_of,
+                            named_gate, phase_distance, recovery_gate)
 from geomgate.tomography import ReadoutModel
 
 
@@ -125,28 +126,97 @@ def test_stream_keys_equal_seed_sequence():
             _stream_keys(*bad)
 
 
-@pytest.mark.parametrize("shots", [None, 16])
-def test_batch_draws_equal_lone_streams(shots):
-    config = RbConfig(sequence_lengths=(1, 3, 8, 13), randomizations=4,
-                      seed=2**40 + 7, shots=shots)
-    rng = np.random.Generator(np.random.Philox(0))
+def _lone_stream(seed, li, ri):
+    """Stream (seed, li, ri) built by NumPy alone, from its SeedSequence."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, li, ri))))
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``integers`` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def _assert_draws_equal_lone_streams(config):
+    """Every stream's batch draw equals ``integers(0, 24, size=m)`` on its
+    lone stream, and in shot mode so does the state after it; return the
+    number of streams the batch drew again through ``integers``."""
+    rng = _CountingGenerator(np.random.Philox(0))
     draws = list(_draw_sequences(config, rng))
+    redrawn = rng.calls
     assert len(draws) == len(config.sequence_lengths)
     for li, (m, (idx, states)) in enumerate(
             zip(config.sequence_lengths, draws)):
         assert idx.shape == (config.randomizations, m)
-        assert len(states) == (0 if shots is None else config.randomizations)
-        recovery = _recoveries(idx, np.array([0, 5], dtype=np.intp))
+        assert len(states) == (0 if config.shots is None
+                               else config.randomizations)
         for ri in range(config.randomizations):
-            lone = sequence_rng(config.seed, li, ri)
-            indices, want = sample_sequence(m, lone)
-            assert idx[ri].tolist() == indices
-            assert recovery[0, ri] == want
-            if shots is not None:
+            lone = _lone_stream(config.seed, li, ri)
+            assert idx[ri].tolist() == lone.integers(0, 24, size=m).tolist()
+            if config.shots is not None:
                 assert _same_state(states[ri], lone.bit_generator.state)
-                # and the stream continues as the lone one does
+                # the stream continues as the lone one does, with 32-bit
+                # draws (a buffered half word) and with doubles
                 rng.bit_generator.state = states[ri]
+                assert (rng.integers(0, 24, size=3).tolist()
+                        == lone.integers(0, 24, size=3).tolist())
                 assert rng.random() == lone.random()
+    return redrawn
+
+
+@pytest.mark.parametrize("shots", [None, 16])
+def test_batch_draws_equal_lone_streams(shots):
+    # odd and even lengths, a single draw, and seeds of one to three words
+    for seed in (2**40 + 7, 2**64, 2**64 + 2**33 + 9):
+        config = RbConfig(sequence_lengths=(1, 2, 3, 8, 13, 64),
+                          randomizations=4, seed=seed, shots=shots)
+        # a true rejection (p = 16/2**32 per draw) does not come up here
+        assert _assert_draws_equal_lone_streams(config) == 0
+
+
+@pytest.mark.parametrize("shots", [None, 16])
+def test_rejected_draws_redraw_their_stream(monkeypatch, shots):
+    # with the threshold at 2**31 half of all draws count as rejected, so
+    # about half the one-draw streams and most longer ones are drawn again
+    # by Generator.integers from their start
+    monkeypatch.setattr(benchmarking, "_LEMIRE_THRESHOLD", 2**31)
+    config = RbConfig(sequence_lengths=(1, 2, 5), randomizations=12,
+                      seed=2**64 + 1, shots=shots)
+    redrawn = _assert_draws_equal_lone_streams(config)
+    assert 0 < redrawn < 3 * config.randomizations
+
+
+@pytest.mark.parametrize("shots", [None, 16])
+def test_true_rejection_redraws_its_stream(shots):
+    # draw 393 of stream (217057, 0, 0) is a true Lemire rejection: its
+    # uint32 word u has (24 u) mod 2**32 < 16, so Generator.integers takes
+    # one extra word, and the stream's indices and state after them must
+    # come from its redraw
+    config = RbConfig(sequence_lengths=(395,), randomizations=2,
+                      seed=217057, shots=shots)
+    assert _assert_draws_equal_lone_streams(config) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 100])
+def test_recoveries_equal_per_sequence_fold(m):
+    idx = np.random.default_rng(m).integers(0, 24, size=(5, m))
+    targets = np.arange(24, dtype=np.intp)
+    recovery = _recoveries(idx, targets)
+    assert recovery.shape == (24, 5)
+    for t in range(24):
+        for r, row in enumerate(idx.tolist()):
+            acc = 0
+            for k in row:
+                acc = compose_cliffords(t, compose_cliffords(k, acc))
+            assert compose_cliffords(int(recovery[t, r]), acc) == 0
+    # target 0, the identity, closes the plain sequence
+    for r, row in enumerate(idx.tolist()):
+        assert recovery[0, r] == recovery_gate(row).index
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,37 @@ def test_clifford_index_of_round_trip():
         clifford_index_of(axis_angle_unitary(GateSpec(0.3, 0.2, 0.7)))
 
 
+def _nearest_by_phase_distance(u):
+    """Index and distance of the element nearest ``u``, one pair at a time."""
+    dists = [phase_distance(u, e.unitary) for e in clifford_group()]
+    k = int(np.argmin(dists))
+    return k, dists[k]
+
+
+def test_clifford_index_of_equals_phase_distance_loop(rng):
+    # a rotation by 1e-4 rad moves an element by 1.25e-9, well inside 1e-6
+    nudge = axis_angle_unitary(GateSpec(0.3, 0.2, 1e-4))
+    for e in clifford_group():
+        for phase in rng.uniform(-math.pi, math.pi, size=4):
+            for u in (np.exp(1j * phase) * e.unitary,
+                      np.exp(1j * phase) * nudge @ e.unitary):
+                assert (clifford_index_of(u)
+                        == _nearest_by_phase_distance(u)[0] == e.index)
+    for name, u in STANDARD_GATES.items():
+        assert clifford_index_of(u) == _nearest_by_phase_distance(u)[0], name
+    for _ in range(20):
+        u = np.exp(1j * rng.uniform(-math.pi, math.pi)) * axis_angle_unitary(
+            random_spec(rng))
+        k, dist = _nearest_by_phase_distance(u)
+        if dist <= 1e-6:
+            assert clifford_index_of(u) == k
+            continue
+        with pytest.raises(ValueError, match=f"distance {dist:.3g}\\)"):
+            clifford_index_of(u)
+    with pytest.raises(NonUnitaryInput):
+        clifford_index_of(2.0 * I2)
+
+
 def test_recovery_identity_and_single():
     group = clifford_group()
     assert recovery_gate([0]).index == 0
