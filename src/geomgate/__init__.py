@@ -14,7 +14,7 @@ from .evolution import (DeviceParams, PhaseReport, Trajectory,
                         schedule_propagator)
 from .pulse import PulseSchedule, PulseSegment, synthesize
 from .qcore import (CliffordElement, GateSpec, GATE_NAMES, axis_angle_unitary,
-                    clifford_group, named_gate, phase_distance, recovery_gate,
+                    clifford_group, named_gate, phase_distance,
                     unitary_to_axis_angle)
 from .tomography import (QptResult, ReadoutModel, process_fidelity,
                          reconstruct_chi, run_qpt)
@@ -29,7 +29,6 @@ __all__ = [
     "axis_angle_unitary", "bloch_trajectory", "clifford_group",
     "enclosed_solid_angle", "evolve_lindblad", "evolve_unitary", "fit_decay",
     "named_gate", "phase_decomposition", "phase_distance", "process_fidelity",
-    "reconstruct_chi", "recovery_gate", "run_interleaved_rb", "run_qpt",
-    "run_rb", "run_reference_rb", "sample_sequence", "schedule_propagator",
-    "synthesize",
+    "reconstruct_chi", "run_interleaved_rb", "run_qpt", "run_rb",
+    "run_reference_rb", "sample_sequence", "schedule_propagator", "synthesize",
 ]

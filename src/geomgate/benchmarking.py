@@ -5,6 +5,8 @@ fits the mean survival to F(m) = A p^m + B; interleaved RB inserts a fixed
 target after every random Clifford. Every Clifford (and the recovery) is
 realized as a single three-segment schedule of duration 3T via axis-angle
 extraction, so all gates cost the same wall-clock time under noise.
+``run_rb`` runs the reference and every interleaved target as one batch;
+``run_reference_rb`` and ``run_interleaved_rb`` are single-curve calls of it.
 
 Execution composes per-gate channel superoperators, which is exactly
 equivalent to concatenated master-equation integration (the dynamics are
@@ -40,11 +42,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import GateChannelCache, vec
+from .channels import GateChannelCache, cache_for, vec
 from .errors import FitDiverged, _seed, _shots, _whole
 from .evolution import DeviceParams
-from .qcore import (KET0, axis_angle_unitary, clifford_index_of,
-                    clifford_tables, density_of, named_gate, recovery_gate)
+from .qcore import (KET0, axis_angle_unitary, clifford_group,
+                    clifford_index_of, clifford_tables, density_of,
+                    named_gate)
 from .tomography import ReadoutModel, readout_model, sample_outcomes
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
@@ -58,7 +61,6 @@ class RbConfig:
     randomizations: int = 50
     shots: int | None = None
     seed: int = 0
-    interleaved_target: str | None = None
     readout_correction: bool = True
 
     def __post_init__(self):
@@ -203,29 +205,19 @@ def _philox_state(key: np.ndarray) -> dict:
             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def sequence_rng(seed: int, length_index: int, rand_index: int) -> np.random.Generator:
-    """Splittable per-sequence stream; independent of execution order."""
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed below
-    rng.bit_generator.state = _philox_state(
-        _stream_keys(seed, length_index, rand_index))
-    return rng
+# Generator.integers(0, 24) draws by Lemire's method: each uint32 word u
+# gives the index (24 u) >> 32, and is rejected, to be followed by a fresh
+# word, when the low half of 24 u falls below 2**32 % 24
+_N_CLIFFORD = 24
+_LEMIRE_THRESHOLD = 2**32 % _N_CLIFFORD
 
 
 def sample_sequence(m: int, rng) -> tuple[list[int], int]:
     """m uniform Clifford indices plus the recovery index closing to I."""
     if m < 1:
         raise ValueError("sequence length must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    indices = rng.integers(0, 24, size=m).tolist()
-    return indices, recovery_gate(indices).index
-
-
-# Generator.integers(0, 24) draws by Lemire's method: each uint32 word u
-# gives the index (24 u) >> 32, and is rejected, to be followed by a fresh
-# word, when the low half of 24 u falls below 2**32 % 24
-_N_CLIFFORD = 24
-_LEMIRE_THRESHOLD = 2**32 % _N_CLIFFORD
+    idx = np.random.default_rng(rng).integers(0, _N_CLIFFORD, size=(1, m))
+    return idx[0].tolist(), int(_recoveries(idx, np.zeros(1, np.intp))[0, 0])
 
 
 def _draw_sequences(config: RbConfig, rng: np.random.Generator):
@@ -412,31 +404,26 @@ def fit_decay(curve: DecayCurve, weighted: bool = False,
 # benchmark drivers
 
 def _run_curves(config: RbConfig, table: np.ndarray,
-                readout: ReadoutModel | None, targets) -> list[DecayCurve]:
-    """Decay curves of several RB experiments on shared sequences.
+                readout: ReadoutModel | None, sops,
+                target_indices: np.ndarray) -> list[DecayCurve]:
+    """Decay curves of reference RB and interleaved RB on shared sequences.
 
-    ``targets`` holds one entry per curve: None for reference RB, or
-    ``(superop, clifford_index)`` for a target interleaved after every
-    random Clifford. Each (length, randomization) draws its Clifford
-    indices once, from its own stream, and every curve runs them, all
-    curves of a length as one batch. In shot mode each curve draws its
-    sample from the stream position right after the indices, as a lone
-    sequence does, so every curve equals executing it on its own.
+    Curve 0 is the reference, whose target Clifford ``target_indices[0]``
+    is 0, the identity. Curve c > 0 interleaves the channel ``sops[c - 1]``
+    of Clifford ``target_indices[c]`` after every random Clifford. Each
+    (length, randomization) draws its Clifford indices once, from its own
+    stream, and every curve runs them, all curves of a length as one
+    batch. In shot mode each curve draws its sample from the stream
+    position right after the indices, as a lone sequence does, so every
+    curve equals executing it on its own.
     """
-    plain = [c for c, t in enumerate(targets) if t is None]
-    interleaved = [c for c, t in enumerate(targets) if t is not None]
-    sops = [targets[c][0] for c in interleaved]
-    # a reference curve folds its recovery with target Clifford 0 = I
-    target_indices = np.array([0] * len(plain)
-                              + [targets[c][1] for c in interleaved],
-                              dtype=np.intp)
     lengths, n_rand = config.sequence_lengths, config.randomizations
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
     states = []  # shot mode: each stream's post-index state, per length
-    p0 = np.empty((len(targets), len(lengths), n_rand))
+    p0 = np.empty((len(target_indices), len(lengths), n_rand))
     for li, (idx, drawn) in enumerate(_draw_sequences(config, rng)):
         states.append(drawn)
-        p0[plain + interleaved, li] = _apply_sequences(
+        p0[:, li] = _apply_sequences(
             table, idx, _recoveries(idx, target_indices), sops)
     if config.shots is None:
         # absorb integrator dust at the boundaries; anything larger is a bug
@@ -456,7 +443,7 @@ def _run_curves(config: RbConfig, table: np.ndarray,
     stderrs = survival.std(axis=2, ddof=1) / math.sqrt(n_rand)
     return [DecayCurve(lengths=lengths, means=means[c], stderrs=stderrs[c],
                        samples=list(survival[c]))
-            for c in range(len(targets))]
+            for c in range(len(target_indices))]
 
 
 def _fit_or_flag(curve: DecayCurve, weighted: bool) -> DecayFit:
@@ -466,84 +453,66 @@ def _fit_or_flag(curve: DecayCurve, weighted: bool) -> DecayFit:
         return err.fit
 
 
-def _fitted_curves(config: RbConfig, device: DeviceParams | None,
-                   channels: GateChannelCache,
-                   targets) -> list[tuple[DecayCurve, DecayFit]]:
-    """Run and fit one curve per entry of ``targets``: None for reference
-    RB, or ``(name, superop)`` for an interleaved target whose superop,
-    when not None, overrides the compiled channel of gate ``name``."""
-    table = channels.clifford_table()
-    entries = []
-    for target in targets:
-        if target is None:
-            entries.append(None)
-            continue
-        name, sop = target
-        spec = named_gate(name)
-        entries.append((channels.for_spec(spec) if sop is None else sop,
-                        clifford_index_of(axis_angle_unitary(spec))))
-    curves = _run_curves(config, table, readout_model(device, config.shots),
-                         entries)
-    return [(curve, _fit_or_flag(curve, weighted=config.shots is not None))
-            for curve in curves]
-
-
 def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
-           segment_duration: float = 10.0, dt: float = 0.01,
            channels: GateChannelCache | None = None
            ) -> list[tuple[DecayCurve, DecayFit, RbResult]]:
     """Reference RB plus one interleaved RB curve per target, fitted.
 
-    Each target is a gate name, or a ``(name, superop)`` pair whose superop
-    overrides the gate's compiled channel (e.g. a synthetic depolarizing
-    stub). Every curve runs the same sampled sequences, drawn once per
-    (length, randomization); ``config.interleaved_target`` is not used.
-    Returns ``(curve, fit, result)`` for the reference, then for each
-    target in order.
+    Each target is a gate name, or a ``(name, superop)`` pair whose superop,
+    when not None, overrides the gate's compiled channel (e.g. a synthetic
+    depolarizing stub). Gates compile with the default T and dt unless
+    ``channels``, a cache for the same ``device``, says otherwise. Every
+    curve runs the same sampled sequences, drawn once per (length,
+    randomization). Returns ``(curve, fit, result)`` for the reference,
+    then for each target in order.
     """
-    if channels is None:
-        channels = GateChannelCache(device, segment_duration, dt)
+    channels = cache_for(device, channels)
     targets = [(t, None) if isinstance(t, str) else tuple(t) for t in targets]
-    (curve, fit), *rest = _fitted_curves(config, device, channels,
-                                         [None, *targets])
+    specs = [named_gate(name) for name, _ in targets]
+    # one stack, Cliffords first: a target that is a Clifford (H, Rx(pi),
+    # Ry(pi)) then shares its element's channel through the rounded key
+    channels.prefetch([element.spec for element in clifford_group()]
+                      + [spec for spec, (_, sop) in zip(specs, targets)
+                         if sop is None])
+    sops = [channels.for_spec(spec) if sop is None else sop
+            for spec, (_, sop) in zip(specs, targets)]
+    target_indices = np.array(
+        [0] + [clifford_index_of(axis_angle_unitary(s)) for s in specs],
+        dtype=np.intp)
+    curves = _run_curves(config, channels.clifford_table(),
+                         readout_model(device, config.shots), sops,
+                         target_indices)
+    (curve, fit), *rest = [(c, _fit_or_flag(c, config.shots is not None))
+                           for c in curves]
     return [(curve, fit, RbResult.from_fits(fit))] + [
         (icurve, ifit, RbResult.from_fits(fit, ifit)) for icurve, ifit in rest]
 
 
 def run_reference_rb(config: RbConfig, device: DeviceParams | None = None,
-                     segment_duration: float = 10.0, dt: float = 0.01,
                      channels: GateChannelCache | None = None
                      ) -> tuple[DecayCurve, DecayFit, RbResult]:
     """Reference RB: sample, execute, average, and fit the decay."""
-    (reference,) = run_rb(config, (), device, segment_duration, dt, channels)
+    (reference,) = run_rb(config, (), device, channels)
     return reference
 
 
-def run_interleaved_rb(config: RbConfig, device: DeviceParams | None = None,
+def run_interleaved_rb(config: RbConfig, target: str,
+                       device: DeviceParams | None = None,
                        reference: DecayFit | None = None,
                        target_superop: np.ndarray | None = None,
-                       segment_duration: float = 10.0, dt: float = 0.01,
                        channels: GateChannelCache | None = None
                        ) -> tuple[DecayCurve, DecayFit, RbResult]:
-    """Interleaved RB for ``config.interleaved_target``.
+    """Interleaved RB of gate ``target``: the ``run_rb`` entry of that one
+    target, whose superop ``target_superop`` overrides when not None.
 
-    The target gate follows every random Clifford; the recovery inverts the
-    whole combination. ``reference`` supplies the reference decay fit (when
-    omitted, the reference curve runs in the same batch). ``target_superop``
-    overrides the target's channel, e.g. to wrap it in a synthetic
-    depolarizing stub.
+    The result derives F_g from ``reference`` when given, and otherwise
+    from the reference curve of the same batch.
     """
-    if config.interleaved_target is None:
-        raise ValueError("config.interleaved_target is not set")
-    if channels is None:
-        channels = GateChannelCache(device, segment_duration, dt)
-    target = (config.interleaved_target, target_superop)
-    *ref, (curve, fit) = _fitted_curves(
-        config, device, channels,
-        [None, target] if reference is None else [target])
-    if ref:
-        reference = ref[0][1]
-    return curve, fit, RbResult.from_fits(reference, fit)
+    _, (curve, fit, result) = run_rb(config, [(target, target_superop)],
+                                     device, channels)
+    if reference is not None:
+        result = RbResult.from_fits(reference, fit)
+    return curve, fit, result
 
 
 # ---------------------------------------------------------------------------

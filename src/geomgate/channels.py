@@ -73,12 +73,6 @@ def schedule_superops(schedules, device: DeviceParams | None = None,
     return s
 
 
-def schedule_superop(schedule, device: DeviceParams | None = None,
-                     dt: float = 0.01) -> np.ndarray:
-    """Superoperator of the full schedule under the device noise model."""
-    return schedule_superops([schedule], device, dt)[0]
-
-
 def gate_superops(specs, noise=None, segment_duration: float = 10.0,
                   dt: float = 0.01) -> np.ndarray:
     """Channels of several compiled gates under one noise model, (G, 4, 4).
@@ -181,3 +175,15 @@ class GateChannelCache:
         specs = [element.spec for element in clifford_group()]
         self.prefetch(specs)
         return np.array([self.for_spec(s) for s in specs])
+
+
+def cache_for(noise, channels: GateChannelCache | None) -> GateChannelCache:
+    """``channels``, or a new cache with the default T and dt when None.
+    A protocol compiles with ``channels.noise`` but takes its readout and
+    preparations from ``noise``, so the two must agree."""
+    if channels is None:
+        return GateChannelCache(noise)
+    if channels.noise != noise:
+        raise ValueError(f"channel cache compiles under {channels.noise!r}, "
+                         f"not under {noise!r}")
+    return channels

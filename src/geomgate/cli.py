@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -24,20 +23,16 @@ import numpy as np
 
 from . import benchmarking, evolution, pulse, tomography
 from .channels import GateChannelCache
-from .config import (ExperimentConfig, config_to_dict, load_config,
-                     parse_mode, resolve_gate)
+from .config import (ExperimentConfig, config_to_dict, gate_slug,
+                     load_config, parse_mode, resolve_gate)
 from .errors import ConfigError, GeomgateError
-from .qcore import axis_eigenstates, clifford_group, named_gate
+from .qcore import axis_eigenstates
 from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_INVARIANT = 4
-
-
-def _slug(name: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -86,8 +81,9 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
     for name, result in zip(cfg.qpt.gates, results):
         payload = tomography.qpt_report(result, gate_name=name)
         payload["config"] = config_to_dict(cfg)
-        _write_json(payload, outdir / f"qpt_{_slug(name)}.json")
-        tomography.chi_to_csv(result.chi, outdir / f"chi_{_slug(name)}.csv")
+        slug = gate_slug(name)
+        _write_json(payload, outdir / f"qpt_{slug}.json")
+        tomography.chi_to_csv(result.chi, outdir / f"chi_{slug}.csv")
         print(f"{name:9s} F_P = {result.fidelity:.6f}")
     fidelities = [result.fidelity for result in results]
     avg = float(np.mean(fidelities))
@@ -109,8 +105,6 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
                                  shots=cfg.shots, seed=cfg.seed,
                                  readout_correction=section.readout_correction)
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
-    cache.prefetch([element.spec for element in clifford_group()]
-                   + [named_gate(name) for name in section.interleaved])
     (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
         base, section.interleaved, cfg.device, channels=cache)
 
@@ -125,7 +119,7 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
     diverged = not ref_fit.converged
     for target, (icurve, ifit, iresult) in zip(section.interleaved,
                                                 interleaved):
-        slug = _slug(target)
+        slug = gate_slug(target)
         benchmarking.decay_to_csv(icurve, outdir / f"rb_interleaved_{slug}.csv")
         payload = benchmarking.fit_report(iresult)
         payload["config"] = config_to_dict(cfg)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 from .benchmarking import DEFAULT_LENGTHS, RbConfig
@@ -84,6 +85,8 @@ def _finite(value, what: str) -> float:
 
 
 def _check_fields(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown field {key!r} "
@@ -95,6 +98,8 @@ def _parse_device(data, where: str) -> DeviceParams | None:
         return None
     _check_fields(data, {"T1_us", "T2_star_us", "f10_GHz",
                          "readout_f0", "readout_f1"}, where)
+    data = {key: _finite(value, f"{where}: {key}")
+            for key, value in data.items()}
     try:
         return DeviceParams(**data)
     except (TypeError, ValueError) as err:
@@ -103,16 +108,39 @@ def _parse_device(data, where: str) -> DeviceParams | None:
 
 def _parse_synth(data, where: str) -> SynthSection:
     _check_fields(data, {"gate", "theta", "phi", "gamma"}, where)
+    data = {key: value if key == "gate" or value is None
+            else _finite(value, f"{where}: {key}")
+            for key, value in data.items()}
     section = SynthSection(**data)
     resolve_gate(section)  # validates eagerly
     return section
 
 
+def gate_slug(name: str) -> str:
+    """File-name slug of a gate name in the CLI's output files."""
+    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
+
+
+def _gate_list(names, what: str) -> tuple[str, ...]:
+    """``names`` as a tuple of known gate names with distinct file slugs."""
+    if not isinstance(names, list) or not all(isinstance(name, str)
+                                              for name in names):
+        raise ConfigError(f"{what} must be a list of gate names, "
+                          f"got {names!r}")
+    seen = {}
+    for name in names:
+        named_gate(name)
+        slug = gate_slug(name)
+        if slug in seen:
+            raise ConfigError(f"{what} lists {seen[slug]!r} and {name!r}, "
+                              "which write the same output files")
+        seen[slug] = name
+    return tuple(names)
+
+
 def _parse_qpt(data, where: str) -> QptSection:
     _check_fields(data, {"gates"}, where)
-    gates = tuple(data.get("gates", GATE_NAMES))
-    for g in gates:
-        named_gate(g)
+    gates = _gate_list(data.get("gates", list(GATE_NAMES)), f"{where}: gates")
     if not gates:
         raise ConfigError(f"{where}: gates list is empty")
     return QptSection(gates=gates)
@@ -127,13 +155,11 @@ def _parse_rb(data, where: str) -> RbSection:
                       readout_correction=data.get("readout_correction", True))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
-    section = RbSection(lengths=rb.sequence_lengths,
-                        randomizations=rb.randomizations,
-                        interleaved=tuple(data.get("interleaved", ())),
-                        readout_correction=rb.readout_correction)
-    for g in section.interleaved:
-        named_gate(g)
-    return section
+    return RbSection(lengths=rb.sequence_lengths,
+                     randomizations=rb.randomizations,
+                     interleaved=_gate_list(data.get("interleaved", []),
+                                            f"{where}: interleaved"),
+                     readout_correction=rb.readout_correction)
 
 
 def resolve_gate(section: SynthSection) -> GateSpec:

@@ -32,31 +32,6 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
-# ---------------------------------------------------------------------------
-# predicates
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.linalg.norm(m - m.conj().T) < tol)
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.linalg.norm(u.conj().T @ u - I2) < tol)
-
-
-def is_normalized(psi: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(abs(np.vdot(psi, psi).real - 1.0) < tol)
-
-
-def is_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10,
-                      eig_tol: float = 1e-10) -> bool:
-    """Hermitian, unit trace, eigenvalues bounded below by -eig_tol."""
-    if not is_hermitian(rho, tol=1e-10):
-        return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -eig_tol)
-
-
 def density_of(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| as a 2x2 array."""
     return np.outer(psi, psi.conj())
@@ -264,17 +239,7 @@ def clifford_group() -> list[CliffordElement]:
 
 def clifford_tables() -> tuple[np.ndarray, np.ndarray]:
     """(composition table, inverse table) over canonical indices."""
-    _, _, compose, inverse = _clifford_data()
-    return compose, inverse
-
-
-def compose_cliffords(i: int, j: int) -> int:
-    """Index of the product U_i @ U_j."""
-    return int(_clifford_data()[2][i, j])
-
-
-def clifford_inverse(i: int) -> int:
-    return int(_clifford_data()[3][i])
+    return _clifford_data()[2:]
 
 
 def clifford_index_of(u: np.ndarray, tol: float = 1e-6) -> int:
@@ -288,13 +253,3 @@ def clifford_index_of(u: np.ndarray, tol: float = 1e-6) -> int:
         raise ValueError(f"matrix is not a Clifford (distance {dists[k]:.3g})")
     return k
 
-
-def recovery_gate(sequence) -> CliffordElement:
-    """Group element inverting the ordered product of the given indices."""
-    if len(sequence) == 0:
-        raise ValueError("recovery of an empty sequence is undefined")
-    elements, _, compose, inverse = _clifford_data()
-    acc = 0
-    for idx in sequence:
-        acc = compose[idx, acc]
-    return elements[inverse[acc]]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import GateChannelCache, unvec, vec
+from .channels import GateChannelCache, cache_for, unvec, vec
 from .errors import SingularSystem, _seed, _shots
 from .evolution import DeviceParams
 from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
@@ -178,16 +178,6 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     return float(np.trace(chi @ chi_ideal).real)
 
 
-def validate_process_matrix(chi: np.ndarray, herm_tol: float = 1e-9,
-                            trace_tol: float = 1e-6,
-                            cp_tol: float = 1e-6) -> bool:
-    if np.linalg.norm(chi - chi.conj().T) > herm_tol:
-        return False
-    if abs(np.trace(chi).real - 1.0) > trace_tol:
-        return False
-    return bool(np.linalg.eigvalsh(chi).min() >= -cp_tol)
-
-
 @dataclass
 class QptResult:
     gate: GateSpec
@@ -201,21 +191,21 @@ class QptResult:
 
 
 def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
-            seed: int = 0, segment_duration: float = 10.0, dt: float = 0.01,
-            channels: GateChannelCache | None = None) -> QptResult:
+            seed: int = 0, channels: GateChannelCache | None = None
+            ) -> QptResult:
     """Full tomography pipeline for one gate.
 
     With a device, preparation pulses are compiled schedules and incur the
     same Lindblad noise as the gate itself; expectation readout is exact
     unless ``shots`` is given, in which case readout confusion from the
     device is applied and corrected. The fidelity is computed from the raw
-    hermitized linear-inversion chi.
+    hermitized linear-inversion chi. Gates compile with the default T and
+    dt unless ``channels``, a cache for the same ``device``, says otherwise.
     """
     seed = _seed(seed)
     shots = _shots(shots)
     spec, *prep_specs = qpt_specs([gate], device)
-    if channels is None:
-        channels = GateChannelCache(device, segment_duration, dt)
+    channels = cache_for(device, channels)
     channels.prefetch([spec, *prep_specs])
     gate_sop = channels.for_spec(spec)
 

@@ -12,8 +12,7 @@ import pytest
 
 from geomgate.benchmarking import (DecayCurve, DecayFit, RbConfig, RbResult,
                                    fit_decay, run_interleaved_rb,
-                                   run_reference_rb, sample_sequence,
-                                   sequence_rng)
+                                   run_reference_rb, sample_sequence)
 from geomgate.channels import (GateChannelCache, depolarizing_superop,
                                unitary_superop)
 from geomgate.evolution import (DeviceParams, bloch_trajectory,
@@ -23,7 +22,7 @@ from geomgate.evolution import (DeviceParams, bloch_trajectory,
 from geomgate.pulse import synthesize
 from geomgate.qcore import (GATE_NAMES, I2, KET0, KET1, axis_angle_unitary,
                             axis_eigenstates, clifford_group, clifford_tables,
-                            named_gate, phase_distance, recovery_gate)
+                            named_gate, phase_distance)
 from geomgate.tomography import ReadoutModel, run_qpt
 
 from conftest import STANDARD_GATES, random_spec
@@ -155,10 +154,11 @@ def test_criterion_07_interleaved_rb():
     # synthetic depolarizing target against a noiseless reference
     lam = 0.01
     config = RbConfig(sequence_lengths=DENSE_LENGTHS, randomizations=6,
-                      seed=5, interleaved_target="H")
+                      seed=5)
     target_sop = (depolarizing_superop(lam)
                   @ unitary_superop(axis_angle_unitary(named_gate("H"))))
-    _, _, synthetic = run_interleaved_rb(config, None, target_superop=target_sop)
+    _, _, synthetic = run_interleaved_rb(config, "H", None,
+                                         target_superop=target_sop)
     err = abs(synthetic.F_g - (1.0 - lam / 2.0))
     assert err < 1e-3, f"synthetic F_g error {err}"
 
@@ -168,10 +168,8 @@ def test_criterion_07_interleaved_rb():
     _, ref_fit, _ = run_reference_rb(ref_cfg, DEVICE, channels=cache)
     fgs = []
     for name in GATE_NAMES:
-        cfg = RbConfig(sequence_lengths=DENSE_LENGTHS, randomizations=50,
-                       seed=2, interleaved_target=name)
-        _, _, res = run_interleaved_rb(cfg, DEVICE, reference=ref_fit,
-                                       channels=cache)
+        _, _, res = run_interleaved_rb(ref_cfg, name, DEVICE,
+                                       reference=ref_fit, channels=cache)
         fgs.append(res.F_g)
     mean = float(np.mean(fgs))
     assert 0.994 <= mean <= 0.999, f"mean F_g {mean}"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,19 +9,17 @@ import pytest
 from geomgate import benchmarking
 from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    RbConfig, RbResult, _draw_sequences,
-                                   _recoveries, _stream_keys, decay_to_csv,
-                                   fit_decay, fit_report,
+                                   _philox_state, _recoveries, _stream_keys,
+                                   decay_to_csv, fit_decay, fit_report,
                                    run_interleaved_rb, run_rb,
-                                   run_reference_rb, sample_sequence,
-                                   sequence_rng)
+                                   run_reference_rb, sample_sequence)
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
 from geomgate.cli import _write_json
 from geomgate.errors import FitDiverged
 from geomgate.qcore import (I2, KET0, axis_angle_unitary, clifford_group,
-                            clifford_index_of, clifford_inverse,
-                            clifford_tables, compose_cliffords, density_of,
-                            named_gate, phase_distance, recovery_gate)
+                            clifford_index_of, clifford_tables, density_of,
+                            named_gate, phase_distance)
 from geomgate.tomography import ReadoutModel
 
 
@@ -50,24 +49,31 @@ def test_rb_config_validation():
 # ---------------------------------------------------------------------------
 # sequences
 
+def _lone_stream(seed, li, ri):
+    """Stream (seed, li, ri) built by NumPy alone, from its SeedSequence."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, li, ri))))
+
+
 def test_sample_sequence_deterministic():
-    a = sample_sequence(20, sequence_rng(7, 0, 0))
-    b = sample_sequence(20, sequence_rng(7, 0, 0))
+    a = sample_sequence(20, _lone_stream(7, 0, 0))
+    b = sample_sequence(20, _lone_stream(7, 0, 0))
     assert a == b
-    c = sample_sequence(20, sequence_rng(7, 0, 1))
+    c = sample_sequence(20, _lone_stream(7, 0, 1))
     assert a != c
 
 
 def test_sample_sequence_single():
+    _, inverse = clifford_tables()
     for seed in range(10):
-        (indices, recovery) = sample_sequence(1, sequence_rng(seed, 0, 0))
-        assert recovery == clifford_inverse(indices[0])
+        (indices, recovery) = sample_sequence(1, _lone_stream(seed, 0, 0))
+        assert recovery == inverse[indices[0]]
 
 
 def test_sample_sequence_products_close(rng):
     group = clifford_group()
     for k in range(200):
-        indices, recovery = sample_sequence(20, sequence_rng(k, 0, 0))
+        indices, recovery = sample_sequence(20, _lone_stream(k, 0, 0))
         acc = I2
         for idx in indices:
             acc = group[idx].unitary @ acc
@@ -78,11 +84,11 @@ def test_sample_sequence_products_close(rng):
 def test_sample_sequence_pinned_draws():
     # draws and recoveries of the SeedSequence-keyed streams, recorded when
     # every stream was still built through np.random.SeedSequence
-    assert sample_sequence(12, sequence_rng(7, 3, 4)) == (
+    assert sample_sequence(12, _lone_stream(7, 3, 4)) == (
         [8, 4, 22, 1, 14, 7, 20, 11, 3, 1, 4, 19], 8)
-    assert sample_sequence(12, sequence_rng(2, 49, 49)) == (
+    assert sample_sequence(12, _lone_stream(2, 49, 49)) == (
         [7, 6, 1, 5, 3, 12, 17, 14, 21, 4, 21, 14], 10)
-    assert sample_sequence(12, sequence_rng(2**64 + 1, 0, 0)) == (
+    assert sample_sequence(12, _lone_stream(2**64 + 1, 0, 0)) == (
         [20, 18, 16, 19, 11, 12, 10, 3, 8, 1, 11, 22], 1)
 
 
@@ -117,19 +123,15 @@ def test_stream_keys_equal_seed_sequence():
                 want = np.random.SeedSequence((seed, a, b)).generate_state(
                     2, np.uint64)
                 assert key.tolist() == want.tolist(), (seed, a, b)
-        # scalars give one key; a lone stream starts where SeedSequence does
+        # scalars give one key; a re-keyed stream starts where
+        # SeedSequence does
         assert _stream_keys(seed, 7, 3).tolist() == keys[3, 2].tolist()
-        assert _same_state(sequence_rng(seed, 7, 3).bit_generator.state,
-                           _seeded_philox_state(seed, 7, 3))
+        bit_gen = np.random.Philox(0)
+        bit_gen.state = _philox_state(keys[3, 2])
+        assert _same_state(bit_gen.state, _seeded_philox_state(seed, 7, 3))
     for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, 2**32), (1.0, 0, 0)):
         with pytest.raises((ValueError, TypeError)):
             _stream_keys(*bad)
-
-
-def _lone_stream(seed, li, ri):
-    """Stream (seed, li, ri) built by NumPy alone, from its SeedSequence."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((seed, li, ri))))
 
 
 class _CountingGenerator(np.random.Generator):
@@ -208,15 +210,21 @@ def test_recoveries_equal_per_sequence_fold(m):
     targets = np.arange(24, dtype=np.intp)
     recovery = _recoveries(idx, targets)
     assert recovery.shape == (24, 5)
+    compose, _ = clifford_tables()
     for t in range(24):
         for r, row in enumerate(idx.tolist()):
             acc = 0
             for k in row:
-                acc = compose_cliffords(t, compose_cliffords(k, acc))
-            assert compose_cliffords(int(recovery[t, r]), acc) == 0
-    # target 0, the identity, closes the plain sequence
+                acc = int(compose[t, compose[k, acc]])
+            assert compose[recovery[t, r], acc] == 0
+    # target 0, the identity, closes the plain sequence: the product of
+    # its unitaries is the identity up to phase
+    group = clifford_group()
     for r, row in enumerate(idx.tolist()):
-        assert recovery[0, r] == recovery_gate(row).index
+        acc = I2
+        for k in row + [recovery[0, r]]:
+            acc = group[k].unitary @ acc
+        assert phase_distance(acc, I2) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +384,28 @@ def test_reference_rb_shot_mode_with_readout(device):
 # interleaved RB
 
 def test_interleaved_identity_noiseless():
-    cfg = RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3, seed=4,
-                   interleaved_target="I")
-    _, fit, result = run_interleaved_rb(cfg, None)
+    cfg = RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3, seed=4)
+    _, fit, result = run_interleaved_rb(cfg, "I", None)
     assert result.F_g == pytest.approx(1.0, abs=1e-6)
 
 
 def test_interleaved_depolarizing_target_recovers_half_lambda():
     lam = 0.01
     cfg = RbConfig(sequence_lengths=(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96),
-                   randomizations=6, seed=5, interleaved_target="H")
+                   randomizations=6, seed=5)
     target_sop = (depolarizing_superop(lam)
                   @ unitary_superop(axis_angle_unitary(named_gate("H"))))
-    _, fit, result = run_interleaved_rb(cfg, None, target_superop=target_sop)
+    _, fit, result = run_interleaved_rb(cfg, "H", None,
+                                        target_superop=target_sop)
     assert abs(result.F_g - (1.0 - lam / 2.0)) < 1e-3
     assert abs(result.p_g - (1.0 - lam)) < 1e-6
 
 
-def test_interleaved_requires_target():
-    cfg = RbConfig(sequence_lengths=(1, 2, 4), randomizations=3)
-    with pytest.raises(ValueError):
-        run_interleaved_rb(cfg, None)
-
-
 def test_interleaved_device_gate_fidelity(device):
     cfg = RbConfig(sequence_lengths=(2, 8, 16, 32, 64), randomizations=8,
-                   seed=6, interleaved_target="H")
+                   seed=6)
     cache = GateChannelCache(device)
-    _, _, result = run_interleaved_rb(cfg, device, channels=cache)
+    _, _, result = run_interleaved_rb(cfg, "H", device, channels=cache)
     assert 0.99 < result.F_g <= 1.0
 
 
@@ -413,21 +415,23 @@ def test_interleaved_device_gate_fidelity(device):
 def _plain_samples(config, channels, device, target=None):
     """Survival samples of every sequence, one sequence and one gate at a time.
 
-    Channels come from ``for_spec`` per gate and act as one matvec each; the
-    recovery is folded by scalar table lookups; the shot sample is drawn
-    from the sequence's own stream right after its Clifford indices.
+    ``target`` is None for reference RB, or the (name, superop) pair of the
+    gate interleaved after every Clifford. Channels come from ``for_spec``
+    per gate and act as one matvec each; the recovery is folded by scalar
+    table lookups; the shot sample is drawn from the sequence's own stream
+    right after its Clifford indices.
     """
     group = clifford_group()
     compose, inverse = clifford_tables()
-    target_index = (None if config.interleaved_target is None else
-                    clifford_index_of(axis_angle_unitary(
-                        named_gate(config.interleaved_target))))
+    if target is not None:
+        name, target = target
+        target_index = clifford_index_of(axis_angle_unitary(named_gate(name)))
     readout = (ReadoutModel.from_device(device) if config.shots else None)
     samples = []
     for li, m in enumerate(config.sequence_lengths):
         vals = []
         for ri in range(config.randomizations):
-            rng = sequence_rng(config.seed, li, ri)
+            rng = _lone_stream(config.seed, li, ri)
             acc = 0
             v = density_of(KET0).reshape(4)
             for idx in rng.integers(0, 24, size=m):
@@ -463,50 +467,61 @@ def _assert_curve_equals_plain(curve, samples):
 
 @pytest.mark.parametrize("shots", [None, 512])
 def test_batched_rb_equals_per_sequence_loop(device, shots):
-    lengths = (1, 2, 5, 9)
+    cfg = RbConfig(sequence_lengths=(1, 2, 5, 9), randomizations=5, seed=11,
+                   shots=shots)
     cache = GateChannelCache(device)
-    ref_cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
-                       shots=shots)
-    curve, ref_fit, _ = run_reference_rb(ref_cfg, device, channels=cache)
-    _assert_curve_equals_plain(curve, _plain_samples(ref_cfg, cache, device))
+    curve, ref_fit, _ = run_reference_rb(cfg, device, channels=cache)
+    _assert_curve_equals_plain(curve, _plain_samples(cfg, cache, device))
 
     # H shares its Clifford's cache key; Rz(pi) compiles its own pulse
     for name in ("H", "Rz(pi)"):
-        cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
-                       shots=shots, interleaved_target=name)
-        icurve, _, _ = run_interleaved_rb(cfg, device, reference=ref_fit,
-                                          channels=cache)
-        target = cache.for_spec(named_gate(name))
+        icurve, _, _ = run_interleaved_rb(cfg, name, device,
+                                          reference=ref_fit, channels=cache)
+        target = (name, cache.for_spec(named_gate(name)))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
 
-    cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
-                   shots=shots, interleaved_target="Rx(pi/2)")
     override = (depolarizing_superop(0.01)
                 @ unitary_superop(axis_angle_unitary(named_gate("Rx(pi/2)"))))
     # no reference given: it runs in the same batch as the target
-    icurve, _, iresult = run_interleaved_rb(cfg, device,
+    icurve, _, iresult = run_interleaved_rb(cfg, "Rx(pi/2)", device,
                                             target_superop=override,
                                             channels=cache)
     _assert_curve_equals_plain(
-        icurve, _plain_samples(cfg, cache, device, override))
+        icurve, _plain_samples(cfg, cache, device, ("Rx(pi/2)", override)))
     assert iresult.reference.p == ref_fit.p
 
     # one run of every curve on shared draws equals each curve on its own
     targets = ["H", "Rz(pi)", ("Rx(pi/2)", override)]
-    runs = run_rb(ref_cfg, targets, device, channels=cache)
+    runs = run_rb(cfg, targets, device, channels=cache)
     assert len(runs) == 1 + len(targets)
-    _assert_curve_equals_plain(runs[0][0],
-                               _plain_samples(ref_cfg, cache, device))
+    _assert_curve_equals_plain(runs[0][0], _plain_samples(cfg, cache, device))
     assert runs[0][1].p == ref_fit.p
     for target, (icurve, ifit, iresult) in zip(targets, runs[1:]):
-        name, sop = ((target, cache.for_spec(named_gate(target)))
-                     if isinstance(target, str) else target)
-        cfg = RbConfig(sequence_lengths=lengths, randomizations=5, seed=11,
-                       shots=shots, interleaved_target=name)
+        if isinstance(target, str):
+            target = (target, cache.for_spec(named_gate(target)))
         _assert_curve_equals_plain(
-            icurve, _plain_samples(cfg, cache, device, sop))
+            icurve, _plain_samples(cfg, cache, device, target))
         assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
+
+
+def test_interleaved_rb_equals_its_run_rb_entry(device):
+    cfg = RbConfig(sequence_lengths=(1, 2, 4, 8, 16), randomizations=4,
+                   seed=3)
+    cache = GateChannelCache(device)
+    (_, ref_fit, _), _, (curve, fit, result) = run_rb(
+        cfg, ["Rz(pi)", "H"], device, channels=cache)
+    icurve, ifit, iresult = run_interleaved_rb(
+        cfg, "H", device, reference=ref_fit, channels=cache)
+    assert np.array_equal(icurve.means, curve.means)
+    assert np.array_equal(icurve.stderrs, curve.stderrs)
+    assert ifit == fit and iresult == result
+    # another reference fit: F_g is taken against that fit
+    other = dataclasses.replace(ref_fit, p=ref_fit.p - 1e-3)
+    _, _, oresult = run_interleaved_rb(cfg, "H", device, reference=other,
+                                       channels=cache)
+    assert oresult == RbResult.from_fits(other, fit)
+    assert oresult.F_g != result.F_g
 
 
 # ---------------------------------------------------------------------------

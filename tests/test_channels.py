@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from geomgate.benchmarking import RbConfig, run_rb
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                check_physical, depolarizing_superop, gate_superop,
-                               gate_superops, schedule_superop,
-                               schedule_superops, unitary_superop, unvec, vec)
+                               gate_superops, schedule_superops,
+                               unitary_superop, unvec, vec)
 from geomgate.evolution import (DeviceParams, _drive_matrix, _envelope_grid,
                                 evolve_lindblad, lindblad_generator,
                                 schedule_propagator)
@@ -16,6 +17,7 @@ from geomgate.errors import NonPhysicalChannel
 from geomgate.pulse import synthesize
 from geomgate.qcore import (GateSpec, axis_angle_unitary, clifford_group,
                             clifford_index_of, named_gate)
+from geomgate.tomography import run_qpt
 
 from conftest import random_spec
 
@@ -52,7 +54,7 @@ def test_depolarizing_superop_analytic(rng):
 def test_schedule_superop_matches_direct_lindblad(rng, device):
     spec = random_spec(rng)
     sched = synthesize(spec, 10.0)
-    sop = schedule_superop(sched, device, dt=0.01)
+    (sop,) = schedule_superops([sched], device, dt=0.01)
     for _ in range(3):
         rho0 = _random_density(rng)
         direct = evolve_lindblad(sched, rho0, device, dt=0.01).states[-1]
@@ -62,7 +64,7 @@ def test_schedule_superop_matches_direct_lindblad(rng, device):
 def test_schedule_superop_noiseless_is_unitary_channel(rng):
     spec = random_spec(rng)
     sched = synthesize(spec, 10.0)
-    sop = schedule_superop(sched, None)
+    (sop,) = schedule_superops([sched], None)
     assert np.allclose(sop, unitary_superop(schedule_propagator(sched)),
                        atol=1e-14)
 
@@ -167,6 +169,22 @@ def test_cache_refuses_diverged_compile():
     assert not cache._by_key
 
 
+def test_protocols_refuse_a_cache_for_another_noise_model(device):
+    config = RbConfig(sequence_lengths=(1, 2, 3), randomizations=2)
+    other = DeviceParams(T1_us=5.0, T2_star_us=10.0)
+    for noise, cache_noise in ((device, other), (device, None), (None, device),
+                               (device, DepolarizingNoise(0.01))):
+        cache = GateChannelCache(cache_noise)
+        with pytest.raises(ValueError, match="channel cache"):
+            run_qpt("H", device=noise, channels=cache)
+        with pytest.raises(ValueError, match="channel cache"):
+            run_rb(config, ["H"], noise, channels=cache)
+        assert not cache._by_key  # refused before any compile
+    # an equal device is the same noise model, and the cache sets dt
+    cache = GateChannelCache(DeviceParams.default_xmon(), 10.0, 0.02)
+    assert (run_qpt("H", device=device, channels=cache).fidelity
+            != run_qpt("H", device=device).fidelity)
+    run_rb(config, ["H"], device, channels=cache)
 def test_stacked_compile_bit_equal_to_single(rng, device):
     group = clifford_group()
     specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),
@@ -210,7 +228,8 @@ def test_stacked_compile_mixed_envelopes(rng, device):
                  synthesize(spec, 10.0)]
     stack = schedule_superops(schedules, device, dt=0.01)
     for sched, sop in zip(schedules, stack):
-        assert np.array_equal(sop, schedule_superop(sched, device, dt=0.01))
+        assert np.array_equal(sop, schedule_superops([sched], device,
+                                                     dt=0.01)[0])
 
 
 def test_stacked_compile_rejects_unequal_durations(device):
@@ -300,7 +319,7 @@ def test_square_envelope_matches_expm_oracle(rng, t1_us, t2_us):
     for _ in range(3):
         sched = synthesize(random_spec(rng), 10.0, envelope="square")
         want = _expm_superop(sched, t1_us * 1e3, t2_us * 1e3)
-        assert np.abs(schedule_superop(sched, device) - want).max() < 1e-8
+        assert np.abs(schedule_superops([sched], device)[0] - want).max() < 1e-8
         rho0 = _random_density(rng)
         final = evolve_lindblad(sched, rho0, device).states[-1]
         assert np.abs(final - unvec(want @ vec(rho0))).max() < 1e-8

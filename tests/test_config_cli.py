@@ -92,6 +92,14 @@ def test_invalid_values_rejected(tmp_path):
     path = _write_config(tmp_path, {"qpt": {"gates": ["Nope"]}})
     with pytest.raises(ConfigError):
         load_config(path)
+    # a section that is not a JSON object
+    for extra in ({"device": 5}, {"device": []}, {"synth": "H"},
+                  {"qpt": ["H"]}):
+        path = _write_config(tmp_path, {"rb": {}, **extra})
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(path)
+        assert cli.main(["rb", "--config", str(path), "--out",
+                         str(tmp_path / "o")]) == 2
     # a mode that is not a string
     for mode in (5, None):
         path = _write_config(tmp_path, {"mode": mode, "synth": {"gate": "H"}})
@@ -112,6 +120,18 @@ def test_invalid_values_rejected(tmp_path):
             load_config(path)
     assert cli.main(["rb", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 2
+    # gate lists are JSON lists of gates that write distinct output files
+    for extra, field in (({"rb": {"interleaved": "Rx(pi)"}}, "interleaved"),
+                         ({"rb": {"interleaved": ["H", "h"]}}, "interleaved"),
+                         ({"rb": {"interleaved": [["H"]]}}, "interleaved"),
+                         ({"qpt": {"gates": "H"}}, "gates"),
+                         ({"qpt": {"gates": ["Rx(pi)", "rx (pi)"]}}, "gates"),
+                         ({"qpt": {"gates": ["H", "H"]}}, "gates")):
+        path = _write_config(tmp_path, extra)
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+        assert cli.main([next(iter(extra)), "--config", str(path), "--out",
+                         str(tmp_path / "o")]) == 2
     section = config_from_dict({"rb": {"lengths": [2.0, 4],
                                        "randomizations": 3.0}}).rb
     assert section.lengths == (2, 4) and section.randomizations == 3
@@ -119,6 +139,8 @@ def test_invalid_values_rejected(tmp_path):
 
 
 def test_top_level_numbers_checked_before_coercion(tmp_path):
+    device = BASE["device"]
+    angles = {"theta": 0.1, "phi": 0.2, "gamma": 0.3}
     for extra, field in (({"seed": 1.5}, "seed"),
                          ({"seed": "7"}, "seed"),
                          ({"seed": True}, "seed"),
@@ -128,14 +150,25 @@ def test_top_level_numbers_checked_before_coercion(tmp_path):
                          ({"segment_duration_ns": True}, "segment_duration_ns"),
                          ({"dt_ns": "0.01"}, "dt_ns"),
                          ({"dt_ns": False}, "dt_ns"),
-                         ({"dt_ns": [0.01]}, "dt_ns")):
-        path = _write_config(tmp_path, {**extra, "synth": {"gate": "H"}})
+                         ({"dt_ns": [0.01]}, "dt_ns"),
+                         # device fields and synth angles as well
+                         ({"device": {**device, "T1_us": True}}, "T1_us"),
+                         ({"device": {**device, "readout_f0": True}},
+                          "readout_f0"),
+                         ({"device": {**device, "f10_GHz": "5"}}, "f10_GHz"),
+                         ({"device": {**device, "f10_GHz": None}}, "f10_GHz"),
+                         ({"synth": {**angles, "theta": True}}, "theta"),
+                         ({"synth": {**angles, "theta": "1"}}, "theta")):
+        path = _write_config(tmp_path, {"synth": {"gate": "H"}, **extra})
         with pytest.raises(ConfigError, match=field):
             load_config(path)
         assert cli.main(["synth", "--config", str(path), "--out",
                          str(tmp_path / "o")]) == 2
     # infinities and NaN are not JSON, but Python's json module reads them
-    for text in ('{"segment_duration_ns": Infinity}', '{"dt_ns": NaN}'):
+    for text in ('{"segment_duration_ns": Infinity}', '{"dt_ns": NaN}',
+                 '{"device": {"T1_us": Infinity, "T2_star_us": 10.0}}',
+                 '{"device": {"T1_us": 19.0, "T2_star_us": 10.0, '
+                 '"f10_GHz": NaN}}'):
         path = tmp_path / "nonfinite.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match="finite"):
@@ -199,6 +232,14 @@ def test_command_annotations_resolve():
     for command in (cli.cmd_synth, cli.cmd_qpt, cli.cmd_rb):
         hints = typing.get_type_hints(command)
         assert hints["cfg"].__name__ == "ExperimentConfig"
+
+
+def test_package_exports_resolve():
+    import geomgate
+
+    assert [name for name in geomgate.__all__
+            if not hasattr(geomgate, name)] == []
+    assert len(set(geomgate.__all__)) == len(geomgate.__all__)
 
 
 def test_cli_qpt_shipped_config(tmp_path, capsys):

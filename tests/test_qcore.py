@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomgate.benchmarking import _recoveries, sample_sequence
 from geomgate.errors import NonUnitaryInput, UnknownGateName
 from geomgate.qcore import (CliffordElement, GateSpec, I2, KET0,
                             PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             axis_angle_unitary, axis_eigenstates,
                             clifford_group, clifford_index_of,
-                            clifford_inverse, clifford_tables,
-                            compose_cliffords, density_of, is_density_matrix,
-                            is_hermitian, is_normalized, is_unitary,
-                            named_gate, phase_distance, recovery_gate,
-                            unitary_to_axis_angle)
+                            clifford_tables, density_of, named_gate,
+                            phase_distance, unitary_to_axis_angle)
 
 from conftest import STANDARD_GATES, random_spec
 
@@ -36,8 +34,8 @@ def test_pauli_algebra_exhaustive():
 
 def test_pauli_predicates():
     for p in PAULIS:
-        assert is_hermitian(p)
-        assert is_unitary(p)
+        assert np.array_equal(p, p.conj().T)
+        assert np.array_equal(p.conj().T @ p, I2)
     for p in PAULIS[1:]:
         assert np.trace(p) == 0
 
@@ -145,16 +143,22 @@ def test_axis_eigenstates_are_eigenvectors(rng):
         n = spec.axis
         ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
         plus, minus = axis_eigenstates(spec)
-        assert is_normalized(plus) and is_normalized(minus)
+        assert abs(np.vdot(plus, plus) - 1.0) < 1e-12
+        assert abs(np.vdot(minus, minus) - 1.0) < 1e-12
         assert np.allclose(ns @ plus, plus, atol=1e-12)
         assert np.allclose(ns @ minus, -minus, atol=1e-12)
         assert abs(np.vdot(plus, minus)) < 1e-12
 
 
-def test_density_helpers():
-    rho = density_of(KET0)
-    assert is_density_matrix(rho)
-    assert not is_density_matrix(1.1 * rho)
+def test_density_helpers(rng):
+    assert np.array_equal(density_of(KET0), np.diag([1.0, 0.0]))
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    rho = density_of(psi)
+    # a pure state: hermitian, unit trace, eigenvalues 0 and 1
+    assert np.abs(rho - rho.conj().T).max() < 1e-15
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.allclose(np.linalg.eigvalsh(rho), [0.0, 1.0], atol=1e-12)
 
 
 def test_phase_distance_examples():
@@ -195,7 +199,7 @@ def test_clifford_closure_and_inverse_exhaustive():
     for i in range(24):
         inv = int(inverse[i])
         assert phase_distance(group[i].unitary @ group[inv].unitary, I2) < 1e-10
-        assert compose_cliffords(i, inv) == 0
+        assert compose[i, inv] == 0
 
 
 def test_clifford_tables_match_pairwise_expansion():
@@ -269,20 +273,26 @@ def test_clifford_index_of_equals_phase_distance_loop(rng):
         clifford_index_of(2.0 * I2)
 
 
+def _recovery(sequence):
+    """Reference-RB recovery of one sequence, from the batch fold."""
+    return int(_recoveries(np.array([sequence]), np.zeros(1, np.intp))[0, 0])
+
+
 def test_recovery_identity_and_single():
     group = clifford_group()
-    assert recovery_gate([0]).index == 0
+    assert _recovery([0]) == 0
     for i in range(24):
-        assert recovery_gate([i]).index == clifford_inverse(i)
+        rec = group[_recovery([i])]
+        assert phase_distance(rec.unitary @ group[i].unitary, I2) < 1e-10
     with pytest.raises(ValueError):
-        recovery_gate([])
+        sample_sequence(0, 0)
 
 
 def test_recovery_random_length_100(rng):
     group = clifford_group()
     for _ in range(20):
         seq = [int(k) for k in rng.integers(0, 24, size=100)]
-        rec = recovery_gate(seq)
+        rec = group[_recovery(seq)]
         acc = I2
         for idx in seq:
             acc = group[idx].unitary @ acc
