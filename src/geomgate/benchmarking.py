@@ -51,6 +51,7 @@ from .qcore import (KET0, axis_angle_unitary, clifford_group,
 from .tomography import ReadoutModel, readout_model, sample_outcomes
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
+MAX_FIT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -316,14 +317,13 @@ def _model(m: np.ndarray, a: float, b: float, p: float) -> np.ndarray:
     return a * np.power(p, m) + b
 
 
-def fit_decay(curve: DecayCurve, weighted: bool = False,
-              max_iterations: int = 200) -> DecayFit:
+def fit_decay(curve: DecayCurve, weighted: bool = False) -> DecayFit:
     """Damped Gauss-Newton least squares for (A, B, p).
 
     Start values: B0 = F(m_max), A0 = F(m_min) - B0, p0 from the two-point
     ratio of the first two lengths. Converged when the relative parameter
     change drops below 1e-10; raises FitDiverged (with the best iterate
-    attached) after ``max_iterations``. A constant curve is degenerate:
+    attached) after ``MAX_FIT_ITERATIONS``. A constant curve is degenerate:
     p is reported as 1 with A = 0 and the fit flagged.
     """
     m = np.asarray(curve.lengths, dtype=float)
@@ -360,7 +360,7 @@ def fit_decay(curve: DecayCurve, weighted: bool = False,
     current = cost(x)
     converged = False
     its = 0
-    for its in range(1, max_iterations + 1):
+    for its in range(1, MAX_FIT_ITERATIONS + 1):
         a, b, p = x
         resid = w * (f - _model(m, a, b, p))
         pm = np.power(p, m)

@@ -24,7 +24,7 @@ import numpy as np
 from . import benchmarking, evolution, pulse, tomography
 from .channels import GateChannelCache
 from .config import (ExperimentConfig, config_to_dict, gate_slug,
-                     load_config, parse_mode, resolve_gate)
+                     load_config, parse_mode)
 from .errors import ConfigError, GeomgateError
 from .qcore import axis_eigenstates
 from .selftest import run_selftest
@@ -44,7 +44,7 @@ def _write_json(payload: dict, path: Path) -> None:
 def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.synth is None:
         raise ConfigError("config has no synth section")
-    spec = resolve_gate(cfg.synth)
+    spec = cfg.synth.spec
     schedule = pulse.synthesize(spec, cfg.segment_duration_ns)
     psi_plus, _ = axis_eigenstates(spec)
     traj = evolution.evolve_unitary(schedule, psi_plus, dt=cfg.dt_ns)
@@ -143,15 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="geomgate",
         description="Synthesis and characterization of geometric single-qubit gates.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("synth", True), ("qpt", True), ("rb", True),
-                               ("selftest", False)):
+    for name in ("synth", "qpt", "rb", "selftest"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config,
+        p.add_argument("--config", required=name != "selftest",
                        help="path to the JSON experiment config")
-        p.add_argument("--out", default=None,
-                       help="output directory (default $GEOMGATE_OUT or ./geomgate_out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
+        if name == "selftest":
+            continue
+        p.add_argument("--out", default=None,
+                       help="output directory (default $GEOMGATE_OUT or ./geomgate_out)")
         p.add_argument("--mode", default=None,
                        help="override the config mode: exact | shots:<n>")
     return parser
@@ -159,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -168,18 +168,14 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=args.seed)
-            if args.mode is not None:
-                cfg = dataclasses.replace(cfg, shots=parse_mode(args.mode))
         if args.command == "selftest":
             seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
             return cmd_selftest(seed)
-        if args.command == "synth":
-            return cmd_synth(cfg, outdir)
-        if args.command == "qpt":
-            return cmd_qpt(cfg, outdir)
-        if args.command == "rb":
-            return cmd_rb(cfg, outdir)
-        raise AssertionError(f"unhandled command {args.command}")
+        if args.mode is not None:
+            cfg = dataclasses.replace(cfg, shots=parse_mode(args.mode))
+        outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
+        command = {"synth": cmd_synth, "qpt": cmd_qpt, "rb": cmd_rb}[args.command]
+        return command(cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

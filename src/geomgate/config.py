@@ -11,20 +11,18 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .benchmarking import DEFAULT_LENGTHS, RbConfig
-from .errors import ConfigError, _seed
+from .errors import ConfigError, UnknownGateName, _seed
 from .evolution import DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
 
 
 @dataclass(frozen=True)
 class SynthSection:
-    gate: str | None = None
-    theta: float | None = None
-    phi: float | None = None
-    gamma: float | None = None
+    gate: str | None
+    spec: GateSpec
 
 
 @dataclass(frozen=True)
@@ -96,8 +94,7 @@ def _check_fields(section: dict, allowed: set[str], where: str) -> None:
 def _parse_device(data, where: str) -> DeviceParams | None:
     if data is None:
         return None
-    _check_fields(data, {"T1_us", "T2_star_us", "f10_GHz",
-                         "readout_f0", "readout_f1"}, where)
+    _check_fields(data, {f.name for f in fields(DeviceParams)}, where)
     data = {key: _finite(value, f"{where}: {key}")
             for key, value in data.items()}
     try:
@@ -107,13 +104,22 @@ def _parse_device(data, where: str) -> DeviceParams | None:
 
 
 def _parse_synth(data, where: str) -> SynthSection:
+    """The synth gate, from a name or from all of (theta, phi, gamma)."""
     _check_fields(data, {"gate", "theta", "phi", "gamma"}, where)
-    data = {key: value if key == "gate" or value is None
-            else _finite(value, f"{where}: {key}")
-            for key, value in data.items()}
-    section = SynthSection(**data)
-    resolve_gate(section)  # validates eagerly
-    return section
+    gate = data.get("gate")
+    if gate is not None and not isinstance(gate, str):
+        raise ConfigError(f"{where}: gate must be a gate name, got {gate!r}")
+    angles = {key: _finite(data[key], f"{where}: {key}")
+              for key in ("theta", "phi", "gamma") if data.get(key) is not None}
+    if gate is not None and angles:
+        raise ConfigError(f"{where}: give either a gate name or angles, not both")
+    if gate is None and len(angles) < 3:
+        raise ConfigError(f"{where}: need a gate name or all of theta/phi/gamma")
+    try:
+        spec = named_gate(gate) if gate is not None else GateSpec(**angles)
+    except (UnknownGateName, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from None
+    return SynthSection(gate, spec)
 
 
 def gate_slug(name: str) -> str:
@@ -155,29 +161,13 @@ def _parse_rb(data, where: str) -> RbSection:
                       readout_correction=data.get("readout_correction", True))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
+    if len(rb.sequence_lengths) < 3:
+        raise ConfigError(f"{where}: need at least 3 sequence lengths to fit")
     return RbSection(lengths=rb.sequence_lengths,
                      randomizations=rb.randomizations,
                      interleaved=_gate_list(data.get("interleaved", []),
                                             f"{where}: interleaved"),
                      readout_correction=rb.readout_correction)
-
-
-def resolve_gate(section: SynthSection) -> GateSpec:
-    """Gate spec from a name or explicit (theta, phi, gamma) angles."""
-    angles = (section.theta, section.phi, section.gamma)
-    if section.gate is not None:
-        if any(a is not None for a in angles):
-            raise ConfigError("synth: give either a gate name or angles, not both")
-        try:
-            return named_gate(section.gate)
-        except Exception as err:
-            raise ConfigError(f"synth: {err}") from None
-    if any(a is None for a in angles):
-        raise ConfigError("synth: need a gate name or all of theta/phi/gamma")
-    try:
-        return GateSpec(section.theta, section.phi, section.gamma)
-    except ValueError as err:
-        raise ConfigError(f"synth: {err}") from None
 
 
 def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
@@ -227,20 +217,14 @@ def load_config(path) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully materialized configuration (explicit defaults included)."""
     out = {
-        "device": None if cfg.device is None else {
-            "T1_us": cfg.device.T1_us,
-            "T2_star_us": cfg.device.T2_star_us,
-            "f10_GHz": cfg.device.f10_GHz,
-            "readout_f0": cfg.device.readout_f0,
-            "readout_f1": cfg.device.readout_f1,
-        },
+        "device": None if cfg.device is None else asdict(cfg.device),
         "segment_duration_ns": cfg.segment_duration_ns,
         "dt_ns": cfg.dt_ns,
         "mode": mode_string(cfg.shots),
         "seed": cfg.seed,
     }
     if cfg.synth is not None:
-        spec = resolve_gate(cfg.synth)
+        spec = cfg.synth.spec
         out["synth"] = {"gate": cfg.synth.gate, "theta": spec.theta,
                         "phi": spec.phi, "gamma": spec.gamma}
     if cfg.qpt is not None:

@@ -27,6 +27,8 @@ from .pulse import PulseSchedule, PulseSegment, segment_area
 from .qcore import I2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 I4 = np.eye(4, dtype=complex)
+CYCLIC_TOL = 1e-6  # largest 1 - |<psi(0)|psi(tau)>| of a cyclic trajectory
+CLOSURE_TOL = 1e-6  # largest endpoint gap of a closed Bloch path
 
 
 @dataclass(frozen=True)
@@ -314,7 +316,7 @@ def evolve_lindblad(schedule, rho0: np.ndarray,
 # ---------------------------------------------------------------------------
 # trajectory analysis
 
-def phase_decomposition(traj: Trajectory, cyclic_tol: float = 1e-6) -> PhaseReport:
+def phase_decomposition(traj: Trajectory) -> PhaseReport:
     """Split the cyclic phase of a pure trajectory.
 
     total = arg<psi(0)|psi(tau)>, dynamical = -integral <psi|H|psi> dt
@@ -325,8 +327,8 @@ def phase_decomposition(traj: Trajectory, cyclic_tol: float = 1e-6) -> PhaseRepo
         raise ValueError("phase decomposition requires a pure-state trajectory")
     overlap = np.vdot(traj.states[0], traj.states[-1])
     defect = 1.0 - abs(overlap)
-    if defect > cyclic_tol:
-        raise NotCyclic(f"cyclicity defect {defect:.3g} exceeds {cyclic_tol}")
+    if defect > CYCLIC_TOL:
+        raise NotCyclic(f"cyclicity defect {defect:.3g} exceeds {CYCLIC_TOL}")
     total = float(np.angle(overlap))
     expect = np.einsum("ti,tij,tj->t", traj.states.conj(), traj.hamiltonians,
                        traj.states).real
@@ -348,14 +350,14 @@ def bloch_trajectory(traj: Trajectory) -> np.ndarray:
                             (abs(c0) ** 2 - abs(c1) ** 2)])
 
 
-def enclosed_solid_angle(path: np.ndarray, closure_tol: float = 1e-6) -> float:
+def enclosed_solid_angle(path: np.ndarray) -> float:
     """Signed solid angle enclosed by a closed path of unit vectors.
 
     Sums the signed spherical-triangle excesses of the fan anchored at the
     first path point (counterclockwise about the outward normal positive).
     """
     path = np.asarray(path, dtype=float)
-    if np.linalg.norm(path[0] - path[-1]) > closure_tol:
+    if np.linalg.norm(path[0] - path[-1]) > CLOSURE_TOL:
         raise PathNotClosed("path endpoints differ by more than the tolerance")
     v0 = path[0]
     a = path[:-1]

@@ -49,40 +49,33 @@ def segment_area(segment: PulseSegment) -> float:
     return 0.5 * segment.peak_amplitude * segment.duration
 
 
+def _slice_path(spec: GateSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(areas, phase offsets) of the three segments realizing ``spec``."""
+    areas = (0.5 * spec.theta, 0.5 * math.pi, 0.5 * math.pi - 0.5 * spec.theta)
+    phases = (spec.phi - 0.5 * math.pi,
+              spec.phi - 0.5 * spec.gamma + 0.5 * math.pi,
+              spec.phi - 0.5 * math.pi)
+    return areas, phases
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ordered three-segment schedule realizing ``source_spec``.
 
-    Boundary times tau1 < tau2 < tau delimit the segments; areas and phase
-    offsets are pinned to the source spec and checked on construction.
+    Segment areas and phase offsets are pinned to the source spec and
+    checked on construction.
     """
 
     segments: tuple[PulseSegment, PulseSegment, PulseSegment]
     source_spec: GateSpec
-    tau1: float
-    tau2: float
-    tau: float
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         if len(self.segments) != 3:
             raise ValueError("schedule requires exactly 3 segments")
-        if not self.tau1 < self.tau2 < self.tau:
-            raise ValueError("boundary times must satisfy tau1 < tau2 < tau")
-        durations = [s.duration for s in self.segments]
-        bounds = (self.tau1, self.tau2 - self.tau1, self.tau - self.tau2)
-        if any(abs(d - b) > 1e-9 for d, b in zip(durations, bounds)):
-            raise ValueError("segment durations do not match boundary times")
-        spec = self.source_spec
-        want_areas = (0.5 * spec.theta, 0.5 * math.pi,
-                      0.5 * math.pi - 0.5 * spec.theta)
-        for seg, a in zip(self.segments, want_areas):
+        for seg, a, p in zip(self.segments, *_slice_path(self.source_spec)):
             if abs(segment_area(seg) - a) > 1e-12:
                 raise ValueError("segment areas inconsistent with source spec")
-        want_phases = (spec.phi - 0.5 * math.pi,
-                       spec.phi - 0.5 * spec.gamma + 0.5 * math.pi,
-                       spec.phi - 0.5 * math.pi)
-        for seg, p in zip(self.segments, want_phases):
             if abs(seg.phase_offset - p) > 1e-12:
                 raise ValueError("segment phases inconsistent with source spec")
 
@@ -98,26 +91,19 @@ def synthesize(spec: GateSpec, segment_duration: float = 10.0,
     """
     if segment_duration <= 0:
         raise InvalidDuration(f"segment duration must be > 0, got {segment_duration}")
-    areas = (0.5 * spec.theta, 0.5 * math.pi, 0.5 * math.pi - 0.5 * spec.theta)
-    phases = (spec.phi - 0.5 * math.pi,
-              spec.phi - 0.5 * spec.gamma + 0.5 * math.pi,
-              spec.phi - 0.5 * math.pi)
     scale = 1.0 if envelope == "square" else 2.0
     segments = tuple(
         PulseSegment(duration=segment_duration,
                      peak_amplitude=scale * a / segment_duration,
                      phase_offset=p,
                      envelope=envelope)
-        for a, p in zip(areas, phases)
+        for a, p in zip(*_slice_path(spec))
     )
-    return PulseSchedule(segments=segments, source_spec=spec,
-                         tau1=segment_duration,
-                         tau2=2.0 * segment_duration,
-                         tau=3.0 * segment_duration)
+    return PulseSchedule(segments=segments, source_spec=spec)
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# schedule.json
 
 def schedule_to_dict(schedule: PulseSchedule) -> dict:
     spec = schedule.source_spec
@@ -138,28 +124,7 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
     }
 
 
-def schedule_from_dict(data: dict) -> PulseSchedule:
-    spec = GateSpec(data["theta"], data["phi"], data["gamma"])
-    segments = tuple(
-        PulseSegment(duration=s["duration_ns"],
-                     peak_amplitude=s["peak_rad_per_ns"],
-                     phase_offset=s["phase_rad"],
-                     envelope=s["envelope"])
-        for s in data["segments"]
-    )
-    t1 = segments[0].duration
-    t2 = t1 + segments[1].duration
-    tau = t2 + segments[2].duration
-    return PulseSchedule(segments=segments, source_spec=spec,
-                         tau1=t1, tau2=t2, tau=tau)
-
-
 def save_schedule(schedule: PulseSchedule, path) -> None:
     with open(path, "w") as fh:
         json.dump(schedule_to_dict(schedule), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_schedule(path) -> PulseSchedule:
-    with open(path) as fh:
-        return schedule_from_dict(json.load(fh))

@@ -31,6 +31,9 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
+# largest phase distance of a unitary that clifford_index_of accepts
+CLIFFORD_TOL = 1e-6
+
 
 def density_of(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| as a 2x2 array."""
@@ -242,14 +245,14 @@ def clifford_tables() -> tuple[np.ndarray, np.ndarray]:
     return _clifford_data()[2:]
 
 
-def clifford_index_of(u: np.ndarray, tol: float = 1e-6) -> int:
+def clifford_index_of(u: np.ndarray) -> int:
     """Canonical index of a unitary that is a Clifford up to global phase."""
     _require_unitary(u)
     # phase distances 1 - |Tr(U^dag E_k)| / 2 to all 24 elements E_k at once
     canon = _clifford_data()[1]
     dists = 1.0 - abs(np.einsum("ab,kab->k", u.conj(), canon)) / 2.0
     k = int(np.argmin(dists))
-    if dists[k] > tol:
+    if dists[k] > CLIFFORD_TOL:
         raise ValueError(f"matrix is not a Clifford (distance {dists[k]:.3g})")
     return k
 

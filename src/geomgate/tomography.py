@@ -12,7 +12,7 @@ rank-1 chi via the process fidelity Tr(chi chi_ideal).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def measure_expectations(rho: np.ndarray, shots: int | None = None,
     shots = _shots(shots)
     if shots is None:
         return exact
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     out = np.empty(3)
     for k, ev in enumerate(exact):
         est = sample_outcomes(np.array([(1.0 + ev) / 2.0, (1.0 - ev) / 2.0]),
@@ -184,7 +184,6 @@ class QptResult:
     chi: np.ndarray
     chi_ideal: np.ndarray
     fidelity: float
-    output_states: list = field(default_factory=list)
     projected_count: int = 0
     shots: int | None = None
     seed: int | None = None
@@ -233,7 +232,7 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     chi_id = ideal_chi(spec)
     return QptResult(gate=spec, chi=chi, chi_ideal=chi_id,
                      fidelity=process_fidelity(chi, chi_id),
-                     output_states=outputs, projected_count=projected,
+                     projected_count=projected,
                      shots=shots, seed=seed)
 
 

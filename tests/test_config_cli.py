@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from geomgate import cli
-from geomgate.config import (SynthSection, config_from_dict,
-                             config_to_dict, load_config, mode_string,
-                             parse_mode, resolve_gate)
+from geomgate.config import (config_from_dict, config_to_dict, load_config,
+                             mode_string, parse_mode)
 from geomgate.errors import ConfigError
+from geomgate.evolution import DeviceParams
 from geomgate.selftest import run_selftest
 
 PI = math.pi
@@ -60,7 +61,7 @@ def test_load_valid_config(tmp_path):
     assert cfg.device.T1_us == 19.0
     assert cfg.shots is None
     assert cfg.seed == 42
-    assert resolve_gate(cfg.synth).gamma == pytest.approx(PI)
+    assert cfg.synth.spec.gamma == pytest.approx(PI)
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -86,6 +87,13 @@ def test_invalid_values_rejected(tmp_path):
     path = _write_config(tmp_path, {"rb": {"randomizations": 1}})
     with pytest.raises(ConfigError, match="randomizations"):
         load_config(path)
+    # the decay fit needs three lengths; the run must not start without them
+    path = _write_config(tmp_path, {"rb": {"lengths": [1, 2],
+                                           "randomizations": 2}})
+    with pytest.raises(ConfigError, match="3 sequence lengths"):
+        load_config(path)
+    assert cli.main(["rb", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == 2
     path = _write_config(tmp_path, {"dt_ns": 5.0})
     with pytest.raises(ConfigError, match="dt_ns"):
         load_config(path)
@@ -132,9 +140,9 @@ def test_invalid_values_rejected(tmp_path):
             load_config(path)
         assert cli.main([next(iter(extra)), "--config", str(path), "--out",
                          str(tmp_path / "o")]) == 2
-    section = config_from_dict({"rb": {"lengths": [2.0, 4],
+    section = config_from_dict({"rb": {"lengths": [2.0, 4, 8.0],
                                        "randomizations": 3.0}}).rb
-    assert section.lengths == (2, 4) and section.randomizations == 3
+    assert section.lengths == (2, 4, 8) and section.randomizations == 3
     assert all(type(m) is int for m in section.lengths)
 
 
@@ -197,15 +205,20 @@ def test_missing_file():
 
 
 def test_synth_gate_resolution():
-    assert resolve_gate(SynthSection(gate="Rz(pi/2)")).gamma == pytest.approx(PI / 2)
-    spec = resolve_gate(SynthSection(theta=0.1, phi=0.2, gamma=0.3))
+    def synth(section):
+        return config_from_dict({"synth": section}).synth
+
+    assert synth({"gate": "Rz(pi/2)"}).spec.gamma == pytest.approx(PI / 2)
+    spec = synth({"theta": 0.1, "phi": 0.2, "gamma": 0.3}).spec
     assert (spec.theta, spec.phi, spec.gamma) == (0.1, 0.2, 0.3)
-    with pytest.raises(ConfigError):
-        resolve_gate(SynthSection(gate="H", theta=0.1, phi=0.0, gamma=1.0))
-    with pytest.raises(ConfigError):
-        resolve_gate(SynthSection(theta=0.1))
-    with pytest.raises(ConfigError):
-        resolve_gate(SynthSection())
+    with pytest.raises(ConfigError, match="not both"):
+        synth({"gate": "H", "theta": 0.1, "phi": 0.0, "gamma": 1.0})
+    with pytest.raises(ConfigError, match="need a gate name"):
+        synth({"theta": 0.1})
+    with pytest.raises(ConfigError, match="need a gate name"):
+        synth({})
+    with pytest.raises(ConfigError, match="gate name"):
+        synth({"gate": 5})
 
 
 def test_config_to_dict_materializes_defaults():
@@ -216,6 +229,26 @@ def test_config_to_dict_materializes_defaults():
     assert data["dt_ns"] == 0.01
     assert data["device"] is None
     assert data["synth"]["theta"] == pytest.approx(PI / 4)
+
+
+def test_config_round_trips_through_its_report_form():
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = load_config(path)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+    # every device field set away from its default, so a field that the
+    # report leaves out fails the round trip
+    device = {"T1_us": 12.5, "T2_star_us": 7.5, "f10_GHz": 4.75,
+              "readout_f0": 0.97, "readout_f1": 0.95}
+    assert set(device) == {f.name for f in dataclasses.fields(DeviceParams)}
+    cfg = config_from_dict({"device": device, "mode": "shots:100", "seed": 3,
+                            "synth": {"theta": 0.1, "phi": 0.2, "gamma": 0.3},
+                            "qpt": {"gates": ["H"]},
+                            "rb": {"lengths": [1, 3, 5], "randomizations": 4,
+                                   "interleaved": ["I"],
+                                   "readout_correction": False}})
+    data = config_to_dict(cfg)
+    assert data["device"] == device
+    assert config_from_dict(data) == cfg
 
 
 def test_shipped_configs_load():
@@ -257,8 +290,7 @@ def test_cli_synth_writes_artifacts(tmp_path, capsys):
     schedule = json.loads((out / "schedule.json").read_text())
     phases = [s["phase_rad"] for s in schedule["segments"]]
     assert phases == pytest.approx([-PI / 2, 0.0, -PI / 2])
-    from geomgate.pulse import load_schedule
-    assert load_schedule(out / "schedule.json").source_spec.gamma == pytest.approx(PI)
+    assert schedule["gamma"] == pytest.approx(PI)
     assert (out / "trajectory.csv").exists()
     assert (out / "bloch_path.csv").exists()
     report = json.loads((out / "phase_report.json").read_text())
@@ -467,6 +499,15 @@ def test_cli_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS clifford-group" in out
     assert "report sha256" in out
+
+
+def test_cli_selftest_takes_no_out_or_mode(tmp_path, capsys):
+    for flags in (["--mode", "exact"], ["--out", str(tmp_path / "o")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
