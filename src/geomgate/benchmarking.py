@@ -27,15 +27,15 @@ from a (24, 4, 4) Clifford table by index and applied to a stack of state
 vectors. An integer fold gives the recoveries of every curve, one table
 lookup per sequence position: the lookup composes the random Clifford and
 the curve's target with the product so far, the reference curve folding
-with the identity as its target. In shot mode each curve draws its own
-sample from the stream position right after the indices. So every curve is
-reproducible regardless of execution order, does not depend on which other
-curves share its run, and equals running its sequences one by one.
+with the identity as its target. In shot mode each curve re-keys the
+sequence's stream and draws past its indices, so it samples from the
+stream position right after them. So every curve is reproducible
+regardless of execution order, does not depend on which other curves
+share its run, and equals running its sequences one by one.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass, field
@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import GateChannelCache, cache_for, vec
-from .errors import FitDiverged, _seed, _shots, _whole
-from .evolution import DeviceParams
+from .errors import _seed, _shots, _whole
+from .evolution import DeviceParams, _write_csv
 from .qcore import (KET0, axis_angle_unitary, clifford_group,
                     clifford_index_of, clifford_tables, density_of,
                     named_gate)
@@ -198,12 +198,22 @@ def _stream_keys(seed: int, length_index, rand_index) -> np.ndarray:
                     axis=-1).reshape(shape + (2,))
 
 
-def _philox_state(key: np.ndarray) -> dict:
-    """Philox state at the start of the stream with ``key``."""
-    zeros = np.zeros(4, dtype=np.uint64)
-    return {"bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _stream_opener():
+    """A function ``stream(key)`` that re-keys one shared Philox generator
+    to the start of the stream with ``key`` and returns it.
+
+    One state dict, a fresh generator's, is reused with its key swapped:
+    the setter copies it, and a fresh dict per stream costs about 1.4 us.
+    """
+    rng = np.random.Generator(np.random.Philox(0))
+    start = rng.bit_generator.state
+
+    def stream(key):
+        start["state"]["key"] = key
+        rng.bit_generator.state = start
+        return rng
+
+    return stream
 
 
 # Generator.integers(0, 24) draws by Lemire's method: each uint32 word u
@@ -221,53 +231,27 @@ def sample_sequence(m: int, rng) -> tuple[list[int], int]:
     return idx[0].tolist(), int(_recoveries(idx, np.zeros(1, np.intp))[0, 0])
 
 
-def _draw_sequences(config: RbConfig, rng: np.random.Generator):
-    """Per sequence length, the (R, m) Clifford indices of its R streams
-    and, in shot mode, each stream's state right after its indices.
+def _draw_sequences(lengths, keys: np.ndarray, stream):
+    """Per sequence length, the (R, m) Clifford indices of its R streams.
 
-    ``rng`` draws from a Philox bit generator, which is re-keyed to the
-    start of each stream in turn; the keys of all streams of the run come
-    from one ``_stream_keys`` pass. Each stream hands out the ceil(m/2)
-    raw words that ``rng.integers(0, 24, size=m)`` splits into m uint32
-    draws, and one Lemire pass over the words of all streams of a length
-    gives the indices. A stream with a rejected draw (p = 16/2**32 per
-    draw) is drawn again by ``rng.integers`` itself.
+    ``keys[li, ri]`` is the key of stream (seed, li, ri), and
+    ``stream(key)`` the generator re-keyed to its start. Each stream hands
+    out the ceil(m/2) raw words that ``integers(0, 24, size=m)`` splits
+    into m uint32 draws, and one Lemire pass over the words of all streams
+    of a length gives the indices. A stream with a rejected draw (p =
+    16/2**32 per draw) is drawn again by ``integers`` itself.
     """
-    lengths, n_rand = config.sequence_lengths, config.randomizations
-    keys = _stream_keys(config.seed, np.arange(len(lengths))[:, None],
-                        np.arange(n_rand))
-    bit_gen = rng.bit_generator
-    shots = config.shots is not None
-    start = _philox_state(keys[0, 0])  # the setter copies it; swap the key
-
-    def rekey(key):
-        start["state"]["key"] = key
-        bit_gen.state = start
-
     for m, row in zip(lengths, keys):
-        raw = np.empty((n_rand, (m + 1) // 2), dtype=np.uint64)
-        states = []
+        raw = np.empty((len(row), (m + 1) // 2), dtype=np.uint64)
         for ri, key in enumerate(row):
-            rekey(key)
-            raw[ri] = bit_gen.random_raw(raw.shape[1])
-            if shots:
-                states.append(bit_gen.state)
-        if shots:
-            # Philox splits a raw word into uint32 draws low half first;
-            # after m draws it holds the high half of the last word, still
-            # unused when m is odd
-            for state, high in zip(states, (raw[:, -1] >> 32).tolist()):
-                state["has_uint32"], state["uinteger"] = m % 2, high
+            raw[ri] = stream(key).bit_generator.random_raw(raw.shape[1])
         words = np.asarray(raw, dtype="<u8").view("<u4")[:, :m]
         scaled = words * np.uint64(_N_CLIFFORD)  # 24 u in uint64
         idx = (scaled >> 32).astype(np.intp)
         rejected = ((scaled & _MASK32) < _LEMIRE_THRESHOLD).any(axis=1)
         for ri in np.flatnonzero(rejected):
-            rekey(row[ri])
-            idx[ri] = rng.integers(0, _N_CLIFFORD, size=m)
-            if shots:
-                states[ri] = bit_gen.state
-        yield idx, states
+            idx[ri] = stream(row[ri]).integers(0, _N_CLIFFORD, size=m)
+        yield idx
 
 
 def _recoveries(idx: np.ndarray, target_indices: np.ndarray) -> np.ndarray:
@@ -322,9 +306,10 @@ def fit_decay(curve: DecayCurve, weighted: bool = False) -> DecayFit:
 
     Start values: B0 = F(m_max), A0 = F(m_min) - B0, p0 from the two-point
     ratio of the first two lengths. Converged when the relative parameter
-    change drops below 1e-10; raises FitDiverged (with the best iterate
-    attached) after ``MAX_FIT_ITERATIONS``. A constant curve is degenerate:
-    p is reported as 1 with A = 0 and the fit flagged.
+    change drops below 1e-10; after ``MAX_FIT_ITERATIONS``, or when no
+    damped step lowers the cost, the best iterate comes back with
+    ``converged=False``. A constant curve is degenerate: p is reported as 1
+    with A = 0 and the fit flagged.
     """
     m = np.asarray(curve.lengths, dtype=float)
     f = np.asarray(curve.means, dtype=float)
@@ -391,13 +376,9 @@ def fit_decay(curve: DecayCurve, weighted: bool = False) -> DecayFit:
             converged = True
             break
 
-    fit = DecayFit(A=float(x[0]), B=float(x[1]), p=float(x[2]),
-                   residual_norm=math.sqrt(current), converged=converged,
-                   iterations=its)
-    if not converged:
-        raise FitDiverged(f"decay fit did not converge in {its} iterations",
-                          fit=fit)
-    return fit
+    return DecayFit(A=float(x[0]), B=float(x[1]), p=float(x[2]),
+                    residual_norm=math.sqrt(current), converged=converged,
+                    iterations=its)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +399,11 @@ def _run_curves(config: RbConfig, table: np.ndarray,
     curve equals executing it on its own.
     """
     lengths, n_rand = config.sequence_lengths, config.randomizations
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
-    states = []  # shot mode: each stream's post-index state, per length
+    keys = _stream_keys(config.seed, np.arange(len(lengths))[:, None],
+                        np.arange(n_rand))
+    stream = _stream_opener()
     p0 = np.empty((len(target_indices), len(lengths), n_rand))
-    for li, (idx, drawn) in enumerate(_draw_sequences(config, rng)):
-        states.append(drawn)
+    for li, idx in enumerate(_draw_sequences(lengths, keys, stream)):
         p0[:, li] = _apply_sequences(
             table, idx, _recoveries(idx, target_indices), sops)
     if config.shots is None:
@@ -434,7 +415,9 @@ def _run_curves(config: RbConfig, table: np.ndarray,
     else:
         survival = np.empty_like(p0)
         for c, li, ri in np.ndindex(p0.shape):
-            rng.bit_generator.state = states[li][ri]
+            # the sequence's stream, drawn past its indices
+            rng = stream(keys[li, ri])
+            rng.integers(0, _N_CLIFFORD, size=lengths[li])
             p = p0[c, li, ri]
             survival[c, li, ri] = sample_outcomes(
                 np.array([p, 1.0 - p]), config.shots, rng, readout,
@@ -444,13 +427,6 @@ def _run_curves(config: RbConfig, table: np.ndarray,
     return [DecayCurve(lengths=lengths, means=means[c], stderrs=stderrs[c],
                        samples=list(survival[c]))
             for c in range(len(target_indices))]
-
-
-def _fit_or_flag(curve: DecayCurve, weighted: bool) -> DecayFit:
-    try:
-        return fit_decay(curve, weighted=weighted)
-    except FitDiverged as err:
-        return err.fit
 
 
 def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
@@ -482,8 +458,8 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
     curves = _run_curves(config, channels.clifford_table(),
                          readout_model(device, config.shots), sops,
                          target_indices)
-    (curve, fit), *rest = [(c, _fit_or_flag(c, config.shots is not None))
-                           for c in curves]
+    weighted = config.shots is not None
+    (curve, fit), *rest = [(c, fit_decay(c, weighted)) for c in curves]
     return [(curve, fit, RbResult.from_fits(fit))] + [
         (icurve, ifit, RbResult.from_fits(fit, ifit)) for icurve, ifit in rest]
 
@@ -519,12 +495,9 @@ def run_interleaved_rb(config: RbConfig, target: str,
 # reports
 
 def decay_to_csv(curve: DecayCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "mean_survival", "stderr", "n_random"])
-        for m, mean, se, vals in zip(curve.lengths, curve.means,
-                                     curve.stderrs, curve.samples):
-            writer.writerow([m, repr(float(mean)), repr(float(se)), len(vals)])
+    _write_csv(path, ["m", "mean_survival", "stderr", "n_random"],
+               (np.array(curve.lengths), curve.means, curve.stderrs,
+                np.array([len(vals) for vals in curve.samples])))
 
 
 def fit_report(result: RbResult) -> dict:

@@ -111,14 +111,16 @@ def _parse_synth(data, where: str) -> SynthSection:
         raise ConfigError(f"{where}: gate must be a gate name, got {gate!r}")
     angles = {key: _finite(data[key], f"{where}: {key}")
               for key in ("theta", "phi", "gamma") if data.get(key) is not None}
-    if gate is not None and angles:
-        raise ConfigError(f"{where}: give either a gate name or angles, not both")
     if gate is None and len(angles) < 3:
         raise ConfigError(f"{where}: need a gate name or all of theta/phi/gamma")
     try:
         spec = named_gate(gate) if gate is not None else GateSpec(**angles)
     except (UnknownGateName, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
+    # a gate's report form states its angles too; other angles conflict
+    if gate is not None and any(getattr(spec, key) != value
+                                for key, value in angles.items()):
+        raise ConfigError(f"{where}: give either a gate name or angles, not both")
     return SynthSection(gate, spec)
 
 

@@ -36,14 +36,6 @@ class SingularSystem(GeomgateError):
     """Tomography inputs are not informationally complete."""
 
 
-class FitDiverged(GeomgateError):
-    """Decay fit failed to converge; carries the best iterate in ``fit``."""
-
-    def __init__(self, message, fit=None):
-        super().__init__(message)
-        self.fit = fit
-
-
 class ConfigError(GeomgateError):
     """Experiment configuration failed to load or validate."""
 

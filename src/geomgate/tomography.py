@@ -11,14 +11,13 @@ rank-1 chi via the process fidelity Tr(chi chi_ideal).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import GateChannelCache, cache_for, unvec, vec
 from .errors import SingularSystem, _seed, _shots
-from .evolution import DeviceParams
+from .evolution import DeviceParams, _write_csv
 from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
                     density_of, named_gate)
 
@@ -260,11 +259,7 @@ def qpt_report(result: QptResult, gate_name: str | None = None) -> dict:
 
 def chi_to_csv(chi: np.ndarray, path) -> None:
     """Bar-chart-ready rows: row label, col label, re, im."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for m in range(4):
-            for n in range(4):
-                writer.writerow([PAULI_LABELS[m], PAULI_LABELS[n],
-                                 repr(float(chi[m, n].real)),
-                                 repr(float(chi[m, n].imag))])
+    labels = np.array(PAULI_LABELS)
+    _write_csv(path, ["row", "col", "re", "im"],
+               (np.repeat(labels, 4), np.tile(labels, 4), chi.real.ravel(),
+                chi.imag.ravel()))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomgate import cli
+from geomgate import benchmarking, cli
 from geomgate.config import (config_from_dict, config_to_dict, load_config,
                              mode_string, parse_mode)
 from geomgate.errors import ConfigError
@@ -235,6 +235,9 @@ def test_config_round_trips_through_its_report_form():
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = load_config(path)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+    # a named synth gate's report states its angles as well
+    cfg = config_from_dict({"synth": {"gate": "H"}})
+    assert config_from_dict(config_to_dict(cfg)) == cfg
     # every device field set away from its default, so a field that the
     # report leaves out fails the round trip
     device = {"T1_us": 12.5, "T2_star_us": 7.5, "f10_GHz": 4.75,
@@ -373,6 +376,25 @@ def test_cli_rb_curves_independent_of_batch_and_reproducible(tmp_path,
     for fit in fits:
         del fit["config"]["rb"]["interleaved"]
     assert fits[0] == fits[1]
+
+
+def test_cli_rb_unconverged_fit_exits_3_with_reports(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(benchmarking, "MAX_FIT_ITERATIONS", 1)
+    path = _write_config(tmp_path, {
+        "rb": {"lengths": [2, 8, 16, 32], "randomizations": 3,
+               "interleaved": ["H"]}})
+    out = tmp_path / "out"
+    assert cli.main(["rb", "--config", str(path), "--out", str(out)]) == 3
+    assert (out / "rb_reference.csv").exists()
+    assert (out / "rb_interleaved_h.csv").exists()
+    fits = sorted(out.glob("*_fit.json"))
+    assert [p.name for p in fits] == ["rb_interleaved_h_fit.json",
+                                      "rb_reference_fit.json"]
+    for fit in fits:
+        assert json.loads(fit.read_text())["converged"] is False
+    inter = json.loads((out / "rb_interleaved_h_fit.json").read_text())
+    assert inter["interleaved_converged"] is False
 
 
 def test_cli_unwritable_out_is_clean_error(tmp_path, capsys):
