@@ -169,24 +169,38 @@ def _assert_draws_equal_lone_streams(config):
     return rng.calls
 
 
-def test_batch_draws_equal_lone_streams():
+def _assert_shot_samples_continue_lone_streams(config, device):
+    """In shot mode every sample comes from its lone stream right after the
+    stream's Clifford indices, as ``_plain_samples`` draws it."""
+    if config.shots is None:
+        return
+    cache = GateChannelCache(device)
+    curve, _, _ = run_reference_rb(config, device, channels=cache)
+    _assert_curve_equals_plain(curve, _plain_samples(config, cache, device))
+
+
+@pytest.mark.parametrize("shots", [None, 16])
+def test_batch_draws_equal_lone_streams(device, shots):
     # odd and even lengths, a single draw, and seeds of one to three words
     for seed in (2**40 + 7, 2**64, 2**64 + 2**33 + 9):
         config = RbConfig(sequence_lengths=(1, 2, 3, 8, 13, 64),
-                          randomizations=4, seed=seed)
+                          randomizations=4, seed=seed, shots=shots)
         # a true rejection (p = 16/2**32 per draw) does not come up here
         assert _assert_draws_equal_lone_streams(config) == 0
+        _assert_shot_samples_continue_lone_streams(config, device)
 
 
-def test_rejected_draws_redraw_their_stream(monkeypatch):
+@pytest.mark.parametrize("shots", [None, 16])
+def test_rejected_draws_redraw_their_stream(monkeypatch, device, shots):
     # with the threshold at 2**31 half of all draws count as rejected, so
     # about half the one-draw streams and most longer ones are drawn again
     # by Generator.integers from their start
     monkeypatch.setattr(benchmarking, "_LEMIRE_THRESHOLD", 2**31)
     config = RbConfig(sequence_lengths=(1, 2, 5), randomizations=12,
-                      seed=2**64 + 1)
+                      seed=2**64 + 1, shots=shots)
     redrawn = _assert_draws_equal_lone_streams(config)
     assert 0 < redrawn < 3 * config.randomizations
+    _assert_shot_samples_continue_lone_streams(config, device)
 
 
 @pytest.mark.parametrize("shots", [None, 16])
