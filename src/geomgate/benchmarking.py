@@ -10,28 +10,19 @@ extraction, so all gates cost the same wall-clock time under noise.
 
 Execution composes per-gate channel superoperators, which is exactly
 equivalent to concatenated master-equation integration (the dynamics are
-time-local and linear) and keeps long sequences cheap. Randomness is drawn
-from counter-based Philox streams keyed by (seed, length index,
-randomization index): the key of each is NumPy's
-``SeedSequence((seed, li, ri))`` hash, computed for every stream of a run in
-one vectorized pass, and one generator is re-keyed to the start of each
-stream in turn. Each stream draws its Clifford indices once per run, as
-``Generator.integers(0, 24)`` does: the stream hands out raw 64-bit words,
-each split into two uint32 draws, and one vectorized pass of Lemire's
-bounded-integer method turns the draws of all streams of a length into
-indices. A stream with a draw the method rejects (p = 16/2**32 per draw)
-is drawn again by ``Generator.integers`` itself. The reference curve and
-every interleaved curve run that same sequence: all curves and
-randomizations of one length execute as one batch, with channels picked
-from a (24, 4, 4) Clifford table by index and applied to a stack of state
-vectors. An integer fold gives the recoveries of every curve, one table
-lookup per sequence position: the lookup composes the random Clifford and
-the curve's target with the product so far, the reference curve folding
-with the identity as its target. In shot mode each curve re-keys the
-sequence's stream and draws past its indices, so it samples from the
-stream position right after them. So every curve is reproducible
-regardless of execution order, does not depend on which other curves
-share its run, and equals running its sequences one by one.
+time-local and linear) and keeps long sequences cheap. Each (length,
+randomization) draws its Clifford indices once per run, as
+``Generator.integers(0, 24)`` would from its Philox stream keyed by
+``SeedSequence((seed, li, ri))``: vectorized passes compute the keys, the
+Philox4x64-10 words and Lemire's method. ``numpy.random`` is loaded only
+to redraw a stream with a rejected draw (p = 16/2**32 per draw) and for
+shot sampling, where each curve re-keys the sequence's stream and draws
+past its indices, to sample from the position right after them. All
+curves and randomizations of a length run as one batch: channels come
+from a (24, 4, 4) Clifford table by index, and one integer fold gives
+the recoveries of every curve. So every curve is reproducible regardless
+of execution order, does not depend on which other curves share its run,
+and equals running its sequences one by one.
 """
 
 from __future__ import annotations
@@ -202,18 +193,53 @@ def _stream_opener():
     """A function ``stream(key)`` that re-keys one shared Philox generator
     to the start of the stream with ``key`` and returns it.
 
-    One state dict, a fresh generator's, is reused with its key swapped:
-    the setter copies it, and a fresh dict per stream costs about 1.4 us.
+    The generator, and with it ``numpy.random``, is built on the first
+    call; its first state dict is reused with only the key swapped.
     """
-    rng = np.random.Generator(np.random.Philox(0))
-    start = rng.bit_generator.state
+    rng = start = None
 
     def stream(key):
+        nonlocal rng, start
+        if rng is None:
+            rng = np.random.Generator(np.random.Philox(0))
+            start = rng.bit_generator.state
         start["state"]["key"] = key
         rng.bit_generator.state = start
         return rng
 
     return stream
+
+
+_PHILOX_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)
+# (stream, block) pairs per pass: fewer calls against less peak memory
+_PHILOX_PASS = 2048
+
+
+def _philox_words(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Row s is ``Philox(key=keys[s]).random_raw(4 * n_blocks)``.
+
+    Philox4x64-10 (Salmon et al., SC11) on uint64 arrays: block b is the
+    counter (b + 1, 0, 0, 0) after ten rounds of 128-bit products of its
+    words 0 and 2 with the multipliers (high words from 32-bit halves),
+    the key bumped by the Weyl constants between rounds.
+    """
+    key, mult = keys.T[:, None, :], _PHILOX_MULT[:, None, None]
+    # counter words (0, 2) and (1, 3) of each block, alike in every stream
+    even = np.zeros((2, n_blocks, 1), dtype=np.uint64)
+    even[0, :, 0] = np.arange(1, n_blocks + 1)
+    odd = np.zeros_like(even)
+    mult_lo, mult_hi = mult & _MASK32, mult >> 32
+    for _ in range(10):
+        lo, hi = even & _MASK32, even >> 32
+        mid = mult_hi * lo + (mult_lo * lo >> 32)
+        mid_2 = mult_lo * hi + (mid & _MASK32)
+        high = mult_hi * hi + (mid >> 32) + (mid_2 >> 32)
+        even, odd = high[::-1] ^ odd ^ key, (mult * even)[::-1]
+        key = key + _PHILOX_BUMP[:, None, None]
+    # each block's words in counter order 0, 1, 2, 3
+    return np.stack([even, odd], axis=1).transpose(3, 2, 0, 1).reshape(
+        len(keys), -1)
 
 
 # Generator.integers(0, 24) draws by Lemire's method: each uint32 word u
@@ -234,24 +260,33 @@ def sample_sequence(m: int, rng) -> tuple[list[int], int]:
 def _draw_sequences(lengths, keys: np.ndarray, stream):
     """Per sequence length, the (R, m) Clifford indices of its R streams.
 
-    ``keys[li, ri]`` is the key of stream (seed, li, ri), and
-    ``stream(key)`` the generator re-keyed to its start. Each stream hands
-    out the ceil(m/2) raw words that ``integers(0, 24, size=m)`` splits
-    into m uint32 draws, and one Lemire pass over the words of all streams
-    of a length gives the indices. A stream with a rejected draw (p =
-    16/2**32 per draw) is drawn again by ``integers`` itself.
+    ``keys[li, ri]`` is the key of stream (seed, li, ri). The ceil(m/2)
+    raw words that ``integers(0, 24, size=m)`` splits into m uint32 draws
+    come from ``_philox_words``, one pass per run of consecutive lengths
+    with at most ``_PHILOX_PASS`` blocks (or one length), and one Lemire
+    pass per length turns them into indices. A stream with a rejected draw
+    (p = 16/2**32 per draw) is redrawn by ``stream(key).integers``.
     """
-    for m, row in zip(lengths, keys):
-        raw = np.empty((len(row), (m + 1) // 2), dtype=np.uint64)
-        for ri, key in enumerate(row):
-            raw[ri] = stream(key).bit_generator.random_raw(raw.shape[1])
-        words = np.asarray(raw, dtype="<u8").view("<u4")[:, :m]
-        scaled = words * np.uint64(_N_CLIFFORD)  # 24 u in uint64
-        idx = (scaled >> 32).astype(np.intp)
-        rejected = ((scaled & _MASK32) < _LEMIRE_THRESHOLD).any(axis=1)
-        for ri in np.flatnonzero(rejected):
-            idx[ri] = stream(row[ri]).integers(0, _N_CLIFFORD, size=m)
-        yield idx
+    n_rand = keys.shape[1]
+    blocks = [(m + 7) // 8 for m in lengths]  # ceil(ceil(m/2) / 4)
+    start = 0
+    while start < len(lengths):
+        stop = start + 1
+        while stop < len(lengths) and ((stop + 1 - start) * n_rand * max(
+                blocks[start:stop + 1]) <= _PHILOX_PASS):
+            stop += 1
+        raw = np.ascontiguousarray(_philox_words(
+            keys[start:stop].reshape(-1, 2), max(blocks[start:stop])),
+            dtype="<u8").view("<u4")
+        for m, row, words in zip(lengths[start:stop], keys[start:stop],
+                                 raw.reshape(stop - start, n_rand, -1)):
+            scaled = words[:, :m] * np.uint64(_N_CLIFFORD)  # 24 u in uint64
+            idx = (scaled >> 32).astype(np.intp)
+            rejected = ((scaled & _MASK32) < _LEMIRE_THRESHOLD).any(axis=1)
+            for ri in np.flatnonzero(rejected):
+                idx[ri] = stream(row[ri]).integers(0, _N_CLIFFORD, size=m)
+            yield idx
+        start = stop
 
 
 def _recoveries(idx: np.ndarray, target_indices: np.ndarray) -> np.ndarray:

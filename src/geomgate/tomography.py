@@ -216,7 +216,7 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
         actual_inputs = ideal_inputs
 
     readout = readout_model(device, shots)
-    rng = np.random.default_rng(seed)
+    rng = None if shots is None else np.random.default_rng(seed)
 
     outputs = []
     projected = 0

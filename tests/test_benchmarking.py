@@ -9,9 +9,9 @@ import pytest
 from geomgate import benchmarking
 from geomgate.benchmarking import (DecayCurve, DecayFit,
                                    RbConfig, RbResult, _draw_sequences,
-                                   _recoveries, _stream_keys, _stream_opener,
-                                   decay_to_csv, fit_decay, fit_report,
-                                   run_interleaved_rb, run_rb,
+                                   _philox_words, _recoveries, _stream_keys,
+                                   _stream_opener, decay_to_csv, fit_decay,
+                                   fit_report, run_interleaved_rb, run_rb,
                                    run_reference_rb, sample_sequence)
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
@@ -134,6 +134,26 @@ def test_stream_keys_equal_seed_sequence():
     for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, 2**32), (1.0, 0, 0)):
         with pytest.raises((ValueError, TypeError)):
             _stream_keys(*bad)
+
+
+def test_philox_words_equal_numpy_philox():
+    # random keys; key words at or above 2**63 and at 2**64 - 1, whose
+    # Weyl bumps wrap; and the stream with a true Lemire rejection
+    keys = np.vstack([
+        np.random.default_rng(11).integers(0, 2**64 - 1, size=(40, 2),
+                                           dtype=np.uint64, endpoint=True),
+        np.array([[2**64 - 1, 2**64 - 1], [2**63, 2**63], [2**64 - 1, 0],
+                  [0, 2**63 + 12345], [2**63 - 1, 2**64 - 2], [0, 0]],
+                 dtype=np.uint64),
+        _stream_keys(217057, 0, 0)[None]])
+    # block edges, and the 199 words of the rejection stream at m = 397
+    for n in (*range(1, 10), 13, 50, 199):
+        words = _philox_words(keys, -(-n // 4))
+        assert words.shape == (len(keys), 4 * -(-n // 4))
+        assert words.dtype == np.uint64
+        for key, row in zip(keys, words):
+            want = np.random.Philox(key=key).random_raw(n)
+            assert row[:n].tolist() == want.tolist(), (key, n)
 
 
 class _CountingGenerator(np.random.Generator):

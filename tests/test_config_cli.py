@@ -491,15 +491,15 @@ codes = [geomgate.cli.main([cmd, "--config", path, "--out", out])
                                    sys.argv[3::3])]
 print(codes)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("numpy.random" in sys.modules)
 """
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    # SciPy serves only the test oracles; a fresh interpreter (this one has
-    # imported SciPy through other tests) must run every command without it
-    docs = {"synth": {"synth": {"gate": "H"}},
-            "qpt": {"qpt": {"gates": ["H"]}},
-            "rb": {"rb": {"lengths": [1, 2, 4], "randomizations": 2}}}
+def _run_fresh(tmp_path, docs):
+    """Run each ``{command: config entries}`` of ``docs`` through
+    ``cli.main`` in one fresh interpreter; return the lines it prints: the
+    exit codes, the SciPy modules loaded and whether numpy.random was."""
+    tmp_path.mkdir(exist_ok=True)
     argv = []
     for cmd, extra in docs.items():
         path = _write_config(tmp_path, extra, name=f"{cmd}.json")
@@ -511,9 +511,31 @@ def test_cli_runs_without_scipy(tmp_path):
                           env=env, cwd=tmp_path, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = proc.stdout.splitlines()[-2:]
+    return proc.stdout.splitlines()[-3:]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # SciPy serves only the test oracles; a fresh interpreter (this one has
+    # imported SciPy through other tests) must run every command without it
+    docs = {"synth": {"synth": {"gate": "H"}},
+            "qpt": {"qpt": {"gates": ["H"]}},
+            "rb": {"rb": {"lengths": [1, 2, 4], "randomizations": 2}}}
+    codes, scipy_modules, _ = _run_fresh(tmp_path, docs)
     assert codes == "[0, 0, 0]"
     assert scipy_modules == "[]"
+
+
+def test_exact_runs_never_load_numpy_random(tmp_path):
+    # exact QPT samples nothing, and exact RB draws its indices with its
+    # own Philox kernel (only a rejected draw, p = 3.7e-9, would load
+    # numpy.random to redraw its stream); shot sampling loads it
+    rb = {"lengths": [1, 2, 4], "randomizations": 2}
+    codes, _, loaded = _run_fresh(tmp_path / "exact", {
+        "qpt": {"qpt": {"gates": ["H"]}}, "rb": {"rb": rb}})
+    assert (codes, loaded) == ("[0, 0]", "False")
+    codes, _, loaded = _run_fresh(tmp_path / "shots",
+                                  {"rb": {"mode": "shots:16", "rb": rb}})
+    assert (codes, loaded) == ("[0]", "True")
 
 
 def test_cli_selftest_passes(capsys):
