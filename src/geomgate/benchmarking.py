@@ -471,28 +471,34 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
 
     Each target is a gate name, or a ``(name, superop)`` pair whose superop,
     when not None, overrides the gate's compiled channel (e.g. a synthetic
-    depolarizing stub). Gates compile with the default T and dt unless
-    ``channels``, a cache for the same ``device``, says otherwise. Every
-    curve runs the same sampled sequences, drawn once per (length,
-    randomization). Returns ``(curve, fit, result)`` for the reference,
-    then for each target in order.
+    depolarizing stub). A named target whose angles, rounded to 12
+    decimals, are those of its own Clifford element (H, Rx(pi) and Ry(pi)
+    are a few ulp off) runs that element's channel; any other runs its own
+    pulse, as Rz(pi) = (0, 0, pi) does. Gates compile with the default T
+    and dt unless ``channels``, a cache for the same ``device``, says
+    otherwise. Every curve runs the same sampled sequences, drawn once per
+    (length, randomization). Returns ``(curve, fit, result)`` for the
+    reference, then for each target in order.
     """
     channels = cache_for(device, channels)
     targets = [(t, None) if isinstance(t, str) else tuple(t) for t in targets]
     specs = [named_gate(name) for name, _ in targets]
-    # one stack, Cliffords first: a target that is a Clifford (H, Rx(pi),
-    # Ry(pi)) then shares its element's channel through the rounded key
-    channels.prefetch([element.spec for element in clifford_group()]
-                      + [spec for spec, (_, sop) in zip(specs, targets)
-                         if sop is None])
-    sops = [channels.for_spec(spec) if sop is None else sop
-            for spec, (_, sop) in zip(specs, targets)]
     target_indices = np.array(
         [0] + [clifford_index_of(axis_angle_unitary(s)) for s in specs],
         dtype=np.intp)
-    curves = _run_curves(config, channels.clifford_table(),
-                         readout_model(device, config.shots), sops,
-                         target_indices)
+    cliffords = [element.spec for element in clifford_group()]
+
+    def rounded(spec):
+        return [round(a, 12) for a in (spec.theta, spec.phi, spec.gamma)]
+    runs = [cliffords[k] if rounded(spec) == rounded(cliffords[k]) else spec
+            for spec, k in zip(specs, target_indices[1:])]
+    sops = channels.stack(cliffords + [spec for spec, (_, sop)
+                                       in zip(runs, targets) if sop is None])
+    compiled = iter(sops[_N_CLIFFORD:])
+    curves = _run_curves(config, sops[:_N_CLIFFORD],
+                         readout_model(device, config.shots),
+                         [next(compiled) if sop is None else sop
+                          for _, sop in targets], target_indices)
     weighted = config.shots is not None
     (curve, fit), *rest = [(c, fit_decay(c, weighted)) for c in curves]
     return [(curve, fit, RbResult.from_fits(fit))] + [
@@ -509,21 +515,12 @@ def run_reference_rb(config: RbConfig, device: DeviceParams | None = None,
 
 def run_interleaved_rb(config: RbConfig, target: str,
                        device: DeviceParams | None = None,
-                       reference: DecayFit | None = None,
                        target_superop: np.ndarray | None = None,
                        channels: GateChannelCache | None = None
                        ) -> tuple[DecayCurve, DecayFit, RbResult]:
     """Interleaved RB of gate ``target``: the ``run_rb`` entry of that one
-    target, whose superop ``target_superop`` overrides when not None.
-
-    The result derives F_g from ``reference`` when given, and otherwise
-    from the reference curve of the same batch.
-    """
-    _, (curve, fit, result) = run_rb(config, [(target, target_superop)],
-                                     device, channels)
-    if reference is not None:
-        result = RbResult.from_fits(reference, fit)
-    return curve, fit, result
+    target, whose superop ``target_superop`` overrides when not None."""
+    return run_rb(config, [(target, target_superop)], device, channels)[1]
 
 
 # ---------------------------------------------------------------------------

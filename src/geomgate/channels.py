@@ -17,7 +17,7 @@ from .errors import NonPhysicalChannel
 from .evolution import (I4, DeviceParams, _segments_of, lindblad_rk4_steps,
                         schedule_propagator)
 from .pulse import synthesize
-from .qcore import GateSpec, clifford_group
+from .qcore import GateSpec
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ def check_physical(sops: np.ndarray, specs) -> None:
 class GateChannelCache:
     """Memoized gate -> superoperator compilation for a fixed noise model.
 
-    Channels are keyed by the rounded spec angles; the first spec compiled
-    under a key supplies the channel for every later spec with that key.
+    Channels are memoized by the ``GateSpec`` itself, so a spec always gets
+    the channel of its own pulse, whatever the cache compiled before it.
     """
 
     def __init__(self, noise=None, segment_duration: float = 10.0,
@@ -143,38 +143,23 @@ class GateChannelCache:
         self.noise = noise
         self.segment_duration = segment_duration
         self.dt = dt
-        self._by_key: dict[tuple, np.ndarray] = {}
+        self._by_spec: dict[GateSpec, np.ndarray] = {}
 
-    @staticmethod
-    def _key(spec: GateSpec) -> tuple:
-        return (round(spec.theta, 12), round(spec.phi, 12), round(spec.gamma, 12))
-
-    def prefetch(self, specs) -> None:
-        """Compile every spec not yet cached, in order, as one stack."""
-        missing: dict[tuple, GateSpec] = {}
-        for spec in specs:
-            key = self._key(spec)
-            if key not in self._by_key:
-                missing.setdefault(key, spec)
+    def stack(self, specs) -> np.ndarray:
+        """The (len(specs), 4, 4) channels of ``specs``, in order; the specs
+        not yet cached compile first, as one stack."""
+        specs = list(specs)
+        missing = list(dict.fromkeys(spec for spec in specs
+                                     if spec not in self._by_spec))
         if missing:
-            specs = list(missing.values())
             # a stiff device overflows the compile; check_physical says so
             # once instead of numpy warning at every step
             with np.errstate(over="ignore", invalid="ignore"):
-                sops = gate_superops(specs, self.noise,
+                sops = gate_superops(missing, self.noise,
                                      self.segment_duration, self.dt)
-            check_physical(sops, specs)
-            self._by_key.update(zip(missing, sops))
-
-    def for_spec(self, spec: GateSpec) -> np.ndarray:
-        self.prefetch([spec])
-        return self._by_key[self._key(spec)]
-
-    def clifford_table(self) -> np.ndarray:
-        """(24, 4, 4) channels of the Clifford group in canonical order."""
-        specs = [element.spec for element in clifford_group()]
-        self.prefetch(specs)
-        return np.array([self.for_spec(s) for s in specs])
+            check_physical(sops, missing)
+            self._by_spec.update(zip(missing, sops))
+        return np.array([self._by_spec[spec] for spec in specs])
 
 
 def cache_for(noise, channels: GateChannelCache | None) -> GateChannelCache:

@@ -72,7 +72,7 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.qpt is None:
         raise ConfigError("config has no qpt section")
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
-    cache.prefetch(tomography.qpt_specs(cfg.qpt.gates, cfg.device))
+    cache.stack(tomography.qpt_specs(cfg.qpt.gates, cfg.device))
     results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
                                   seed=cfg.seed, channels=cache)
                for name in cfg.qpt.gates]
@@ -149,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        if name == "selftest":
-            continue
-        p.add_argument("--out", default=None,
-                       help="output directory (default $GEOMGATE_OUT or ./geomgate_out)")
-        p.add_argument("--mode", default=None,
-                       help="override the config mode: exact | shots:<n>")
+        if name != "selftest":
+            p.add_argument("--out", default=None, help="output directory "
+                           "(default $GEOMGATE_OUT or ./geomgate_out)")
+        if name in ("qpt", "rb"):
+            p.add_argument("--mode", default=None,
+                           help="override the config mode: exact | shots:<n>")
     return parser
 
 
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
             return cmd_selftest(seed)
-        if args.mode is not None:
+        if getattr(args, "mode", None) is not None:
             cfg = dataclasses.replace(cfg, shots=parse_mode(args.mode))
         outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
         command = {"synth": cmd_synth, "qpt": cmd_qpt, "rb": cmd_rb}[args.command]

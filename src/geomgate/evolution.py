@@ -171,10 +171,12 @@ def _step_samples(segments, counts):
 
 
 def lindblad_generator(h: np.ndarray, gamma1: float, gamma_phi: float) -> np.ndarray:
-    """4x4 generator L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
+    """4x4 generator L with d vec(rho)/dt = L vec(rho) (row-major vec); a
+    (G, 2, 2) stack of Hamiltonians ``h`` gives a (G, 4, 4) stack."""
     sm = SIGMA_MINUS
     pe = sm.conj().T @ sm
-    gen = -1j * (np.kron(h, np.eye(2)) - np.kron(np.eye(2), h.T))
+    gen = -1j * (np.kron(h, np.eye(2))
+                 - np.kron(np.eye(2), np.swapaxes(h, -1, -2)))
     if gamma1:
         gen = gen + gamma1 * (np.kron(sm, sm.conj())
                               - 0.5 * (np.kron(pe, np.eye(2))
@@ -222,12 +224,8 @@ def lindblad_rk4_steps(y: np.ndarray, seg_lists, device: DeviceParams | None,
         w_half = np.empty((n, len(segs), 1, 1))
         for g, seg in enumerate(segs):
             w_full[:, g, 0, 0], w_half[:, g, 0, 0] = _envelope_grid(seg, n, h)
-        # lindblad_generator's drive term for the stack of _drive_matrix
-        cos = np.array([math.cos(seg.phase_offset) for seg in segs])
-        sin = np.array([math.sin(seg.phase_offset) for seg in segs])
-        ham = cos[:, None, None] * SIGMA_X + sin[:, None, None] * SIGMA_Y
-        l_drive = -1j * (np.kron(ham, np.eye(2))
-                         - np.kron(np.eye(2), ham.transpose(0, 2, 1)))
+        l_drive = lindblad_generator(
+            np.array([_drive_matrix(seg) for seg in segs]), 0.0, 0.0)
         for start in range(0, n, _CHUNK):
             m = min(_CHUNK, n - start)
             l_full = l_full_buf[:m + 1]

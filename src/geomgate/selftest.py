@@ -42,7 +42,7 @@ def _random_spec(rng) -> qcore.GateSpec:
                           rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
 
 
-def _suite_pauli(seed, hooks):
+def _suite_pauli(seed):
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
@@ -55,7 +55,7 @@ def _suite_pauli(seed, hooks):
             assert np.allclose(got, want, atol=1e-14), f"sigma_{i} sigma_{j}"
 
 
-def _suite_axis_angle(seed, hooks):
+def _suite_axis_angle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         spec = _random_spec(rng)
@@ -65,12 +65,10 @@ def _suite_axis_angle(seed, hooks):
         assert d < 1e-10, f"round trip distance {d}"
 
 
-def _suite_clifford(seed, hooks):
+def _suite_clifford(seed):
     group = qcore.clifford_group()
     assert len(group) == 24, "group size"
     mats = np.array([e.unitary for e in group])
-    if hooks.get("corrupt_clifford"):
-        mats[5] = qcore.axis_angle_unitary(qcore.GateSpec(0.2, 0.1, 0.3))
     for i in range(24):
         # phase distance 1 - |Tr(P^dag M)| / 2 of every product P = M_i M_j
         # to every element M, nearest element per j
@@ -83,7 +81,7 @@ def _suite_clifford(seed, hooks):
         assert d < 1e-10, f"inverse fails at {i}"
 
 
-def _suite_synthesis(seed, hooks):
+def _suite_synthesis(seed):
     for name in qcore.GATE_NAMES:
         spec = qcore.named_gate(name)
         prop = evolution.schedule_propagator(pulse.synthesize(spec, 10.0))
@@ -91,7 +89,7 @@ def _suite_synthesis(seed, hooks):
         assert d < 1e-10, f"{name}: distance {d}"
 
 
-def _suite_integrator(seed, hooks):
+def _suite_integrator(seed):
     rng = np.random.default_rng(seed + 1)
     for _ in range(5):
         spec = _random_spec(rng)
@@ -107,7 +105,7 @@ def _suite_integrator(seed, hooks):
         assert geo_err < 1e-6, "geometric phase"
 
 
-def _suite_lindblad(seed, hooks):
+def _suite_lindblad(seed):
     device = evolution.DeviceParams.default_xmon()
     idle = [pulse.PulseSegment(duration=50.0, peak_amplitude=0.0,
                                phase_offset=0.0)]
@@ -120,13 +118,13 @@ def _suite_lindblad(seed, hooks):
     assert np.abs(traces - 1.0).max() < 1e-9, "trace conservation"
 
 
-def _suite_qpt(seed, hooks):
+def _suite_qpt(seed):
     for name in ("H", "Rx(pi/2)"):
         res = tomography.run_qpt(name)
         assert abs(res.fidelity - 1.0) < 1e-6, f"{name}: F={res.fidelity}"
 
 
-def _suite_rb(seed, hooks):
+def _suite_rb(seed):
     cfg = benchmarking.RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
                                 seed=seed)
     _, fit, _ = benchmarking.run_reference_rb(cfg, None)
@@ -137,7 +135,7 @@ def _suite_rb(seed, hooks):
     assert abs(fit.p - (1.0 - lam)) < 1e-4, "depolarizing equivalence"
 
 
-def _suite_fitter(seed, hooks):
+def _suite_fitter(seed):
     m = tuple(range(1, 51))
     vals = 0.5 * np.power(0.99, m) + 0.5
     curve = benchmarking.DecayCurve(lengths=m, means=vals,
@@ -147,7 +145,7 @@ def _suite_fitter(seed, hooks):
     assert abs(fit.p - 0.99) < 1e-6, "fitter recovery"
 
 
-def _suite_readout(seed, hooks):
+def _suite_readout(seed):
     model = tomography.ReadoutModel(0.98, 0.936)
     p = np.array([0.3, 0.7])
     round_trip = model.correct(model.apply(p))
@@ -168,12 +166,12 @@ SUITES = (
 )
 
 
-def run_selftest(seed: int = 0, **hooks) -> SelftestReport:
-    """Run every suite; hooks (e.g. corrupt_clifford=True) inject faults."""
+def run_selftest(seed: int = 0) -> SelftestReport:
+    """Run every suite and report one line per suite."""
     report = SelftestReport()
     for name, fn in SUITES:
         try:
-            fn(seed, hooks)
+            fn(seed)
         except AssertionError as err:
             report.failures += 1
             report.lines.append(f"FAIL {name}: {err}")

@@ -204,14 +204,12 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     shots = _shots(shots)
     spec, *prep_specs = qpt_specs([gate], device)
     channels = cache_for(device, channels)
-    channels.prefetch([spec, *prep_specs])
-    gate_sop = channels.for_spec(spec)
+    gate_sop, *prep_sops = channels.stack([spec, *prep_specs])
 
     ideal_inputs = [density_of(psi) for psi in prepare_input_states()]
     if device is not None:
         rho0 = vec(density_of(KET0))
-        actual_inputs = [unvec(channels.for_spec(p) @ rho0)
-                         for p in prep_specs]
+        actual_inputs = [unvec(sop @ rho0) for sop in prep_sops]
     else:
         actual_inputs = ideal_inputs
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geomgate.benchmarking import (DecayCurve, DecayFit, RbConfig, RbResult,
-                                   fit_decay, run_interleaved_rb,
+                                   fit_decay, run_interleaved_rb, run_rb,
                                    run_reference_rb, sample_sequence)
 from geomgate.channels import (GateChannelCache, depolarizing_superop,
                                unitary_superop)
@@ -165,12 +165,8 @@ def test_criterion_07_interleaved_rb():
     # device-limited interleaved RB over the full gate set
     cache = GateChannelCache(DEVICE)
     ref_cfg = RbConfig(sequence_lengths=DENSE_LENGTHS, randomizations=50, seed=2)
-    _, ref_fit, _ = run_reference_rb(ref_cfg, DEVICE, channels=cache)
-    fgs = []
-    for name in GATE_NAMES:
-        _, _, res = run_interleaved_rb(ref_cfg, name, DEVICE,
-                                       reference=ref_fit, channels=cache)
-        fgs.append(res.F_g)
+    _, *interleaved = run_rb(ref_cfg, GATE_NAMES, DEVICE, channels=cache)
+    fgs = [res.F_g for _, _, res in interleaved]
     mean = float(np.mean(fgs))
     assert 0.994 <= mean <= 0.999, f"mean F_g {mean}"
     elapsed = time.perf_counter() - start

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 
@@ -449,12 +448,12 @@ def _plain_samples(config, channels, device, target=None):
     """Survival samples of every sequence, one sequence and one gate at a time.
 
     ``target`` is None for reference RB, or the (name, superop) pair of the
-    gate interleaved after every Clifford. Channels come from ``for_spec``
-    per gate and act as one matvec each; the recovery is folded by scalar
-    table lookups; the shot sample is drawn from the sequence's own stream
-    right after its Clifford indices.
+    gate interleaved after every Clifford. Clifford channels come from one
+    ``stack`` of the group and act as one matvec each; the recovery is
+    folded by scalar table lookups; the shot sample is drawn from the
+    sequence's own stream right after its Clifford indices.
     """
-    group = clifford_group()
+    table = channels.stack([element.spec for element in clifford_group()])
     compose, inverse = clifford_tables()
     if target is not None:
         name, target = target
@@ -468,12 +467,12 @@ def _plain_samples(config, channels, device, target=None):
             acc = 0
             v = density_of(KET0).reshape(4)
             for idx in rng.integers(0, 24, size=m):
-                v = channels.for_spec(group[idx].spec) @ v
+                v = table[idx] @ v
                 acc = int(compose[idx, acc])
                 if target is not None:
                     v = target @ v
                     acc = int(compose[target_index, acc])
-            v = channels.for_spec(group[int(inverse[acc])].spec) @ v
+            v = table[int(inverse[acc])] @ v
             p0 = float(v[0].real)
             if config.shots is None:
                 if -1e-9 < p0 < 0.0:
@@ -491,6 +490,20 @@ def _plain_samples(config, channels, device, target=None):
     return samples
 
 
+def _target_channel(channels, name):
+    """The channel ``run_rb`` interleaves for target H or Rz(pi): H, a few
+    ulp from its Clifford element, runs that element's channel; Rz(pi) is
+    no element's angles and runs its own pulse."""
+    spec = named_gate(name)
+    if name == "H":
+        k = clifford_index_of(axis_angle_unitary(spec))
+        spec = clifford_group()[k].spec
+        assert spec != named_gate(name)
+    else:
+        assert name == "Rz(pi)"
+    return channels.stack([spec])[0]
+
+
 def _assert_curve_equals_plain(curve, samples):
     assert len(curve.samples) == len(samples)
     for got, want in zip(curve.samples, samples):
@@ -506,11 +519,11 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
     curve, ref_fit, _ = run_reference_rb(cfg, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(cfg, cache, device))
 
-    # H shares its Clifford's cache key; Rz(pi) compiles its own pulse
+    # by the target rule, H runs its Clifford's channel and Rz(pi) its own
+    # pulse
     for name in ("H", "Rz(pi)"):
-        icurve, _, _ = run_interleaved_rb(cfg, name, device,
-                                          reference=ref_fit, channels=cache)
-        target = (name, cache.for_spec(named_gate(name)))
+        icurve, _, _ = run_interleaved_rb(cfg, name, device, channels=cache)
+        target = (name, _target_channel(cache, name))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
 
@@ -532,7 +545,7 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
     assert runs[0][1].p == ref_fit.p
     for target, (icurve, ifit, iresult) in zip(targets, runs[1:]):
         if isinstance(target, str):
-            target = (target, cache.for_spec(named_gate(target)))
+            target = (target, _target_channel(cache, target))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
         assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
@@ -544,17 +557,11 @@ def test_interleaved_rb_equals_its_run_rb_entry(device):
     cache = GateChannelCache(device)
     (_, ref_fit, _), _, (curve, fit, result) = run_rb(
         cfg, ["Rz(pi)", "H"], device, channels=cache)
-    icurve, ifit, iresult = run_interleaved_rb(
-        cfg, "H", device, reference=ref_fit, channels=cache)
+    icurve, ifit, iresult = run_interleaved_rb(cfg, "H", device,
+                                               channels=cache)
     assert np.array_equal(icurve.means, curve.means)
     assert np.array_equal(icurve.stderrs, curve.stderrs)
     assert ifit == fit and iresult == result
-    # another reference fit: F_g is taken against that fit
-    other = dataclasses.replace(ref_fit, p=ref_fit.p - 1e-3)
-    _, _, oresult = run_interleaved_rb(cfg, "H", device, reference=other,
-                                       channels=cache)
-    assert oresult == RbResult.from_fits(other, fit)
-    assert oresult.F_g != result.F_g
 
 
 # ---------------------------------------------------------------------------

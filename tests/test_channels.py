@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from geomgate import channels
 from geomgate.benchmarking import RbConfig, run_rb
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                check_physical, depolarizing_superop, gate_superop,
@@ -90,26 +91,62 @@ def test_gate_superop_dispatch(rng, device):
         gate_superop(spec, noise="bad")
 
 
-def test_cache_returns_same_object(device):
+def test_cache_compiles_each_spec_once(monkeypatch, device):
+    calls = []
+
+    def counting(specs, *args):
+        calls.append(list(specs))
+        return gate_superops(specs, *args)
+
+    monkeypatch.setattr(channels, "gate_superops", counting)
     cache = GateChannelCache(device)
-    spec = GateSpec(0.3, 0.2, 1.0)
-    assert cache.for_spec(spec) is cache.for_spec(spec)
+    spec, named_h = GateSpec(0.3, 0.2, 1.0), named_gate("H")
+    first = cache.stack([spec, named_h, spec])
+    assert first.shape == (3, 4, 4)
+    assert calls == [[spec, named_h]]
+    # a second stack of the same specs compiles nothing
+    second = cache.stack([named_h, spec])
+    assert calls == [[spec, named_h]]
+    assert np.array_equal(second, first[[1, 0]])
 
 
-def test_cache_clifford_table_and_first_spec_wins(device):
-    cache = GateChannelCache(device)
+def test_cache_stack_ignores_what_it_held(device):
+    group = [element.spec for element in clifford_group()]
+    fresh = gate_superops(group, device)
     named_h = named_gate("H")
-    cache.prefetch([named_h])
-    table = cache.clifford_table()
-    assert table.shape == (24, 4, 4)
-    group = clifford_group()
-    for k in (0, 7, 23):
-        assert np.array_equal(table[k], cache.for_spec(group[k].spec))
     # the H Clifford's angles differ from the named spec's by a few ulp;
-    # it shares the rounded key, so it reuses the named pulse
+    # each runs its own pulse, whichever the cache compiled first
     h = clifford_index_of(axis_angle_unitary(named_h))
-    assert group[h].spec != named_h
-    assert np.array_equal(table[h], cache.for_spec(named_h))
+    assert group[h] != named_h
+    for held in ([], [named_h], group[:5] + [named_h]):
+        cache = GateChannelCache(device)
+        cache.stack(held)
+        table = cache.stack(group + [named_h])
+        assert table.shape == (25, 4, 4)
+        assert np.array_equal(table[:24], fresh)
+        assert np.array_equal(table[24], gate_superops([named_h], device)[0])
+    assert not np.array_equal(table[h], table[24])
+
+
+def test_results_do_not_depend_on_what_the_cache_ran_before(device):
+    config = RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=4, seed=2)
+    targets = ["H", "Rx(pi)"]
+    fresh_rb = run_rb(config, targets, device,
+                      channels=GateChannelCache(device))
+    shared = GateChannelCache(DeviceParams.default_xmon())
+    run_qpt("H", device=device, channels=shared)
+    run_qpt("Rx(pi)", device=device, channels=shared)
+    after_qpt = run_rb(config, targets, device, channels=shared)
+    for (curve, fit, result), (want, want_fit, want_result) in zip(
+            after_qpt, fresh_rb, strict=True):
+        assert np.array_equal(curve.means, want.means)
+        assert fit == want_fit and result == want_result
+    fresh_qpt = run_qpt("H", device=device, channels=GateChannelCache(device))
+    shared = GateChannelCache(DeviceParams.default_xmon())
+    run_rb(config, targets, device, channels=shared)
+    after_rb = run_qpt("H", device=device, channels=shared)
+    assert np.array_equal(after_rb.chi, fresh_qpt.chi)
+    assert after_rb.fidelity == fresh_qpt.fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +202,8 @@ def test_physical_channel_check(device):
 def test_cache_refuses_diverged_compile():
     cache = GateChannelCache(DeviceParams(T1_us=1e-6, T2_star_us=10.0))
     with np.errstate(all="ignore"), pytest.raises(NonPhysicalChannel):
-        cache.prefetch([named_gate("H")])
-    assert not cache._by_key
+        cache.stack([named_gate("H")])
+    assert not cache._by_spec
 
 
 def test_protocols_refuse_a_cache_for_another_noise_model(device):
@@ -179,7 +216,7 @@ def test_protocols_refuse_a_cache_for_another_noise_model(device):
             run_qpt("H", device=noise, channels=cache)
         with pytest.raises(ValueError, match="channel cache"):
             run_rb(config, ["H"], noise, channels=cache)
-        assert not cache._by_key  # refused before any compile
+        assert not cache._by_spec  # refused before any compile
     # an equal device is the same noise model, and the cache sets dt
     cache = GateChannelCache(DeviceParams.default_xmon(), 10.0, 0.02)
     assert (run_qpt("H", device=device, channels=cache).fidelity

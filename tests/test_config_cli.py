@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomgate import benchmarking, cli
+from geomgate import benchmarking, cli, qcore
 from geomgate.config import (config_from_dict, config_to_dict, load_config,
                              mode_string, parse_mode)
 from geomgate.errors import ConfigError
@@ -554,6 +554,18 @@ def test_cli_selftest_takes_no_out_or_mode(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_synth_takes_no_mode(tmp_path, capsys):
+    # synth samples nothing, so a mode would only relabel its report
+    path = _write_config(tmp_path, {"synth": {"gate": "H"}})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--config", str(path), "--out", str(out),
+                  "--mode", "exact"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
     from geomgate.selftest import SelftestReport
 
@@ -573,8 +585,13 @@ def test_selftest_deterministic_hash():
     assert a.text == b.text
 
 
-def test_selftest_corrupted_clifford_table_fails():
-    report = run_selftest(seed=0, corrupt_clifford=True)
+def test_selftest_corrupted_clifford_table_fails(monkeypatch):
+    # element 5 of the group the suite checks carries another gate's unitary
+    group = qcore.clifford_group()
+    bad = qcore.axis_angle_unitary(qcore.GateSpec(0.2, 0.1, 0.3))
+    group[5] = dataclasses.replace(group[5], unitary=bad)
+    monkeypatch.setattr(qcore, "clifford_group", lambda: group)
+    report = run_selftest(seed=0)
     assert not report.all_passed
     # the first failing product in row-major order, as a pair-by-pair scan
     # of the corrupted list finds it
