@@ -13,8 +13,6 @@ completely positive).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,9 +21,9 @@ import numpy as np
 
 from . import benchmarking, evolution, pulse, tomography
 from .channels import GateChannelCache
-from .config import (ExperimentConfig, config_to_dict, gate_slug,
-                     load_config, parse_mode)
+from .config import ExperimentConfig, config_to_dict, gate_slug, load_config
 from .errors import ConfigError, GeomgateError
+from .pulse import _write_json
 from .qcore import axis_eigenstates
 from .selftest import run_selftest
 
@@ -33,12 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_INVARIANT = 4
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
@@ -72,13 +64,13 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.qpt is None:
         raise ConfigError("config has no qpt section")
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
-    cache.stack(tomography.qpt_specs(cfg.qpt.gates, cfg.device))
+    cache.stack(tomography.qpt_specs(cfg.qpt, cfg.device))
     results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
                                   seed=cfg.seed, channels=cache)
-               for name in cfg.qpt.gates]
+               for name in cfg.qpt]
 
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, result in zip(cfg.qpt.gates, results):
+    for name, result in zip(cfg.qpt, results):
         payload = tomography.qpt_report(result, gate_name=name)
         payload["config"] = config_to_dict(cfg)
         slug = gate_slug(name)
@@ -88,7 +80,7 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
     fidelities = [result.fidelity for result in results]
     avg = float(np.mean(fidelities))
     _write_json({"config": config_to_dict(cfg),
-                 "gates": list(cfg.qpt.gates),
+                 "gates": list(cfg.qpt),
                  "fidelities": fidelities,
                  "average_fidelity": avg},
                 outdir / "qpt_summary.json")
@@ -99,14 +91,9 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
 def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.rb is None:
         raise ConfigError("config has no rb section")
-    section = cfg.rb
-    base = benchmarking.RbConfig(sequence_lengths=section.lengths,
-                                 randomizations=section.randomizations,
-                                 shots=cfg.shots, seed=cfg.seed,
-                                 readout_correction=section.readout_correction)
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
     (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
-        base, section.interleaved, cfg.device, channels=cache)
+        cfg.rb.config, cfg.rb.interleaved, cfg.device, channels=cache)
 
     outdir.mkdir(parents=True, exist_ok=True)
     benchmarking.decay_to_csv(curve, outdir / "rb_reference.csv")
@@ -117,7 +104,7 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
           f"F_avg={ref_result.F_avg:.6f} converged={ref_fit.converged}")
 
     diverged = not ref_fit.converged
-    for target, (icurve, ifit, iresult) in zip(section.interleaved,
+    for target, (icurve, ifit, iresult) in zip(cfg.rb.interleaved,
                                                 interleaved):
         slug = gate_slug(target)
         benchmarking.decay_to_csv(icurve, outdir / f"rb_interleaved_{slug}.csv")
@@ -145,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("synth", "qpt", "rb", "selftest"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name != "selftest",
-                       help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="random seed, in place of the config's")
         if name != "selftest":
+            p.add_argument("--config", required=True,
+                           help="path to the JSON experiment config")
             p.add_argument("--out", default=None, help="output directory "
                            "(default $GEOMGATE_OUT or ./geomgate_out)")
         if name in ("qpt", "rb"):
@@ -163,16 +150,9 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg = None
-        if args.config is not None:
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.command == "selftest":
-            seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-            return cmd_selftest(seed)
-        if getattr(args, "mode", None) is not None:
-            cfg = dataclasses.replace(cfg, shots=parse_mode(args.mode))
+            return cmd_selftest(args.seed or 0)
+        cfg = load_config(args.config, args.seed, getattr(args, "mode", None))
         outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
         command = {"synth": cmd_synth, "qpt": cmd_qpt, "rb": cmd_rb}[args.command]
         return command(cfg, outdir)

@@ -14,7 +14,8 @@ import re
 from dataclasses import asdict, dataclass, fields
 
 from .benchmarking import DEFAULT_LENGTHS, RbConfig
-from .errors import ConfigError, UnknownGateName, _seed
+from .errors import (ConfigError, UnknownGateName, _seed, mode_string,
+                     parse_mode)
 from .evolution import DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
 
@@ -26,16 +27,9 @@ class SynthSection:
 
 
 @dataclass(frozen=True)
-class QptSection:
-    gates: tuple[str, ...] = GATE_NAMES
-
-
-@dataclass(frozen=True)
 class RbSection:
-    lengths: tuple[int, ...] = DEFAULT_LENGTHS
-    randomizations: int = 50
-    interleaved: tuple[str, ...] = ()
-    readout_correction: bool = True
+    config: RbConfig
+    interleaved: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -46,32 +40,8 @@ class ExperimentConfig:
     shots: int | None = None
     seed: int = 0
     synth: SynthSection | None = None
-    qpt: QptSection | None = None
+    qpt: tuple[str, ...] | None = None
     rb: RbSection | None = None
-
-
-DEFAULT_SHOTS = 4096
-
-
-def parse_mode(text) -> int | None:
-    """"exact" -> None; "shots:<n>" -> n; bare "shots" -> 4096."""
-    if text == "exact":
-        return None
-    if text == "shots":
-        return DEFAULT_SHOTS
-    if isinstance(text, str) and text.startswith("shots:"):
-        try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"invalid shot count in mode {text!r}") from None
-        if n < 1:
-            raise ConfigError(f"shot count must be >= 1, got {n}")
-        return n
-    raise ConfigError(f"mode must be 'exact' or 'shots:<n>', got {text!r}")
-
-
-def mode_string(shots: int | None) -> str:
-    return "exact" if shots is None else f"shots:{shots}"
 
 
 def _finite(value, what: str) -> float:
@@ -146,30 +116,48 @@ def _gate_list(names, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_qpt(data, where: str) -> QptSection:
+def _parse_qpt(data, where: str) -> tuple[str, ...]:
     _check_fields(data, {"gates"}, where)
     gates = _gate_list(data.get("gates", list(GATE_NAMES)), f"{where}: gates")
     if not gates:
         raise ConfigError(f"{where}: gates list is empty")
-    return QptSection(gates=gates)
+    return gates
 
 
-def _parse_rb(data, where: str) -> RbSection:
+def _parse_rb(data, where: str, shots: int | None, seed: int) -> RbSection:
     _check_fields(data, {"lengths", "randomizations", "interleaved",
                          "readout_correction"}, where)
     try:
         rb = RbConfig(sequence_lengths=data.get("lengths", DEFAULT_LENGTHS),
                       randomizations=data.get("randomizations", 50),
+                      shots=shots, seed=seed,
                       readout_correction=data.get("readout_correction", True))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
     if len(rb.sequence_lengths) < 3:
         raise ConfigError(f"{where}: need at least 3 sequence lengths to fit")
-    return RbSection(lengths=rb.sequence_lengths,
-                     randomizations=rb.randomizations,
-                     interleaved=_gate_list(data.get("interleaved", []),
-                                            f"{where}: interleaved"),
-                     readout_correction=rb.readout_correction)
+    return RbSection(rb, _gate_list(data.get("interleaved", []),
+                                    f"{where}: interleaved"))
+
+
+# RK4's step factor |1 + z + z^2/2 + z^3/6 + z^4/24| is <= 1 on the
+# half-disk Re z <= 0, |z| <= RK4_HALF_DISK (2.61558... by bisection)
+RK4_HALF_DISK = 2.6155
+
+
+def _check_step(device: DeviceParams, seg_t: float, dt: float,
+                where: str) -> None:
+    """Refuse a ``dt`` too coarse for RK4 on the Lindblad generator, whose
+    eigenvalues lie in the left half-plane within its 2-norm of 0. That
+    norm is at most 2 pi / T, the drive at the sin^2 envelope's peak Rabi
+    rate pi / T, plus the dissipator's norm."""
+    g1, gphi = device.gamma1_per_ns, device.gamma_phi_per_ns
+    largest = RK4_HALF_DISK / (2.0 * math.pi / seg_t
+                               + max(math.sqrt(2.0) * g1, 0.5 * g1 + gphi))
+    if dt > largest:
+        raise ConfigError(f"{where}: dt_ns = {dt} is too coarse for RK4 at "
+                          "the device's decay rates; the largest dt_ns that "
+                          f"passes is {largest}")
 
 
 def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
@@ -190,18 +178,22 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
                  if "synth" in data and data["synth"] is not None else None)
         qpt = (_parse_qpt(data["qpt"], f"{where}.qpt")
                if "qpt" in data and data["qpt"] is not None else None)
-        rb = (_parse_rb(data["rb"], f"{where}.rb")
+        rb = (_parse_rb(data["rb"], f"{where}.rb", shots, seed)
               if "rb" in data and data["rb"] is not None else None)
     except ConfigError:
         raise
     except Exception as err:
         raise ConfigError(f"{where}: {err}") from None
+    if device is not None and (qpt is not None or rb is not None):
+        _check_step(device, seg_t, dt, where)
     return ExperimentConfig(device=device, segment_duration_ns=seg_t,
                             dt_ns=dt, shots=shots, seed=seed,
                             synth=synth, qpt=qpt, rb=rb)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None,
+                mode: str | None = None) -> ExperimentConfig:
+    """The config at ``path``; ``seed`` and ``mode`` replace its own."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -213,6 +205,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    if seed is not None:
+        data["seed"] = seed
+    if mode is not None:
+        data["mode"] = mode
     return config_from_dict(data, where=str(path))
 
 
@@ -230,10 +226,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         out["synth"] = {"gate": cfg.synth.gate, "theta": spec.theta,
                         "phi": spec.phi, "gamma": spec.gamma}
     if cfg.qpt is not None:
-        out["qpt"] = {"gates": list(cfg.qpt.gates)}
+        out["qpt"] = {"gates": list(cfg.qpt)}
     if cfg.rb is not None:
-        out["rb"] = {"lengths": list(cfg.rb.lengths),
-                     "randomizations": cfg.rb.randomizations,
+        rb = cfg.rb.config
+        out["rb"] = {"lengths": list(rb.sequence_lengths),
+                     "randomizations": rb.randomizations,
                      "interleaved": list(cfg.rb.interleaved),
-                     "readout_correction": cfg.rb.readout_correction}
+                     "readout_correction": rb.readout_correction}
     return out

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import re
 
 
 class GeomgateError(Exception):
@@ -68,3 +69,19 @@ def _shots(value) -> int | None:
     if shots < 1:
         raise ValueError(f"shots must be >= 1 or None, got {shots}")
     return shots
+
+
+def parse_mode(text) -> int | None:
+    """The shot count of a mode: "exact" -> None, "shots:<n>" -> n, where
+    n >= 1 is written in ASCII digits with no sign, space or leading 0."""
+    if text == "exact":
+        return None
+    match = isinstance(text, str) and re.fullmatch(r"shots:([1-9][0-9]*)", text)
+    if not match:
+        raise ConfigError("mode must be 'exact' or 'shots:<n>' with n >= 1, "
+                          f"got {text!r}")
+    return int(match[1])
+
+
+def mode_string(shots: int | None) -> str:
+    return "exact" if shots is None else f"shots:{shots}"

@@ -124,7 +124,10 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
     }
 
 
-def save_schedule(schedule: PulseSchedule, path) -> None:
+def _write_json(payload: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def save_schedule(schedule: PulseSchedule, path) -> None:
+    _write_json(schedule_to_dict(schedule), path)

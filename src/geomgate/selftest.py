@@ -127,11 +127,10 @@ def _suite_qpt(seed):
 def _suite_rb(seed):
     cfg = benchmarking.RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
                                 seed=seed)
-    _, fit, _ = benchmarking.run_reference_rb(cfg, None)
+    _, fit, _ = benchmarking.run_rb(cfg, (), None)[0]
     assert 1.0 - fit.p < 1e-6, "noiseless RB decay"
     lam = 0.05
-    _, fit, _ = benchmarking.run_reference_rb(
-        cfg, channels.DepolarizingNoise(lam))
+    _, fit, _ = benchmarking.run_rb(cfg, (), channels.DepolarizingNoise(lam))[0]
     assert abs(fit.p - (1.0 - lam)) < 1e-4, "depolarizing equivalence"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GateChannelCache, cache_for, unvec, vec
-from .errors import SingularSystem, _seed, _shots
+from .errors import SingularSystem, _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
 from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
                     density_of, named_gate)
@@ -243,7 +243,7 @@ def qpt_report(result: QptResult, gate_name: str | None = None) -> dict:
         "theta": spec.theta,
         "phi": spec.phi,
         "gamma": spec.gamma,
-        "mode": "exact" if result.shots is None else f"shots:{result.shots}",
+        "mode": mode_string(result.shots),
         "shots": result.shots,
         "seed": result.seed,
         "chi_real": result.chi.real.tolist(),

@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomgate import benchmarking, cli, qcore
-from geomgate.config import (config_from_dict, config_to_dict, load_config,
-                             mode_string, parse_mode)
-from geomgate.errors import ConfigError
-from geomgate.evolution import DeviceParams
+from geomgate import benchmarking, channels, cli, config, qcore
+from geomgate.config import config_from_dict, config_to_dict, load_config
+from geomgate.errors import ConfigError, mode_string, parse_mode
+from geomgate.evolution import DeviceParams, lindblad_generator
 from geomgate.selftest import run_selftest
 
 PI = math.pi
@@ -46,9 +45,14 @@ def _write_config(tmp_path, extra, name="cfg.json", base=None):
 def test_parse_mode():
     assert parse_mode("exact") is None
     assert parse_mode("shots:4096") == 4096
-    assert parse_mode("shots") == 4096
     assert mode_string(None) == "exact"
     assert mode_string(128) == "shots:128"
+    # a mode has one spelling: a bare "shots" names no count, and a count
+    # is plain ASCII digits, so the report's mode string is the input's
+    for text in ("shots", "shots:0", "shots: 7", "shots:+5", "shots:007",
+                 "shots:1_000", "shots:\u0667", "shots:7\n", "Exact"):
+        with pytest.raises(ConfigError, match=r"'exact' or 'shots:<n>'"):
+            parse_mode(text)
     with pytest.raises(ConfigError):
         parse_mode("shots:abc")
     with pytest.raises(ConfigError):
@@ -142,8 +146,9 @@ def test_invalid_values_rejected(tmp_path):
                          str(tmp_path / "o")]) == 2
     section = config_from_dict({"rb": {"lengths": [2.0, 4, 8.0],
                                        "randomizations": 3.0}}).rb
-    assert section.lengths == (2, 4, 8) and section.randomizations == 3
-    assert all(type(m) is int for m in section.lengths)
+    lengths = section.config.sequence_lengths
+    assert lengths == (2, 4, 8) and section.config.randomizations == 3
+    assert all(type(m) is int for m in lengths)
 
 
 def test_top_level_numbers_checked_before_coercion(tmp_path):
@@ -259,6 +264,73 @@ def test_shipped_configs_load():
     assert [p.name for p in paths] == ["qpt_xmon.json", "rb_xmon.json"]
     for path in paths:
         load_config(path)
+
+
+def _rk4_factor(z):
+    return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+
+
+def test_rk4_factor_at_most_one_on_the_stated_half_disk():
+    r = config.RK4_HALF_DISK
+    angles = np.linspace(PI / 2, 3 * PI / 2, 100001)
+    arc = r * np.exp(1j * angles)
+    disk = np.linspace(0.0, r, 401)[:, None] * np.exp(1j * angles[::100])
+    axis = 1j * np.linspace(-r, r, 100001)
+    assert _rk4_factor(arc).max() <= 1.0
+    assert _rk4_factor(disk).max() <= 1.0 + 1e-15
+    # on the imaginary axis |R(iy)|^2 = 1 - y^6/72 + y^8/576, 1 to rounding
+    # near 0
+    assert _rk4_factor(axis).max() <= 1.0 + 1e-15
+    # and the radius is all but the largest: 1e-4 further out sticks out
+    assert _rk4_factor(arc * (1.0 + 1e-4)).max() > 1.0
+
+
+def test_step_bound_covers_the_generator_norm():
+    # 2 pi / T + max(sqrt 2 G1, G1 / 2 + Gphi) bounds the 2-norm of the
+    # Lindblad generator at the sin^2 envelope's peak Rabi rate pi / T
+    for t_ns, t1_us, t2_us in ((10.0, 19.0, 10.0), (10.0, 1e-3, 1e-2),
+                               (2.0, 1e-4, 1e-5), (50.0, 1e-5, 1e-3)):
+        device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
+        g1, gphi = device.gamma1_per_ns, device.gamma_phi_per_ns
+        bound = 2 * PI / t_ns + max(math.sqrt(2) * g1, g1 / 2 + gphi)
+        for phase in np.linspace(0.0, 2 * PI, 7):
+            h = PI / t_ns * (math.cos(phase) * qcore.PAULIS[1]
+                             + math.sin(phase) * qcore.PAULIS[2])
+            gen = lindblad_generator(h, g1, gphi)
+            assert np.linalg.norm(gen, 2) <= bound * (1 + 1e-12)
+        # config loading refuses a step just past RK4_HALF_DISK / bound
+        doc = {"device": {"T1_us": t1_us, "T2_star_us": t2_us},
+               "segment_duration_ns": t_ns, "qpt": {"gates": ["H"]}}
+        largest = config.RK4_HALF_DISK / bound
+        if largest < t_ns / 100:
+            with pytest.raises(ConfigError, match="largest dt_ns"):
+                config_from_dict({**doc, "dt_ns": largest * (1 + 1e-9)})
+            config_from_dict({**doc, "dt_ns": largest * (1 - 1e-9)})
+
+
+def test_stiff_step_refused_with_the_largest_passing_dt():
+    doc = {"device": {"T1_us": 1e-6, "T2_star_us": 10.0},
+           "segment_duration_ns": 10.0, "dt_ns": 0.01}
+    for section in ({"qpt": {"gates": ["H"]}}, {"rb": {}}):
+        with pytest.raises(ConfigError, match="largest dt_ns") as exc:
+            config_from_dict({**doc, **section})
+        largest = float(str(exc.value).rsplit(" ", 1)[1])
+        assert 0 < largest < 0.01
+        # the named step passes, the next float up does not
+        config_from_dict({**doc, **section, "dt_ns": largest})
+        with pytest.raises(ConfigError, match="largest dt_ns"):
+            config_from_dict({**doc, **section,
+                              "dt_ns": np.nextafter(largest, 1.0)})
+    # synth runs no Lindblad step, so it is not refused
+    config_from_dict({**doc, "synth": {"gate": "H"}})
+
+
+def test_default_device_passes_at_the_coarsest_step():
+    device = dataclasses.asdict(DeviceParams.default_xmon())
+    for t_ns in (0.5, 10.0, 200.0):
+        cfg = config_from_dict({"device": device, "segment_duration_ns": t_ns,
+                                "dt_ns": t_ns / 100, "qpt": {}, "rb": {}})
+        assert cfg.dt_ns == t_ns / 100
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +488,8 @@ def test_cli_non_physical_channel_exit_4(tmp_path, capsys):
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert cli.main(["qpt", "--config", str(path),
-                         "--out", str(out)]) == 4
-    assert "not finite" in capsys.readouterr().err
+                         "--out", str(out)]) == 2
+    assert "largest dt_ns that passes" in capsys.readouterr().err
     assert not (out / "qpt_summary.json").exists()
 
 
@@ -429,11 +501,45 @@ def test_cli_stiff_device_fails_quietly_and_writes_nothing(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["qpt", "--config", str(path),
-                         "--out", str(out)]) == 4
+                         "--out", str(out)]) == 2
     assert caught == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert "not finite" in err
+    assert "largest dt_ns that passes" in err
+    assert not out.exists()
+
+
+def test_cli_stiff_step_refused_before_any_compile(tmp_path, capsys,
+                                                   monkeypatch):
+    compiled = []
+    monkeypatch.setattr(channels, "gate_superops",
+                        lambda specs, *args: compiled.append(specs))
+    path = _write_config(tmp_path, {
+        "device": {"T1_us": 1e-6, "T2_star_us": 10.0},
+        "qpt": {"gates": ["H"]},
+        "rb": {"lengths": [1, 2, 4], "randomizations": 2}})
+    out = tmp_path / "out"
+    for cmd in ("qpt", "rb"):
+        assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "largest dt_ns that passes is 0.00184" in err
+    assert compiled == []
+    assert not out.exists()
+
+
+def test_cli_nan_channel_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                    monkeypatch):
+    # check_physical stays the backstop behind the step check
+    monkeypatch.setattr(
+        channels, "gate_superops",
+        lambda specs, *args: np.full((len(specs), 4, 4), np.nan, complex))
+    path = _write_config(tmp_path, {"qpt": {"gates": ["H"]}})
+    out = tmp_path / "out"
+    assert cli.main(["qpt", "--config", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "not finite" in err
     assert not out.exists()
 
 
@@ -445,6 +551,49 @@ def test_cli_mode_and_seed_overrides(tmp_path):
     report = json.loads((out / "qpt_h.json").read_text())
     assert report["shots"] == 256
     assert report["seed"] == 7
+
+
+def test_cli_rb_overrides_equal_the_same_config_values(tmp_path, capsys):
+    rb = {"lengths": [2, 8, 16, 32, 64, 96], "randomizations": 6,
+          "interleaved": ["H"]}
+    flagged = _write_config(tmp_path, {"rb": rb}, name="flagged.json")
+    written = _write_config(tmp_path, {"rb": rb, "mode": "shots:256",
+                                       "seed": 5}, name="written.json")
+    by_flag, by_file = tmp_path / "by_flag", tmp_path / "by_file"
+    assert cli.main(["rb", "--config", str(flagged), "--out", str(by_flag),
+                     "--mode", "shots:256", "--seed", "5"]) == 0
+    assert cli.main(["rb", "--config", str(written), "--out",
+                     str(by_file)]) == 0
+    names = sorted(p.name for p in by_file.iterdir())
+    assert sorted(p.name for p in by_flag.iterdir()) == names
+    for name in names:
+        assert (by_flag / name).read_bytes() == (by_file / name).read_bytes()
+    for name in ("rb_reference_fit.json", "rb_interleaved_h_fit.json"):
+        embedded = json.loads((by_flag / name).read_text())["config"]
+        assert (embedded["mode"], embedded["seed"]) == ("shots:256", 5)
+    # and the flags did change the run: the file's own values differ
+    assert cli.main(["rb", "--config", str(flagged), "--out",
+                     str(tmp_path / "own")]) == 0
+    assert ((tmp_path / "own" / "rb_reference.csv").read_bytes()
+            != (by_flag / "rb_reference.csv").read_bytes())
+
+
+def test_cli_invalid_mode_flag_is_the_config_error(tmp_path, capsys):
+    rb = {"lengths": [1, 2, 4], "randomizations": 2}
+    flagged = _write_config(tmp_path, {"rb": rb}, name="flagged.json")
+    written = _write_config(tmp_path, {"rb": rb, "mode": "shots"},
+                            name="written.json")
+    out = tmp_path / "o"
+    assert cli.main(["rb", "--config", str(written), "--out", str(out)]) == 2
+    from_file = capsys.readouterr().err
+    assert cli.main(["rb", "--config", str(flagged), "--out", str(out),
+                     "--mode", "shots"]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_file.startswith("config error:")
+    assert "'exact' or 'shots:<n>'" in from_file
+    assert (from_flag.replace("flagged.json", "")
+            == from_file.replace("written.json", ""))
+    assert not out.exists()
 
 
 def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys):
@@ -546,7 +695,9 @@ def test_cli_selftest_passes(capsys):
 
 
 def test_cli_selftest_takes_no_out_or_mode(tmp_path, capsys):
-    for flags in (["--mode", "exact"], ["--out", str(tmp_path / "o")]):
+    path = _write_config(tmp_path, {})
+    for flags in (["--mode", "exact"], ["--out", str(tmp_path / "o")],
+                  ["--config", str(path)]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["selftest", *flags])
         assert exc.value.code == 2
