@@ -70,6 +70,8 @@ class RbConfig:
             raise ValueError("sequence lengths must be positive")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("sequence lengths must be strictly increasing")
+        if len(lengths) < 3:
+            raise ValueError("need at least 3 sequence lengths to fit")
         if self.randomizations < 2:
             raise ValueError("need at least 2 randomizations per length")
 

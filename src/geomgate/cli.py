@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import benchmarking, evolution, pulse, tomography
 from .channels import GateChannelCache
-from .config import ExperimentConfig, config_to_dict, gate_slug, load_config
+from .config import ExperimentConfig, config_to_dict, load_config
 from .errors import ConfigError, GeomgateError
 from .pulse import _write_json
 from .qcore import axis_eigenstates
@@ -33,9 +34,12 @@ EXIT_FIT = 3
 EXIT_INVARIANT = 4
 
 
+def gate_slug(name: str) -> str:
+    """File-name slug of a gate name in the output files."""
+    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
+
+
 def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
-    if cfg.synth is None:
-        raise ConfigError("config has no synth section")
     spec = cfg.synth.spec
     schedule = pulse.synthesize(spec, cfg.segment_duration_ns)
     psi_plus, _ = axis_eigenstates(spec)
@@ -61,8 +65,6 @@ def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
-    if cfg.qpt is None:
-        raise ConfigError("config has no qpt section")
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
     cache.stack(tomography.qpt_specs(cfg.qpt, cfg.device))
     results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
@@ -89,8 +91,6 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
-    if cfg.rb is None:
-        raise ConfigError("config has no rb section")
     cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
     (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
         cfg.rb.config, cfg.rb.interleaved, cfg.device, channels=cache)
@@ -153,6 +153,8 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(args.seed or 0)
         cfg = load_config(args.config, args.seed, getattr(args, "mode", None))
+        if getattr(cfg, args.command) is None:
+            raise ConfigError(f"config has no {args.command} section")
         outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
         command = {"synth": cmd_synth, "qpt": cmd_qpt, "rb": cmd_rb}[args.command]
         return command(cfg, outdir)

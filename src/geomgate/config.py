@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import re
 from dataclasses import asdict, dataclass, fields
 
-from .benchmarking import DEFAULT_LENGTHS, RbConfig
+from .benchmarking import RbConfig
 from .errors import (ConfigError, UnknownGateName, _seed, mode_string,
                      parse_mode)
 from .evolution import DeviceParams
@@ -34,14 +33,14 @@ class RbSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    device: DeviceParams | None = None
-    segment_duration_ns: float = 10.0
-    dt_ns: float = 0.01
-    shots: int | None = None
-    seed: int = 0
-    synth: SynthSection | None = None
-    qpt: tuple[str, ...] | None = None
-    rb: RbSection | None = None
+    device: DeviceParams | None
+    segment_duration_ns: float
+    dt_ns: float
+    shots: int | None
+    seed: int
+    synth: SynthSection | None
+    qpt: tuple[str, ...] | None
+    rb: RbSection | None
 
 
 def _finite(value, what: str) -> float:
@@ -94,25 +93,19 @@ def _parse_synth(data, where: str) -> SynthSection:
     return SynthSection(gate, spec)
 
 
-def gate_slug(name: str) -> str:
-    """File-name slug of a gate name in the CLI's output files."""
-    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
-
-
 def _gate_list(names, what: str) -> tuple[str, ...]:
-    """``names`` as a tuple of known gate names with distinct file slugs."""
+    """``names`` as a tuple of distinct known gate names."""
     if not isinstance(names, list) or not all(isinstance(name, str)
                                               for name in names):
         raise ConfigError(f"{what} must be a list of gate names, "
                           f"got {names!r}")
-    seen = {}
-    for name in names:
-        named_gate(name)
-        slug = gate_slug(name)
-        if slug in seen:
-            raise ConfigError(f"{what} lists {seen[slug]!r} and {name!r}, "
-                              "which write the same output files")
-        seen[slug] = name
+    for i, name in enumerate(names):
+        try:
+            named_gate(name)
+        except UnknownGateName as err:
+            raise ConfigError(f"{what}: {err}") from None
+        if name in names[:i]:
+            raise ConfigError(f"{what} lists {name!r} twice")
     return tuple(names)
 
 
@@ -127,15 +120,13 @@ def _parse_qpt(data, where: str) -> tuple[str, ...]:
 def _parse_rb(data, where: str, shots: int | None, seed: int) -> RbSection:
     _check_fields(data, {"lengths", "randomizations", "interleaved",
                          "readout_correction"}, where)
+    # RbConfig holds the defaults of the settings the document leaves out
+    given = {("sequence_lengths" if key == "lengths" else key): value
+             for key, value in data.items() if key != "interleaved"}
     try:
-        rb = RbConfig(sequence_lengths=data.get("lengths", DEFAULT_LENGTHS),
-                      randomizations=data.get("randomizations", 50),
-                      shots=shots, seed=seed,
-                      readout_correction=data.get("readout_correction", True))
+        rb = RbConfig(shots=shots, seed=seed, **given)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from None
-    if len(rb.sequence_lengths) < 3:
-        raise ConfigError(f"{where}: need at least 3 sequence lengths to fit")
     return RbSection(rb, _gate_list(data.get("interleaved", []),
                                     f"{where}: interleaved"))
 
@@ -147,13 +138,22 @@ RK4_HALF_DISK = 2.6155
 
 def _check_step(device: DeviceParams, seg_t: float, dt: float,
                 where: str) -> None:
-    """Refuse a ``dt`` too coarse for RK4 on the Lindblad generator, whose
-    eigenvalues lie in the left half-plane within its 2-norm of 0. That
-    norm is at most 2 pi / T, the drive at the sin^2 envelope's peak Rabi
-    rate pi / T, plus the dissipator's norm."""
+    """Refuse a ``dt`` whose kernel step ``seg_t / round(seg_t / dt)`` is too
+    coarse for RK4 on the Lindblad generator, whose eigenvalues lie in the
+    left half-plane within its 2-norm of 0. That norm is at most 2 pi / T,
+    the drive at the sin^2 envelope's peak Rabi rate pi / T, plus the
+    dissipator's norm."""
     g1, gphi = device.gamma1_per_ns, device.gamma_phi_per_ns
-    largest = RK4_HALF_DISK / (2.0 * math.pi / seg_t
-                               + max(math.sqrt(2.0) * g1, 0.5 * g1 + gphi))
+    rate = 2.0 * math.pi / seg_t + max(math.sqrt(2.0) * g1, 0.5 * g1 + gphi)
+    need = seg_t * rate / RK4_HALF_DISK
+    largest = 0.0  # no step count is enough at an infinite rate
+    if need < math.inf:
+        # the largest float dt_ns that the kernel rounds to >= need steps
+        largest = seg_t / (math.ceil(need) - 0.5)
+        while round(seg_t / largest) < need:
+            largest = math.nextafter(largest, 0.0)
+        while round(seg_t / math.nextafter(largest, math.inf)) >= need:
+            largest = math.nextafter(largest, math.inf)
     if dt > largest:
         raise ConfigError(f"{where}: dt_ns = {dt} is too coarse for RK4 at "
                           "the device's decay rates; the largest dt_ns that "
@@ -174,16 +174,14 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     shots = parse_mode(data.get("mode", "exact"))
     try:
         seed = _seed(data.get("seed", 0))
-        synth = (_parse_synth(data["synth"], f"{where}.synth")
-                 if "synth" in data and data["synth"] is not None else None)
-        qpt = (_parse_qpt(data["qpt"], f"{where}.qpt")
-               if "qpt" in data and data["qpt"] is not None else None)
-        rb = (_parse_rb(data["rb"], f"{where}.rb", shots, seed)
-              if "rb" in data and data["rb"] is not None else None)
-    except ConfigError:
-        raise
-    except Exception as err:
+    except ValueError as err:
         raise ConfigError(f"{where}: {err}") from None
+    synth = (_parse_synth(data["synth"], f"{where}.synth")
+             if "synth" in data and data["synth"] is not None else None)
+    qpt = (_parse_qpt(data["qpt"], f"{where}.qpt")
+           if "qpt" in data and data["qpt"] is not None else None)
+    rb = (_parse_rb(data["rb"], f"{where}.rb", shots, seed)
+          if "rb" in data and data["rb"] is not None else None)
     if device is not None and (qpt is not None or rb is not None):
         _check_step(device, seg_t, dt, where)
     return ExperimentConfig(device=device, segment_duration_ns=seg_t,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .errors import InvalidDuration
 from .qcore import GateSpec
 
-ENVELOPES = ("sin2", "square")
+# pulse area per unit peak amplitude and unit duration of each envelope
+ENVELOPES = {"sin2": 0.5, "square": 1.0}
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,8 @@ class PulseSegment:
 
 def segment_area(segment: PulseSegment) -> float:
     """Closed-form pulse area: Omega0 T / 2 for sin^2, Omega0 T for square."""
-    if segment.envelope == "square":
-        return segment.peak_amplitude * segment.duration
-    return 0.5 * segment.peak_amplitude * segment.duration
+    return (ENVELOPES[segment.envelope] * segment.peak_amplitude
+            * segment.duration)
 
 
 def _slice_path(spec: GateSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -91,10 +91,10 @@ def synthesize(spec: GateSpec, segment_duration: float = 10.0,
     """
     if segment_duration <= 0:
         raise InvalidDuration(f"segment duration must be > 0, got {segment_duration}")
-    scale = 1.0 if envelope == "square" else 2.0
+    unit_area = ENVELOPES[envelope] * segment_duration
     segments = tuple(
         PulseSegment(duration=segment_duration,
-                     peak_amplitude=scale * a / segment_duration,
+                     peak_amplitude=a / unit_area,
                      phase_offset=p,
                      envelope=envelope)
         for a, p in zip(*_slice_path(spec))

@@ -126,10 +126,7 @@ def unitary_to_axis_angle(u: np.ndarray) -> GateSpec:
     gamma = 2.0 * math.atan2(s, a)
     n = vec / s
     theta = math.acos(min(max(n[2], -1.0), 1.0))
-    phi = math.atan2(n[1], n[0])
-    if phi >= math.pi:
-        phi -= 2.0 * math.pi
-    return GateSpec(theta, phi, gamma)
+    return GateSpec(theta, math.atan2(n[1], n[0]), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +147,11 @@ _NAMED_GATES = {
 
 GATE_NAMES = tuple(_NAMED_GATES)
 
-_NAME_LOOKUP = {k.lower().replace(" ", ""): v for k, v in _NAMED_GATES.items()}
-
 
 def named_gate(name: str) -> GateSpec:
-    """Axis-angle spec of one of the eight named gates (I, H, Rx/Ry/Rz)."""
+    """Axis-angle spec of a named gate, spelled exactly as in GATE_NAMES."""
     try:
-        return _NAME_LOOKUP[name.lower().replace(" ", "")]
+        return _NAMED_GATES[name]
     except KeyError:
         raise UnknownGateName(
             f"unknown gate {name!r}; expected one of {', '.join(GATE_NAMES)}"

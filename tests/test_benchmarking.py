@@ -28,6 +28,10 @@ def test_rb_config_validation():
         RbConfig(sequence_lengths=(4, 2))
     with pytest.raises(ValueError):
         RbConfig(sequence_lengths=(1, 2), randomizations=1)
+    # the decay fit has three parameters
+    with pytest.raises(ValueError, match="at least 3 sequence lengths"):
+        RbConfig(sequence_lengths=(1, 2))
+    assert RbConfig(sequence_lengths=(1, 2, 3)).sequence_lengths == (1, 2, 3)
     with pytest.raises(ValueError):
         RbConfig(shots=0)
     for seed in (-1, 1.5, True, "3"):

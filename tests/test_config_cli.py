@@ -132,7 +132,7 @@ def test_invalid_values_rejected(tmp_path):
             load_config(path)
     assert cli.main(["rb", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 2
-    # gate lists are JSON lists of gates that write distinct output files
+    # gate lists are JSON lists of distinct gate names, spelled exactly
     for extra, field in (({"rb": {"interleaved": "Rx(pi)"}}, "interleaved"),
                          ({"rb": {"interleaved": ["H", "h"]}}, "interleaved"),
                          ({"rb": {"interleaved": [["H"]]}}, "interleaved"),
@@ -288,8 +288,11 @@ def test_rk4_factor_at_most_one_on_the_stated_half_disk():
 def test_step_bound_covers_the_generator_norm():
     # 2 pi / T + max(sqrt 2 G1, G1 / 2 + Gphi) bounds the 2-norm of the
     # Lindblad generator at the sin^2 envelope's peak Rabi rate pi / T
+    stiff = 0
     for t_ns, t1_us, t2_us in ((10.0, 19.0, 10.0), (10.0, 1e-3, 1e-2),
-                               (2.0, 1e-4, 1e-5), (50.0, 1e-5, 1e-3)):
+                               (2.0, 1e-4, 1e-5), (50.0, 1e-5, 1e-3),
+                               (10.0, 1e-6, 10.0), (3.0, 1e-6, 1e-6),
+                               (7.0, 10.0, 1e-7), (0.5, 2e-7, 3e-4)):
         device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
         g1, gphi = device.gamma1_per_ns, device.gamma_phi_per_ns
         bound = 2 * PI / t_ns + max(math.sqrt(2) * g1, g1 / 2 + gphi)
@@ -298,14 +301,27 @@ def test_step_bound_covers_the_generator_norm():
                              + math.sin(phase) * qcore.PAULIS[2])
             gen = lindblad_generator(h, g1, gphi)
             assert np.linalg.norm(gen, 2) <= bound * (1 + 1e-12)
-        # config loading refuses a step just past RK4_HALF_DISK / bound
+        # config loading bounds the step the kernel takes,
+        # T / round(T / dt_ns): it names the largest dt_ns whose step keeps
+        # step * bound within RK4_HALF_DISK and refuses the next float up,
+        # whose step does not
         doc = {"device": {"T1_us": t1_us, "T2_star_us": t2_us},
-               "segment_duration_ns": t_ns, "qpt": {"gates": ["H"]}}
-        largest = config.RK4_HALF_DISK / bound
-        if largest < t_ns / 100:
-            with pytest.raises(ConfigError, match="largest dt_ns"):
-                config_from_dict({**doc, "dt_ns": largest * (1 + 1e-9)})
-            config_from_dict({**doc, "dt_ns": largest * (1 - 1e-9)})
+               "segment_duration_ns": t_ns, "dt_ns": t_ns / 100,
+               "qpt": {"gates": ["H"]}}
+        if (t_ns / 100) * bound <= config.RK4_HALF_DISK:
+            config_from_dict(doc)
+            continue
+        stiff += 1
+        with pytest.raises(ConfigError, match="largest dt_ns") as exc:
+            config_from_dict(doc)
+        largest = float(str(exc.value).rsplit(" ", 1)[1])
+        up = math.nextafter(largest, math.inf)
+        assert (t_ns / round(t_ns / largest)) * bound <= config.RK4_HALF_DISK
+        assert (t_ns / round(t_ns / up)) * bound > config.RK4_HALF_DISK
+        config_from_dict({**doc, "dt_ns": largest})
+        with pytest.raises(ConfigError, match="largest dt_ns"):
+            config_from_dict({**doc, "dt_ns": up})
+    assert stiff == 5
 
 
 def test_stiff_step_refused_with_the_largest_passing_dt():
@@ -323,6 +339,11 @@ def test_stiff_step_refused_with_the_largest_passing_dt():
                               "dt_ns": np.nextafter(largest, 1.0)})
     # synth runs no Lindblad step, so it is not refused
     config_from_dict({**doc, "synth": {"gate": "H"}})
+    # no step count is enough when the decay rate overflows to infinity
+    with pytest.raises(ConfigError, match="largest dt_ns that passes is 0.0"):
+        config_from_dict({**doc, "device": {"T1_us": 1e-320,
+                                            "T2_star_us": 10.0},
+                          "qpt": {}})
 
 
 def test_default_device_passes_at_the_coarsest_step():
@@ -481,18 +502,6 @@ def test_cli_unwritable_out_is_clean_error(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
-def test_cli_non_physical_channel_exit_4(tmp_path, capsys):
-    path = _write_config(tmp_path, {
-        "device": {"T1_us": 1e-6, "T2_star_us": 10.0},
-        "qpt": {"gates": ["H"]}})
-    out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert cli.main(["qpt", "--config", str(path),
-                         "--out", str(out)]) == 2
-    assert "largest dt_ns that passes" in capsys.readouterr().err
-    assert not (out / "qpt_summary.json").exists()
-
-
 def test_cli_stiff_device_fails_quietly_and_writes_nothing(tmp_path, capsys):
     path = _write_config(tmp_path, {
         "device": {"T1_us": 1e-6, "T2_star_us": 10.0},
@@ -504,7 +513,7 @@ def test_cli_stiff_device_fails_quietly_and_writes_nothing(tmp_path, capsys):
                          "--out", str(out)]) == 2
     assert caught == []
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert "largest dt_ns that passes" in err
     assert not out.exists()
 
@@ -629,6 +638,55 @@ def test_cli_missing_section_is_config_error(tmp_path):
     path = _write_config(tmp_path, {})
     assert cli.main(["synth", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_config_errors_name_the_field(tmp_path, capsys):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    cases = [("synth", {"synth": {"gate": "T"}}, ".synth: unknown gate 'T'"),
+             ("synth", {"synth": {"theta": 4.0, "phi": 0.0, "gamma": 1.0}},
+              ".synth: theta=4.0 outside [0, pi]"),
+             ("qpt", {"qpt": {"gates": []}}, ".qpt: gates list is empty"),
+             ("qpt", {"qpt": {"gates": ["H", "H"]}},
+              ".qpt: gates lists 'H' twice"),
+             ("rb", {"rb": {"interleaved": ["T"]}},
+              ".rb: interleaved: unknown gate 'T'"),
+             ("qpt", {"segment_duration_ns": 0.0, "qpt": {}},
+              ": segment_duration_ns must be positive"),
+             ("qpt", {"synth": {"gate": "H"}}, "config has no qpt section"),
+             ("rb", {"qpt": {}}, "config has no rb section"),
+             ("qpt", tmp_path, f"{tmp_path}: cannot read"),
+             ("rb", array, f"{array}: top level must be a JSON object")]
+    out = tmp_path / "out"
+    for i, (cmd, doc, message) in enumerate(cases):
+        path = (doc if isinstance(doc, Path)
+                else _write_config(tmp_path, doc, name=f"case{i}.json"))
+        assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
+
+def test_gate_names_write_distinct_files():
+    slugs = {cli.gate_slug(name) for name in qcore.GATE_NAMES}
+    assert len(slugs) == len(qcore.GATE_NAMES) == 8
+
+
+def test_section_parser_bugs_reach_the_caller(monkeypatch):
+    # only input errors become config errors; a bug in a parser surfaces
+    bug = RuntimeError("parser bug")
+
+    def broken(*args):
+        raise bug
+
+    for parser, section in (("_parse_synth", "synth"), ("_parse_qpt", "qpt"),
+                            ("_parse_rb", "rb")):
+        with monkeypatch.context() as patch:
+            patch.setattr(config, parser, broken)
+            with pytest.raises(RuntimeError) as exc:
+                config_from_dict({section: {}})
+        assert exc.value is bug
 
 
 _IMPORT_PROBE = """

@@ -131,6 +131,19 @@ def test_area_split_invariant(rng):
         assert a1 + a3 == pytest.approx(PI / 2, abs=1e-12)
 
 
+def test_peaks_are_the_areas_over_the_envelope_areas(rng):
+    # a sin^2 segment of area a and duration T peaks at 2a / T, a square one
+    # at a / T, bit for bit
+    for _ in range(200):
+        spec = random_spec(rng)
+        duration = rng.uniform(0.1, 100.0)
+        areas = (spec.theta / 2, PI / 2, PI / 2 - spec.theta / 2)
+        for envelope, scale in (("sin2", 2.0), ("square", 1.0)):
+            sched = synthesize(spec, duration, envelope=envelope)
+            assert [s.peak_amplitude for s in sched.segments] == [
+                scale * a / duration for a in areas]
+
+
 def test_amplitude_vanishes_at_every_boundary(rng):
     spec = random_spec(rng)
     sched = synthesize(spec, 10.0)

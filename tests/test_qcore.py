@@ -106,6 +106,15 @@ def test_round_trip_property(theta, phi, gamma):
     assert phase_distance(axis_angle_unitary(unitary_to_axis_angle(u)), u) < 1e-10
 
 
+def test_axis_angle_of_a_rotation_about_minus_x_has_phi_minus_pi():
+    # atan2 gives +pi for the axis (-1, +0, 0); GateSpec folds it to -pi
+    for gamma in (0.5, math.pi / 2, math.pi, 3.0):
+        u = math.cos(gamma / 2) * I2 + 1j * math.sin(gamma / 2) * SIGMA_X
+        spec = unitary_to_axis_angle(u)
+        assert (spec.theta, spec.phi) == (math.pi / 2, -math.pi)
+        assert spec.gamma == pytest.approx(gamma, abs=1e-15)
+
+
 def test_gate_spec_validation():
     with pytest.raises(ValueError):
         GateSpec(-0.5, 0.0, 0.0)
@@ -133,8 +142,10 @@ def test_named_gate_examples():
 
 
 def test_named_gate_unknown():
-    with pytest.raises(UnknownGateName):
-        named_gate("T")
+    # a name is spelled exactly as in GATE_NAMES: no case or space folding
+    for name in ("T", "h", "rx (pi)", "Rx (pi)", "RX(PI)"):
+        with pytest.raises(UnknownGateName):
+            named_gate(name)
 
 
 def test_axis_eigenstates_are_eigenvectors(rng):
