@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from .benchmarking import RbConfig
 from .errors import (ConfigError, UnknownGateName, _seed, mode_string,
                      parse_mode)
-from .evolution import DeviceParams
+from .evolution import MIN_TRAJECTORY_STEPS, DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
 
 
@@ -135,6 +135,10 @@ def _parse_rb(data, where: str, shots: int | None, seed: int) -> RbSection:
 # half-disk Re z <= 0, |z| <= RK4_HALF_DISK (2.61558... by bisection)
 RK4_HALF_DISK = 2.6155
 
+# a config's segment takes at most this many steps (1,000 at T = 10 ns and
+# dt_ns = 0.01); a finer dt_ns asks for a grid too large to allocate
+MAX_SEGMENT_STEPS = 100_000
+
 
 def _check_step(device: DeviceParams, seg_t: float, dt: float,
                 where: str) -> None:
@@ -146,8 +150,8 @@ def _check_step(device: DeviceParams, seg_t: float, dt: float,
     g1, gphi = device.gamma1_per_ns, device.gamma_phi_per_ns
     rate = 2.0 * math.pi / seg_t + max(math.sqrt(2.0) * g1, 0.5 * g1 + gphi)
     need = seg_t * rate / RK4_HALF_DISK
-    largest = 0.0  # no step count is enough at an infinite rate
-    if need < math.inf:
+    largest = 0.0  # no step count in range is enough
+    if need <= MAX_SEGMENT_STEPS:
         # the largest float dt_ns that the kernel rounds to >= need steps
         largest = seg_t / (math.ceil(need) - 0.5)
         while round(seg_t / largest) < need:
@@ -169,8 +173,11 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     dt = _finite(data.get("dt_ns", 0.01), f"{where}: dt_ns")
     if not seg_t > 0:
         raise ConfigError(f"{where}: segment_duration_ns must be positive")
-    if not 0 < dt <= seg_t / 100.0:
-        raise ConfigError(f"{where}: dt_ns must be in (0, segment_duration_ns/100]")
+    lo, hi = seg_t / MAX_SEGMENT_STEPS, seg_t / MIN_TRAJECTORY_STEPS
+    if not (0 < dt and lo <= dt <= hi):
+        raise ConfigError(f"{where}: dt_ns = {dt} is outside [{lo}, {hi}], "
+                          f"segment_duration_ns/{MAX_SEGMENT_STEPS} to "
+                          f"segment_duration_ns/{MIN_TRAJECTORY_STEPS}")
     shots = parse_mode(data.get("mode", "exact"))
     try:
         seed = _seed(data.get("seed", 0))

@@ -22,7 +22,7 @@ class InvalidDuration(GeomgateError):
 
 
 class StepTooLarge(GeomgateError):
-    """Integrator step too coarse for the requested evolution."""
+    """Integrator step outside the range a segment allows."""
 
 
 class NotCyclic(GeomgateError):

@@ -138,23 +138,13 @@ def reconstruct_chi(inputs, outputs) -> np.ndarray:
     Result is hermitized by averaging with its conjugate transpose. Raises
     SingularSystem when the inputs do not span the operator space.
     """
-    inputs = list(inputs)
-    outputs = list(outputs)
-    if len(inputs) != len(outputs):
+    rho_in = np.reshape(list(inputs), (-1, 2, 2))
+    b_vec = np.reshape(list(outputs), -1)
+    if b_vec.shape != (rho_in.size,):
         raise ValueError("inputs and outputs must pair up")
-    rows = []
-    rhs = []
-    for rho_in, rho_out in zip(inputs, outputs):
-        basis_action = np.empty((4, 4, 2, 2), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                basis_action[m, n] = PAULIS[m] @ rho_in @ PAULIS[n].conj().T
-        for a in range(2):
-            for b in range(2):
-                rows.append(basis_action[:, :, a, b].reshape(16))
-                rhs.append(rho_out[a, b])
-    a_mat = np.array(rows)
-    b_vec = np.array(rhs)
+    # row (i, a, b), column (m, n): (E_m rho_i E_n^dag)[a, b]
+    a_mat = np.einsum("mac,icd,nbd->iabmn", PAULIS, rho_in,
+                      np.conj(PAULIS)).reshape(-1, 16)
     if np.linalg.matrix_rank(a_mat, tol=1e-9) < 16:
         raise SingularSystem("tomography inputs are not informationally complete")
     chi = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0].reshape(4, 4)

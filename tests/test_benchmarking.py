@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,36 @@ def test_fit_decay_constant_curve_degenerate():
 def test_fit_decay_needs_three_lengths():
     with pytest.raises(ValueError):
         fit_decay(_curve([1, 2], [1.0, 0.9]))
+
+
+def test_fit_decay_retries_a_singular_solve(monkeypatch):
+    # a LinAlgError raises the damping and tries again
+    solve = np.linalg.solve
+    calls = []
+
+    def flaky(a, b):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    m = [1, 2, 4, 8, 16, 32, 64]
+    fit = fit_decay(_curve(m, 0.5 * np.power(0.97, m) + 0.5))
+    assert len(calls) > 1
+    assert fit.converged and abs(fit.p - 0.97) < 1e-12
+
+
+def test_fit_decay_stops_when_no_step_lowers_the_cost():
+    # a NaN mean makes every trial cost NaN, so no damped step is taken
+    m = [1, 2, 4, 8, 16, 32, 64]
+    vals = 0.5 * np.power(0.97, m) + 0.5
+    vals[3] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_decay(_curve(m, vals))
+    assert caught == []
+    assert fit.converged is False and fit.iterations == 1
 
 
 def test_fit_decay_diverges_on_pathological_data():

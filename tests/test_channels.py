@@ -11,7 +11,7 @@ from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                check_physical, depolarizing_superop, gate_superop,
                                gate_superops, schedule_superops,
                                unitary_superop, unvec, vec)
-from geomgate.evolution import (DeviceParams, _drive_matrix, _envelope_grid,
+from geomgate.evolution import (DeviceParams, _drive_matrix, _segment_grid,
                                 evolve_lindblad, lindblad_generator,
                                 schedule_propagator)
 from geomgate.errors import NonPhysicalChannel
@@ -161,7 +161,7 @@ def _loop_steps(schedule, y, device, dt):
     for seg in schedule.segments:
         n = int(round(seg.duration / dt))
         h = seg.duration / n
-        w_full, w_half = _envelope_grid(seg, n, h)
+        _, w_full, w_half = _segment_grid(seg, dt, 1)
         l_drive = lindblad_generator(_drive_matrix(seg), 0.0, 0.0)
         for i in range(n):
             l0 = w_full[i] * l_drive + l_diss

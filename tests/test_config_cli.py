@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from geomgate import benchmarking, channels, cli, config, qcore
-from geomgate.config import config_from_dict, config_to_dict, load_config
+from geomgate.config import (MAX_SEGMENT_STEPS, config_from_dict,
+                             config_to_dict, load_config)
 from geomgate.errors import ConfigError, mode_string, parse_mode
-from geomgate.evolution import DeviceParams, lindblad_generator
+from geomgate.evolution import (MIN_TRAJECTORY_STEPS, DeviceParams,
+                                evolve_unitary, lindblad_generator)
+from geomgate.pulse import synthesize
 from geomgate.selftest import run_selftest
 
 PI = math.pi
@@ -339,11 +342,37 @@ def test_stiff_step_refused_with_the_largest_passing_dt():
                               "dt_ns": np.nextafter(largest, 1.0)})
     # synth runs no Lindblad step, so it is not refused
     config_from_dict({**doc, "synth": {"gate": "H"}})
-    # no step count is enough when the decay rate overflows to infinity
-    with pytest.raises(ConfigError, match="largest dt_ns that passes is 0.0"):
-        config_from_dict({**doc, "device": {"T1_us": 1e-320,
-                                            "T2_star_us": 10.0},
-                          "qpt": {}})
+    # no step count in range is enough when the decay rate overflows to
+    # infinity, or when it needs more than MAX_SEGMENT_STEPS steps (T1 =
+    # 1 fs needs about 5.4e6); then every dt_ns is refused and none named
+    for t1_us in (1e-320, 1e-9):
+        for dt in (10.0 / MAX_SEGMENT_STEPS, 0.01):
+            with pytest.raises(ConfigError,
+                               match="largest dt_ns that passes is 0.0$"):
+                config_from_dict({**doc, "dt_ns": dt, "qpt": {},
+                                  "device": {"T1_us": t1_us,
+                                             "T2_star_us": 10.0}})
+
+
+def test_dt_range_caps_a_segment_at_max_segment_steps():
+    # the finest dt_ns is T / MAX_SEGMENT_STEPS; config refuses the next
+    # float down
+    for t_ns in (0.5, 10.0, 200.0):
+        finest = t_ns / MAX_SEGMENT_STEPS
+        doc = {"device": None, "segment_duration_ns": t_ns, "dt_ns": finest,
+               "synth": {"gate": "H"}}
+        assert config_from_dict(doc).dt_ns == finest
+        below = math.nextafter(finest, 0.0)
+        with pytest.raises(ConfigError, match="dt_ns") as exc:
+            config_from_dict({**doc, "dt_ns": below})
+        assert f"[{finest}, {t_ns / MIN_TRAJECTORY_STEPS}]" in str(exc.value)
+    # a subnormal T puts the lower bound at 0.0, which dt_ns must still pass
+    with pytest.raises(ConfigError, match="dt_ns = 0.0 is outside"):
+        config_from_dict({"segment_duration_ns": 5e-324, "dt_ns": 0.0})
+    # the integrators take the finest dt_ns
+    traj = evolve_unitary(synthesize(qcore.named_gate("H"), 10.0),
+                          qcore.KET0, dt=10.0 / MAX_SEGMENT_STEPS)
+    assert len(traj.times) == 3 * MAX_SEGMENT_STEPS + 1
 
 
 def test_default_device_passes_at_the_coarsest_step():
@@ -515,6 +544,21 @@ def test_cli_stiff_device_fails_quietly_and_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert "largest dt_ns that passes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt_ns", [1e-9, 5e-324])
+@pytest.mark.parametrize("cmd", ["qpt", "synth"])
+def test_cli_too_fine_dt_is_a_config_error(tmp_path, capsys, cmd, dt_ns):
+    # below T / MAX_SEGMENT_STEPS the kernel would allocate 10^10 steps
+    # (1e-9) or find no finite step count (5e-324); config refuses both
+    path = _write_config(tmp_path, {"dt_ns": dt_ns, "synth": {"gate": "H"},
+                                    "qpt": {"gates": ["H"]}})
+    out = tmp_path / "out"
+    assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert f"dt_ns = {dt_ns}" in err and "[0.0001, 0.1]" in err
     assert not out.exists()
 
 

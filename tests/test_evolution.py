@@ -1,14 +1,18 @@
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from geomgate.channels import gate_superops
+from geomgate.config import MAX_SEGMENT_STEPS
 from geomgate.errors import NotCyclic, PathNotClosed, StepTooLarge
 from geomgate.evolution import (DeviceParams, Trajectory, bloch_path_to_csv,
                                 bloch_trajectory, enclosed_solid_angle,
                                 evolve_lindblad, evolve_unitary,
+                                lindblad_rk4_steps,
                                 phase_decomposition, schedule_propagator,
                                 segment_propagator_exact, trajectory_to_csv,
                                 wrap_angle)
@@ -281,6 +285,36 @@ def test_lindblad_step_too_large(device):
     idle = [PulseSegment(duration=10.0, peak_amplitude=0.0, phase_offset=0.0)]
     with pytest.raises(StepTooLarge):
         evolve_lindblad(idle, density_of(KET0), device, dt=20.0)
+
+
+def test_step_count_must_be_finite(device):
+    # at dt 5e-324 a 10 ns segment has no finite step count; every
+    # integrator refuses it before it allocates a grid
+    spec = GateSpec(1.0, 0.0, 1.0)
+    sched = synthesize(spec, 10.0)
+    with pytest.raises(StepTooLarge):
+        evolve_unitary(sched, KET0, dt=5e-324)
+    with pytest.raises(StepTooLarge):
+        evolve_lindblad(sched, density_of(KET0), device, dt=5e-324)
+    with pytest.raises(StepTooLarge):
+        gate_superops([spec], device, 10.0, 5e-324)
+
+
+def test_t1_long_idle_takes_more_steps_than_a_config_segment(device):
+    # the integrators take any finite step count: a T1-long idle at dt 0.05
+    # has 380,000 steps, past the 100,000 a config allows a segment
+    t1 = 1.0 / device.gamma1_per_ns
+    idle = [PulseSegment(duration=t1, peak_amplitude=0.0, phase_offset=0.0)]
+    n = round(t1 / 0.05)
+    assert n > MAX_SEGMENT_STEPS
+    assert len(evolve_unitary(idle, KET1, dt=0.05).times) == n + 1
+    # the kernel runs them too; its first 1,000 steps decay as T1 does (the
+    # whole Lindblad run takes seconds)
+    y0 = density_of(KET1).reshape(1, 4, 1)
+    steps = lindblad_rk4_steps(y0, [idle], device, 0.05)
+    y = next(itertools.islice(steps, 999, None))
+    want = math.exp(-1000 * (t1 / n) * device.gamma1_per_ns)
+    assert abs(y[0, 3, 0].real - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

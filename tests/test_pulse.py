@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from geomgate.errors import InvalidDuration
-from geomgate.evolution import _envelope_grid, schedule_propagator
+from geomgate.evolution import _segment_grid, schedule_propagator
 from geomgate.pulse import (PulseSchedule, PulseSegment, save_schedule,
                             schedule_to_dict, segment_area, synthesize)
 from geomgate.qcore import GateSpec, I2
@@ -58,7 +58,7 @@ def test_synthesize_deterministic():
 
 def amplitude_at(segment: PulseSegment, t: float) -> float:
     """Instantaneous Rabi rate at local time t in [0, duration], one scalar
-    at a time; oracle for the vectorized ``_envelope_grid``."""
+    at a time; oracle for the vectorized ``_segment_grid``."""
     if segment.envelope == "square":
         return segment.peak_amplitude
     if t == 0.0 or t == segment.duration:
@@ -82,8 +82,8 @@ def test_envelope_grid_matches_scalar_oracle(rng):
                                peak_amplitude=rng.uniform(0.0, 0.5),
                                phase_offset=0.0, envelope=envelope)
             n = int(rng.integers(1, 500))
-            h = seg.duration / n
-            w_full, w_half = _envelope_grid(seg, n, h)
+            h, w_full, w_half = _segment_grid(seg, seg.duration / n, 1)
+            assert h == seg.duration / n
             want_full = [amplitude_at(seg, k * h) for k in range(n + 1)]
             want_half = [amplitude_at(seg, (k + 0.5) * h) for k in range(n)]
             assert w_full.shape == (n + 1,) and w_half.shape == (n,)

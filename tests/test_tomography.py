@@ -210,6 +210,54 @@ def test_reconstruct_chi_singular():
     rho = density_of(KET0)
     with pytest.raises(SingularSystem):
         reconstruct_chi([rho] * 4, [rho] * 4)
+    with pytest.raises(SingularSystem):
+        reconstruct_chi([], [])
+    with pytest.raises(ValueError, match="pair up"):
+        reconstruct_chi([rho] * 4, [rho] * 5)
+
+
+def _loop_system(inputs, outputs):
+    """The QPT linear system one entry at a time: row (i, a, b) holds
+    (E_m rho_i E_n^dag)[a, b] over the 16 columns (m, n); oracle for the
+    einsum in ``reconstruct_chi``."""
+    rows = []
+    rhs = []
+    for rho_in, rho_out in zip(inputs, outputs):
+        basis_action = np.empty((4, 4, 2, 2), dtype=complex)
+        for m in range(4):
+            for n in range(4):
+                basis_action[m, n] = PAULIS[m] @ rho_in @ PAULIS[n].conj().T
+        for a in range(2):
+            for b in range(2):
+                rows.append(basis_action[:, :, a, b].reshape(16))
+                rhs.append(rho_out[a, b])
+    return np.array(rows), np.array(rhs)
+
+
+def test_reconstruct_chi_system_matches_loop_oracle(rng, monkeypatch):
+    # every Pauli has one nonzero entry, +-1 or +-i, per row, so each
+    # system entry is one exact product and the two builds are bit-equal
+    lstsq = np.linalg.lstsq
+    systems = []
+
+    def spy(a, b, rcond=None):
+        systems.append((a, b))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    for k in (4, 5, 6):
+        physical = [density_of(v / np.linalg.norm(v)) for v in
+                    rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))]
+        arbitrary = list(rng.normal(size=(k, 2, 2))
+                         + 1j * rng.normal(size=(k, 2, 2)))
+        for inputs in (physical, arbitrary):
+            outputs = list(rng.normal(size=(k, 2, 2))
+                           + 1j * rng.normal(size=(k, 2, 2)))
+            reconstruct_chi(inputs, outputs)
+            a_mat, b_vec = systems.pop()
+            want_a, want_b = _loop_system(inputs, outputs)
+            assert np.array_equal(a_mat, want_a)
+            assert np.array_equal(b_vec, want_b)
 
 
 def test_process_fidelity_examples():
