@@ -4,8 +4,7 @@ propagation, geometric-phase analysis, quantum process tomography, and
 Clifford randomized benchmarking."""
 
 from .benchmarking import (DecayCurve, DecayFit, RbConfig, RbResult,
-                           fit_decay, run_interleaved_rb, run_rb,
-                           run_reference_rb, sample_sequence)
+                           fit_decay, run_rb)
 from .channels import DepolarizingNoise, GateChannelCache
 from .errors import GeomgateError
 from .evolution import (DeviceParams, PhaseReport, Trajectory,
@@ -29,6 +28,6 @@ __all__ = [
     "axis_angle_unitary", "bloch_trajectory", "clifford_group",
     "enclosed_solid_angle", "evolve_lindblad", "evolve_unitary", "fit_decay",
     "named_gate", "phase_decomposition", "phase_distance", "process_fidelity",
-    "reconstruct_chi", "run_interleaved_rb", "run_qpt", "run_rb",
-    "run_reference_rb", "sample_sequence", "schedule_propagator", "synthesize",
+    "reconstruct_chi", "run_qpt", "run_rb", "schedule_propagator",
+    "synthesize",
 ]

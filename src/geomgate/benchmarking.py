@@ -43,6 +43,9 @@ from .tomography import ReadoutModel, readout_model, sample_outcomes
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
 MAX_FIT_ITERATIONS = 200
+# Clifford indices a run draws, randomizations x sum(sequence_lengths); at
+# the cap, lengths (1, 2, 3) and 8 targets peak near 650 MB
+MAX_RB_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,8 @@ class RbConfig:
             raise ValueError("need at least 3 sequence lengths to fit")
         if self.randomizations < 2:
             raise ValueError("need at least 2 randomizations per length")
+        if self.randomizations * sum(lengths) > MAX_RB_DRAWS:
+            raise ValueError(f"randomizations x sum of lengths > {MAX_RB_DRAWS}")
 
 
 @dataclass
@@ -101,25 +106,22 @@ class DecayFit:
 
 @dataclass
 class RbResult:
-    """Derived figures: r = (1 - p)/2, F_avg = 1 - r, and optionally
-    F_g = 1 - (1 - p_g / p)/2 for an interleaved target."""
+    """Figures derived from the fits: r = (1 - p)/2, F_avg = 1 - r, and for
+    an interleaved target p_g and F_g = 1 - (1 - p_g / p)/2."""
 
     reference: DecayFit
     interleaved: DecayFit | None = None
-    r: float = 0.0
-    F_avg: float = 0.0
-    p_g: float | None = None
-    F_g: float | None = None
+    r: float = field(init=False)
+    F_avg: float = field(init=False)
+    p_g: float | None = field(init=False, default=None)
+    F_g: float | None = field(init=False, default=None)
 
-    @staticmethod
-    def from_fits(reference: DecayFit, interleaved: DecayFit | None = None) -> "RbResult":
-        r = (1.0 - reference.p) / 2.0
-        res = RbResult(reference=reference, interleaved=interleaved,
-                       r=r, F_avg=1.0 - r)
-        if interleaved is not None:
-            res.p_g = interleaved.p
-            res.F_g = 1.0 - (1.0 - interleaved.p / reference.p) / 2.0
-        return res
+    def __post_init__(self):
+        self.r = (1.0 - self.reference.p) / 2.0
+        self.F_avg = 1.0 - self.r
+        if self.interleaved is not None:
+            self.p_g = self.interleaved.p
+            self.F_g = 1.0 - (1.0 - self.p_g / self.reference.p) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +496,15 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
         return [round(a, 12) for a in (spec.theta, spec.phi, spec.gamma)]
     runs = [cliffords[k] if rounded(spec) == rounded(cliffords[k]) else spec
             for spec, k in zip(specs, target_indices[1:])]
-    sops = channels.stack(cliffords + [spec for spec, (_, sop)
-                                       in zip(runs, targets) if sop is None])
-    compiled = iter(sops[_N_CLIFFORD:])
-    curves = _run_curves(config, sops[:_N_CLIFFORD],
-                         readout_model(device, config.shots),
-                         [next(compiled) if sop is None else sop
-                          for _, sop in targets], target_indices)
+    sops = channels.stack(cliffords + runs)
+    curves = _run_curves(config, sops[:_N_CLIFFORD], readout_model(device),
+                         [own if sop is None else sop for own, (_, sop)
+                          in zip(sops[_N_CLIFFORD:], targets)],
+                         target_indices)
     weighted = config.shots is not None
     (curve, fit), *rest = [(c, fit_decay(c, weighted)) for c in curves]
-    return [(curve, fit, RbResult.from_fits(fit))] + [
-        (icurve, ifit, RbResult.from_fits(fit, ifit)) for icurve, ifit in rest]
+    return [(curve, fit, RbResult(fit))] + [
+        (icurve, ifit, RbResult(fit, ifit)) for icurve, ifit in rest]
 
 
 def run_reference_rb(config: RbConfig, device: DeviceParams | None = None,

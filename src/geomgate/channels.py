@@ -48,7 +48,7 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
 
 
 def depolarizing_superop(strength: float) -> np.ndarray:
-    trace_row = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+    trace_row = vec(np.eye(2))
     half_id = np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
     return (1.0 - strength) * I4 + strength * np.outer(half_id, trace_row)
 

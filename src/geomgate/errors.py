@@ -4,6 +4,8 @@ import math
 import numbers
 import re
 
+MAX_SHOTS = 2**63 - 1  # the most trials Generator.binomial takes, a C long
+
 
 class GeomgateError(Exception):
     """Base class for all geomgate errors."""
@@ -62,25 +64,28 @@ def _seed(value) -> int:
 
 
 def _shots(value) -> int | None:
-    """``value`` as a shot count: ``None`` (exact) or a whole number >= 1."""
+    """``value`` as a shot count: ``None`` (exact) or 1 to ``MAX_SHOTS``."""
     if value is None:
         return None
     shots = _whole(value, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1 or None, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be 1..{MAX_SHOTS} or None, got {shots}")
     return shots
 
 
 def parse_mode(text) -> int | None:
     """The shot count of a mode: "exact" -> None, "shots:<n>" -> n, where
-    n >= 1 is written in ASCII digits with no sign, space or leading 0."""
+    n is a shot count written in ASCII digits with no sign, space or 0 first."""
     if text == "exact":
         return None
     match = isinstance(text, str) and re.fullmatch(r"shots:([1-9][0-9]*)", text)
     if not match:
         raise ConfigError("mode must be 'exact' or 'shots:<n>' with n >= 1, "
                           f"got {text!r}")
-    return int(match[1])
+    try:
+        return _shots(int(match[1]))
+    except ValueError as err:
+        raise ConfigError(f"mode: {err}") from None
 
 
 def mode_string(shots: int | None) -> str:

@@ -67,8 +67,7 @@ class DeviceParams:
     @classmethod
     def default_xmon(cls) -> "DeviceParams":
         """Reference Xmon-style device values used throughout the tests."""
-        return cls(T1_us=19.0, T2_star_us=10.0, f10_GHz=5.266,
-                   readout_f0=0.980, readout_f1=0.936)
+        return cls(T1_us=19.0, T2_star_us=10.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,16 +54,12 @@ class ReadoutModel:
         """Invert the confusion matrix (may leave [0, 1] under sampling noise)."""
         return np.asarray(measured) @ np.linalg.inv(self.matrix)
 
-    @classmethod
-    def from_device(cls, device: DeviceParams) -> "ReadoutModel":
-        return cls(f0=device.readout_f0, f1=device.readout_f1)
 
-
-def readout_model(device, shots: int | None) -> ReadoutModel | None:
-    """Readout confusion of a sampled run on a device; None when the run is
-    exact or the noise model is not a device."""
-    if isinstance(device, DeviceParams) and shots:
-        return ReadoutModel.from_device(device)
+def readout_model(device) -> ReadoutModel | None:
+    """Readout confusion of a device; None when the noise model is not a
+    device. Only a sampled run reads it."""
+    if isinstance(device, DeviceParams):
+        return ReadoutModel(f0=device.readout_f0, f1=device.readout_f1)
     return None
 
 
@@ -197,13 +193,10 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     gate_sop, *prep_sops = channels.stack([spec, *prep_specs])
 
     ideal_inputs = [density_of(psi) for psi in prepare_input_states()]
-    if device is not None:
-        rho0 = vec(density_of(KET0))
-        actual_inputs = [unvec(sop @ rho0) for sop in prep_sops]
-    else:
-        actual_inputs = ideal_inputs
+    rho0 = vec(density_of(KET0))
+    actual_inputs = [unvec(sop @ rho0) for sop in prep_sops] or ideal_inputs
 
-    readout = readout_model(device, shots)
+    readout = readout_model(device)
     rng = None if shots is None else np.random.default_rng(seed)
 
     outputs = []

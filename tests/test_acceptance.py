@@ -23,7 +23,7 @@ from geomgate.pulse import synthesize
 from geomgate.qcore import (GATE_NAMES, I2, KET0, KET1, axis_angle_unitary,
                             axis_eigenstates, clifford_group, clifford_tables,
                             named_gate, phase_distance)
-from geomgate.tomography import ReadoutModel, run_qpt
+from geomgate.tomography import readout_model, run_qpt
 
 from conftest import STANDARD_GATES, random_spec
 
@@ -139,7 +139,7 @@ def test_criterion_06_reference_rb_matches_experiment_band():
     assert 0.990 <= fit.p <= 0.998, f"p = {fit.p}"
     assert 0.0015 <= result.r <= 0.006, f"r = {result.r}"
 
-    anchored = RbResult.from_fits(
+    anchored = RbResult(
         DecayFit(A=0.5, B=0.5, p=0.994, residual_norm=0.0, converged=True))
     assert anchored.r == pytest.approx(0.003, abs=1e-12)
     assert anchored.F_avg == pytest.approx(0.997, abs=1e-12)
@@ -229,7 +229,7 @@ def test_criterion_09_clifford_suite():
 
 
 def test_criterion_10_readout_model():
-    model = ReadoutModel.from_device(DEVICE)
+    model = readout_model(DEVICE)
     mat = model.matrix
     assert mat[0, 0] == pytest.approx(0.980, abs=1e-12)
     assert mat[1, 1] == pytest.approx(0.936, abs=1e-12)

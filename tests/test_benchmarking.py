@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geomgate import benchmarking
-from geomgate.benchmarking import (DecayCurve, DecayFit,
+from geomgate.benchmarking import (MAX_RB_DRAWS, DecayCurve, DecayFit,
                                    RbConfig, RbResult, _draw_sequences,
                                    _philox_words, _recoveries, _stream_keys,
                                    _stream_opener, decay_to_csv, fit_decay,
@@ -16,10 +16,11 @@ from geomgate.benchmarking import (DecayCurve, DecayFit,
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
 from geomgate.cli import _write_json
-from geomgate.qcore import (I2, KET0, axis_angle_unitary, clifford_group,
-                            clifford_index_of, clifford_tables, density_of,
-                            named_gate, phase_distance)
-from geomgate.tomography import ReadoutModel
+from geomgate.qcore import (GATE_NAMES, I2, KET0, axis_angle_unitary,
+                            clifford_group, clifford_index_of,
+                            clifford_tables, density_of, named_gate,
+                            phase_distance)
+from geomgate.tomography import readout_model
 
 
 def test_rb_config_validation():
@@ -40,13 +41,34 @@ def test_rb_config_validation():
             RbConfig(seed=seed)
         assert repr(seed) in str(err.value)
     assert RbConfig(seed=3.0).seed == 3
-    for shots in (2.5, True, "3", math.inf, 0, -4):
+    # 2**63 is one more trial than Generator.binomial takes
+    for shots in (2.5, True, "3", math.inf, 0, -4, 2**63):
         with pytest.raises(ValueError, match="shots") as err:
             RbConfig(shots=shots)
         assert repr(shots) in str(err.value)
     assert RbConfig(shots=2.0).shots == 2
     assert type(RbConfig(shots=2.0).shots) is int
     assert RbConfig(shots=None).shots is None
+    assert RbConfig(shots=2**63 - 1).shots == 2**63 - 1
+
+
+def _rb_shape(draws):
+    """RbConfig settings of a run that draws exactly ``draws`` indices."""
+    r = next(r for r in range(2, draws) if draws % r == 0 and draws // r >= 6)
+    return {"sequence_lengths": (1, 2, draws // r - 3), "randomizations": r}
+
+
+def test_rb_config_caps_the_drawn_indices():
+    # randomizations x sum(lengths) bounds every array of a run; only the
+    # settings are checked here, no run is made at the cap
+    RbConfig(**_rb_shape(MAX_RB_DRAWS))
+    with pytest.raises(ValueError, match=f"> {MAX_RB_DRAWS}"):
+        RbConfig(**_rb_shape(MAX_RB_DRAWS + 1))
+    # the seed-2 RB workload draws 127,500 indices, far inside the cap
+    workload = RbConfig(sequence_lengths=tuple(range(2, 102, 2)),
+                        randomizations=50)
+    assert (5 * workload.randomizations * sum(workload.sequence_lengths)
+            < MAX_RB_DRAWS)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +448,11 @@ def test_reference_rb_depolarizing_equivalence():
 
 def test_rb_result_identities():
     ref = DecayFit(A=0.5, B=0.5, p=0.994, residual_norm=0.0, converged=True)
-    result = RbResult.from_fits(ref)
+    result = RbResult(ref)
     assert result.r == pytest.approx(0.003, abs=1e-12)
     assert result.F_avg == pytest.approx(0.997, abs=1e-12)
     inter = DecayFit(A=0.5, B=0.5, p=0.992, residual_norm=0.0, converged=True)
-    result = RbResult.from_fits(ref, inter)
+    result = RbResult(ref, inter)
     assert result.p_g == 0.992
     assert result.F_g == pytest.approx(1.0 - (1.0 - 0.992 / 0.994) / 2.0,
                                        abs=1e-12)
@@ -493,7 +515,7 @@ def _plain_samples(config, channels, device, target=None):
     if target is not None:
         name, target = target
         target_index = clifford_index_of(axis_angle_unitary(named_gate(name)))
-    readout = (ReadoutModel.from_device(device) if config.shots else None)
+    readout = (readout_model(device) if config.shots else None)
     samples = []
     for li, m in enumerate(config.sequence_lengths):
         vals = []
@@ -600,6 +622,68 @@ def test_interleaved_rb_equals_its_run_rb_entry(device):
 
 
 # ---------------------------------------------------------------------------
+# sampled means against the exact ensemble average
+
+def _average_survival(lengths, cliffords, target=None, target_index=0):
+    """Mean survival over all 24**m Clifford sequences of each length m,
+    after Magesan, Gambetta & Emerson, PRL 106, 180504 (2011); no sequence
+    is drawn. ``v[g]`` sums the noisy vec(rho) of the sequences whose ideal
+    product is g; one step sends ``S_c v[g] / 24``, then ``target``, to
+    ``compose[t, compose[c, g]]``, and the recovery of g is inverse[g]."""
+    compose, inverse = clifford_tables()
+    dest = compose[target_index][compose]  # dest[c, g]
+    v = np.zeros((24, 4), dtype=complex)
+    v[0] = density_of(KET0).reshape(4)
+    means, done = [], 0
+    for m in lengths:
+        for _ in range(m - done):
+            step = np.einsum("cij,gj->cgi", cliffords, v) / 24
+            if target is not None:
+                step = step @ target.T
+            v = np.zeros_like(v)
+            np.add.at(v, dest, step)
+        done = m
+        means.append(np.einsum("gj,gj->", cliffords[inverse, 0], v).real)
+    return np.array(means)
+
+
+def _target_index(name):
+    return clifford_index_of(axis_angle_unitary(named_gate(name)))
+
+
+def test_sampled_rb_means_match_the_exact_ensemble_average(device):
+    cache = GateChannelCache(device)
+    cliffords = cache.stack([element.spec for element in clifford_group()])
+    # each target's channel is given, so the oracle runs the same one
+    targets = [(name, cache.stack([named_gate(name)])[0])
+               for name in GATE_NAMES]
+    cfg = RbConfig(sequence_lengths=tuple(range(2, 102, 2)),
+                   randomizations=50, seed=2)
+    curves = [curve for curve, _, _ in run_rb(cfg, targets, device, cache)]
+    exact = [_average_survival(cfg.sequence_lengths, cliffords)] + [
+        _average_survival(cfg.sequence_lengths, cliffords, sop,
+                          _target_index(name)) for name, sop in targets]
+    for curve, want in zip(curves, exact):
+        z = (curve.means - want) / curve.stderrs
+        assert 0.7 <= math.sqrt(np.mean(z**2)) <= 1.3
+        assert np.abs(z).max() < 4.0
+
+
+def test_exact_ensemble_average_of_depolarizing_gates_is_closed_form():
+    s = 0.03
+    cache = GateChannelCache(DepolarizingNoise(s))
+    cliffords = cache.stack([element.spec for element in clifford_group()])
+    (h,) = cache.stack([named_gate("H")])
+    m = np.arange(2, 102, 2)
+    reference = _average_survival(m, cliffords)
+    interleaved = _average_survival(m, cliffords, h, _target_index("H"))
+    # every gate, the recovery included, depolarizes once
+    assert np.abs(reference - (0.5 + 0.5 * (1 - s)**(m + 1))).max() < 1e-14
+    assert np.abs(interleaved
+                  - (0.5 + 0.5 * (1 - s)**(2 * m + 1))).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 def test_decay_csv_round_trip(tmp_path):
@@ -617,7 +701,7 @@ def test_decay_csv_round_trip(tmp_path):
 def test_fit_report_round_trip(tmp_path):
     ref = DecayFit(A=0.5, B=0.5, p=0.994, residual_norm=1e-8, converged=True)
     inter = DecayFit(A=0.49, B=0.5, p=0.990, residual_norm=2e-8, converged=True)
-    result = RbResult.from_fits(ref, inter)
+    result = RbResult(ref, inter)
     path = tmp_path / "fit.json"
     _write_json(fit_report(result), path)
     data = json.loads(path.read_text())

@@ -60,6 +60,11 @@ def test_parse_mode():
         parse_mode("shots:abc")
     with pytest.raises(ConfigError):
         parse_mode("approximate")
+    # a count must also be one Generator.binomial takes
+    assert parse_mode(f"shots:{2**63 - 1}") == 2**63 - 1
+    for text in (f"shots:{2**63}", "shots:" + "9" * 5000):
+        with pytest.raises(ConfigError, match="mode: "):
+            parse_mode(text)
 
 
 def test_load_valid_config(tmp_path):
@@ -560,6 +565,36 @@ def test_cli_too_fine_dt_is_a_config_error(tmp_path, capsys, cmd, dt_ns):
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert f"dt_ns = {dt_ns}" in err and "[0.0001, 0.1]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rb", [{"randomizations": 1_000_000_000},
+                                {"lengths": [1, 2, 1_000_000_000]}])
+def test_cli_rb_too_large_to_allocate_is_a_config_error(tmp_path, capsys, rb):
+    # either asks for gigabytes of Clifford indices; config refuses both
+    path = _write_config(tmp_path, {"device": None, "rb": rb})
+    out = tmp_path / "out"
+    assert cli.main(["rb", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert f"> {benchmarking.MAX_RB_DRAWS}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["qpt", "rb"])
+def test_cli_shots_beyond_the_binomial_limit_are_a_config_error(
+        tmp_path, capsys, cmd):
+    doc = {"device": None, "qpt": {"gates": ["H"]},
+           "rb": {"lengths": [1, 2, 4], "randomizations": 2}}
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main([cmd, "--config", str(path), "--out", str(out),
+                     "--mode", f"shots:{2**63}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert f"got {2**63}" in err
+    assert not out.exists()
+    largest = config_from_dict({**doc, "mode": f"shots:{2**63 - 1}"})
+    assert largest.shots == largest.rb.config.shots == 2**63 - 1
 
 
 def test_cli_stiff_step_refused_before_any_compile(tmp_path, capsys,

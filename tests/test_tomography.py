@@ -13,11 +13,10 @@ from geomgate.errors import SingularSystem
 from geomgate.evolution import DeviceParams
 from geomgate.qcore import (GATE_NAMES, KET0, KET1, PAULIS, SIGMA_X,
                             density_of, named_gate)
-from geomgate.tomography import (ReadoutModel,
-                                 chi_to_csv, ideal_chi,
+from geomgate.tomography import (ReadoutModel, chi_to_csv, ideal_chi,
                                  measure_expectations, pauli_coefficients,
                                  prepare_input_states, process_fidelity,
-                                 qpt_report, reconstruct_chi,
+                                 qpt_report, readout_model, reconstruct_chi,
                                  reconstruct_state, run_qpt, sample_outcomes)
 
 SQ2 = math.sqrt(2.0)
@@ -64,7 +63,7 @@ def test_measure_expectations_refuses_bad_shots():
 
 
 def test_measure_expectations_shot_unbiased(device):
-    readout = ReadoutModel.from_device(device)
+    readout = readout_model(device)
     shots = 1_000_000
     got = measure_expectations(density_of(KET0), shots=shots, readout=readout,
                                rng=np.random.default_rng(5))
@@ -77,7 +76,7 @@ def test_measure_expectations_shot_unbiased(device):
 
 
 def test_sample_outcomes_one_draw_then_correction(device):
-    readout = ReadoutModel.from_device(device)
+    readout = readout_model(device)
     p_true = np.array([0.7, 0.3])
     raw = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout,
                           correct=False)
@@ -89,7 +88,7 @@ def test_sample_outcomes_one_draw_then_correction(device):
 
 
 def test_readout_model_invariants(device):
-    model = ReadoutModel.from_device(device)
+    model = readout_model(device)
     mat = model.matrix
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-15)
     assert mat[0, 0] == 0.98 and mat[1, 1] == 0.936
@@ -306,7 +305,8 @@ def test_run_qpt_refuses_bad_seed():
 
 
 def test_run_qpt_refuses_bad_shots():
-    for shots in (2.5, True, "3", math.inf, 0):
+    # 2**63 is one more trial than Generator.binomial takes
+    for shots in (2.5, True, "3", math.inf, 0, 2**63):
         with pytest.raises(ValueError, match="shots") as err:
             run_qpt("H", shots=shots, seed=1)
         assert repr(shots) in str(err.value)
