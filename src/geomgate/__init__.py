@@ -15,8 +15,7 @@ from .pulse import PulseSchedule, PulseSegment, synthesize
 from .qcore import (CliffordElement, GateSpec, GATE_NAMES, axis_angle_unitary,
                     clifford_group, named_gate, phase_distance,
                     unitary_to_axis_angle)
-from .tomography import (QptResult, ReadoutModel, process_fidelity,
-                         reconstruct_chi, run_qpt)
+from .tomography import QptResult, process_fidelity, reconstruct_chi, run_qpt
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,7 @@ __all__ = [
     "CliffordElement", "DecayCurve", "DecayFit", "DepolarizingNoise",
     "DeviceParams", "GATE_NAMES", "GateChannelCache", "GateSpec",
     "GeomgateError", "PhaseReport", "PulseSchedule", "PulseSegment",
-    "QptResult", "RbConfig", "RbResult", "ReadoutModel", "Trajectory",
+    "QptResult", "RbConfig", "RbResult", "Trajectory",
     "axis_angle_unitary", "bloch_trajectory", "clifford_group",
     "enclosed_solid_angle", "evolve_lindblad", "evolve_unitary", "fit_decay",
     "named_gate", "phase_decomposition", "phase_distance", "process_fidelity",

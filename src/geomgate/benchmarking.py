@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import GateChannelCache, cache_for, vec
+from .channels import GateChannelCache, vec
 from .errors import _seed, _shots, _whole
 from .evolution import DeviceParams, _write_csv
 from .qcore import (KET0, axis_angle_unitary, clifford_group,
                     clifford_index_of, clifford_tables, density_of,
                     named_gate)
-from .tomography import ReadoutModel, readout_model, sample_outcomes
+from .tomography import confusion, sample_outcomes
 
 DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
 MAX_FIT_ITERATIONS = 200
@@ -423,9 +423,8 @@ def fit_decay(curve: DecayCurve, weighted: bool = False) -> DecayFit:
 # ---------------------------------------------------------------------------
 # benchmark drivers
 
-def _run_curves(config: RbConfig, table: np.ndarray,
-                readout: ReadoutModel | None, sops,
-                target_indices: np.ndarray) -> list[DecayCurve]:
+def _run_curves(config: RbConfig, table: np.ndarray, readout: np.ndarray,
+                sops, target_indices: np.ndarray) -> list[DecayCurve]:
     """Decay curves of reference RB and interleaved RB on shared sequences.
 
     Curve 0 is the reference, whose target Clifford ``target_indices[0]``
@@ -478,13 +477,14 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
     depolarizing stub). A named target whose angles, rounded to 12
     decimals, are those of its own Clifford element (H, Rx(pi) and Ry(pi)
     are a few ulp off) runs that element's channel; any other runs its own
-    pulse, as Rz(pi) = (0, 0, pi) does. Gates compile with the default T
-    and dt unless ``channels``, a cache for the same ``device``, says
-    otherwise. Every curve runs the same sampled sequences, drawn once per
-    (length, randomization). Returns ``(curve, fit, result)`` for the
-    reference, then for each target in order.
+    pulse, as Rz(pi) = (0, 0, pi) does. Gates compile under ``device``
+    with the default T and dt unless ``channels``, a cache that may hold
+    channels of any noise model, says otherwise. A sampled run reads out
+    through ``confusion(device)``. Every curve runs the same sampled
+    sequences, drawn once per (length, randomization). Returns ``(curve,
+    fit, result)`` for the reference, then for each target in order.
     """
-    channels = cache_for(device, channels)
+    channels = channels or GateChannelCache()
     targets = [(t, None) if isinstance(t, str) else tuple(t) for t in targets]
     specs = [named_gate(name) for name, _ in targets]
     target_indices = np.array(
@@ -496,8 +496,8 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
         return [round(a, 12) for a in (spec.theta, spec.phi, spec.gamma)]
     runs = [cliffords[k] if rounded(spec) == rounded(cliffords[k]) else spec
             for spec, k in zip(specs, target_indices[1:])]
-    sops = channels.stack(cliffords + runs)
-    curves = _run_curves(config, sops[:_N_CLIFFORD], readout_model(device),
+    sops = channels.stack(cliffords + runs, device)
+    curves = _run_curves(config, sops[:_N_CLIFFORD], confusion(device),
                          [own if sop is None else sop for own, (_, sop)
                           in zip(sops[_N_CLIFFORD:], targets)],
                          target_indices)

@@ -132,43 +132,31 @@ def check_physical(sops: np.ndarray, specs) -> None:
 
 
 class GateChannelCache:
-    """Memoized gate -> superoperator compilation for a fixed noise model.
+    """Memoized gate -> superoperator compilation under any noise model.
 
-    Channels are memoized by the ``GateSpec`` itself, so a spec always gets
-    the channel of its own pulse, whatever the cache compiled before it.
+    Channels are memoized by the noise model and the ``GateSpec`` itself, so
+    a spec always gets the channel of its own pulse under that model,
+    whatever the cache compiled before it; equal models share entries.
     """
 
-    def __init__(self, noise=None, segment_duration: float = 10.0,
-                 dt: float = 0.01):
-        self.noise = noise
+    def __init__(self, segment_duration: float = 10.0, dt: float = 0.01):
         self.segment_duration = segment_duration
         self.dt = dt
-        self._by_spec: dict[GateSpec, np.ndarray] = {}
+        self._by_noise: dict[object, dict[GateSpec, np.ndarray]] = {}
 
-    def stack(self, specs) -> np.ndarray:
-        """The (len(specs), 4, 4) channels of ``specs``, in order; the specs
-        not yet cached compile first, as one stack."""
+    def stack(self, specs, noise) -> np.ndarray:
+        """The (len(specs), 4, 4) channels of ``specs`` under ``noise``, in
+        order; the specs not yet cached compile first, as one stack."""
+        by_spec = self._by_noise.setdefault(noise, {})
         specs = list(specs)
         missing = list(dict.fromkeys(spec for spec in specs
-                                     if spec not in self._by_spec))
+                                     if spec not in by_spec))
         if missing:
             # a stiff device overflows the compile; check_physical says so
             # once instead of numpy warning at every step
             with np.errstate(over="ignore", invalid="ignore"):
-                sops = gate_superops(missing, self.noise,
-                                     self.segment_duration, self.dt)
+                sops = gate_superops(missing, noise, self.segment_duration,
+                                     self.dt)
             check_physical(sops, missing)
-            self._by_spec.update(zip(missing, sops))
-        return np.array([self._by_spec[spec] for spec in specs])
-
-
-def cache_for(noise, channels: GateChannelCache | None) -> GateChannelCache:
-    """``channels``, or a new cache with the default T and dt when None.
-    A protocol compiles with ``channels.noise`` but takes its readout and
-    preparations from ``noise``, so the two must agree."""
-    if channels is None:
-        return GateChannelCache(noise)
-    if channels.noise != noise:
-        raise ValueError(f"channel cache compiles under {channels.noise!r}, "
-                         f"not under {noise!r}")
-    return channels
+            by_spec.update(zip(missing, sops))
+        return np.array([by_spec[spec] for spec in specs])

@@ -65,8 +65,8 @@ def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
-    cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
-    cache.stack(tomography.qpt_specs(cfg.qpt, cfg.device))
+    cache = GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
+    cache.stack(tomography.qpt_specs(cfg.qpt, cfg.device), cfg.device)
     results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
                                   seed=cfg.seed, channels=cache)
                for name in cfg.qpt]
@@ -91,7 +91,7 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
-    cache = GateChannelCache(cfg.device, cfg.segment_duration_ns, cfg.dt_ns)
+    cache = GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
     (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
         cfg.rb.config, cfg.rb.interleaved, cfg.device, channels=cache)
 

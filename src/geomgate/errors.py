@@ -82,6 +82,9 @@ def parse_mode(text) -> int | None:
     if not match:
         raise ConfigError("mode must be 'exact' or 'shots:<n>' with n >= 1, "
                           f"got {text!r}")
+    if len(match[1]) > len(str(MAX_SHOTS)):  # int() refuses 4,301+ digits
+        raise ConfigError(f"mode: shots must be 1..{MAX_SHOTS}, got a "
+                          f"{len(match[1])}-digit count")
     try:
         return _shots(int(match[1]))
     except ValueError as err:

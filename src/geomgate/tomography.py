@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GateChannelCache, cache_for, unvec, vec
+from .channels import GateChannelCache, unvec, vec
 from .errors import SingularSystem, _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
 from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
@@ -25,42 +25,14 @@ from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
 PREP_GATE_NAMES = ("I", "Rx(pi)", "Rx(pi/2)", "Ry(pi/2)")
 
 
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Binary readout confusion built from the 0/1 readout fidelities.
-
-    ``matrix[j, k]`` is P(measured k | true j); rows sum to one and the
-    diagonal carries (f0, f1).
-    """
-
-    f0: float
-    f1: float
-
-    def __post_init__(self):
-        for name, f in (("f0", self.f0), ("f1", self.f1)):
-            if not 0.5 < f <= 1.0:
-                raise ValueError(f"{name}={f} outside (0.5, 1]")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.f0, 1.0 - self.f0],
-                         [1.0 - self.f1, self.f1]])
-
-    def apply(self, probs: np.ndarray) -> np.ndarray:
-        """True outcome probabilities -> measured probabilities."""
-        return np.asarray(probs) @ self.matrix
-
-    def correct(self, measured: np.ndarray) -> np.ndarray:
-        """Invert the confusion matrix (may leave [0, 1] under sampling noise)."""
-        return np.asarray(measured) @ np.linalg.inv(self.matrix)
-
-
-def readout_model(device) -> ReadoutModel | None:
-    """Readout confusion of a device; None when the noise model is not a
-    device. Only a sampled run reads it."""
-    if isinstance(device, DeviceParams):
-        return ReadoutModel(f0=device.readout_f0, f1=device.readout_f1)
-    return None
+def confusion(noise) -> np.ndarray:
+    """Readout confusion matrix of a noise model: ``[j, k]`` is P(measured k
+    | true j), with diagonal (readout_f0, readout_f1) for a device and the
+    identity (perfect readout) for any other model."""
+    if isinstance(noise, DeviceParams):
+        return np.array([[noise.readout_f0, 1.0 - noise.readout_f0],
+                         [1.0 - noise.readout_f1, noise.readout_f1]])
+    return np.eye(2)
 
 
 def qpt_specs(gates, device: DeviceParams | None) -> list[GateSpec]:
@@ -77,31 +49,29 @@ def prepare_input_states() -> list[np.ndarray]:
     return [axis_angle_unitary(named_gate(n)) @ KET0 for n in PREP_GATE_NAMES]
 
 
-def sample_outcomes(p_true: np.ndarray, shots: int, rng,
-                    readout: ReadoutModel | None,
+def sample_outcomes(p_true: np.ndarray, shots: int, rng, readout,
                     correct: bool = True) -> np.ndarray:
     """Estimated (P(0), P(1)) of one binary measurement from ``shots`` shots.
 
-    Readout confusion is applied before one binomial draw from ``rng`` and,
-    when ``correct``, removed afterwards by matrix inversion.
+    The confusion matrix ``readout`` is applied before one binomial draw
+    from ``rng`` and, when ``correct``, removed afterwards by matrix
+    inversion (which may leave [0, 1] under sampling noise).
     """
-    p_meas = readout.apply(p_true) if readout is not None else p_true
-    n0 = rng.binomial(shots, min(max(p_meas[0], 0.0), 1.0))
+    n0 = rng.binomial(shots, min(max((p_true @ readout)[0], 0.0), 1.0))
     est = np.array([n0 / shots, 1.0 - n0 / shots])
-    if readout is not None and correct:
-        est = readout.correct(est)
-    return est
+    return est @ np.linalg.inv(readout) if correct else est
 
 
 def measure_expectations(rho: np.ndarray, shots: int | None = None,
-                         readout: ReadoutModel | None = None,
+                         readout=((1.0, 0.0), (0.0, 1.0)),
                          rng=None) -> np.ndarray:
     """(<sx>, <sy>, <sz>) of rho, exactly or from sampled measurements.
 
     Shot mode simulates basis-rotated binary measurements: for each axis the
-    +1-eigenstate outcome maps to readout "0". Confusion is applied before
-    binomial sampling and removed afterwards by matrix inversion, so the
-    estimate is unbiased in expectation.
+    +1-eigenstate outcome maps to readout "0". The confusion matrix
+    ``readout`` (perfect by default) is applied before binomial sampling and
+    removed afterwards by matrix inversion, so the estimate is unbiased in
+    expectation.
     """
     exact = np.array([np.trace(rho @ p).real for p in PAULIS[1:]])
     shots = _shots(shots)
@@ -181,22 +151,23 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
 
     With a device, preparation pulses are compiled schedules and incur the
     same Lindblad noise as the gate itself; expectation readout is exact
-    unless ``shots`` is given, in which case readout confusion from the
-    device is applied and corrected. The fidelity is computed from the raw
-    hermitized linear-inversion chi. Gates compile with the default T and
-    dt unless ``channels``, a cache for the same ``device``, says otherwise.
+    unless ``shots`` is given, in which case the readout confusion of the
+    device, ``confusion(device)``, is applied and corrected. The fidelity is
+    computed from the raw hermitized linear-inversion chi. Gates compile
+    under ``device`` with the default T and dt unless ``channels``, a cache
+    that may hold channels of any noise model, says otherwise.
     """
     seed = _seed(seed)
     shots = _shots(shots)
     spec, *prep_specs = qpt_specs([gate], device)
-    channels = cache_for(device, channels)
-    gate_sop, *prep_sops = channels.stack([spec, *prep_specs])
+    channels = channels or GateChannelCache()
+    gate_sop, *prep_sops = channels.stack([spec, *prep_specs], device)
 
     ideal_inputs = [density_of(psi) for psi in prepare_input_states()]
     rho0 = vec(density_of(KET0))
     actual_inputs = [unvec(sop @ rho0) for sop in prep_sops] or ideal_inputs
 
-    readout = readout_model(device)
+    readout = confusion(device)
     rng = None if shots is None else np.random.default_rng(seed)
 
     outputs = []

@@ -23,7 +23,7 @@ from geomgate.pulse import synthesize
 from geomgate.qcore import (GATE_NAMES, I2, KET0, KET1, axis_angle_unitary,
                             axis_eigenstates, clifford_group, clifford_tables,
                             named_gate, phase_distance)
-from geomgate.tomography import readout_model, run_qpt
+from geomgate.tomography import confusion, run_qpt
 
 from conftest import STANDARD_GATES, random_spec
 
@@ -101,7 +101,7 @@ def test_criterion_03_geometric_structure():
 
 
 def test_criterion_04_noiseless_qpt():
-    cache = GateChannelCache(None)
+    cache = GateChannelCache()
     worst_exact = 0.0
     for name in GATE_NAMES:
         res = run_qpt(name, channels=cache)
@@ -119,7 +119,7 @@ def test_criterion_04_noiseless_qpt():
 
 def test_criterion_05_noisy_qpt_matches_experiment_band():
     start = time.perf_counter()
-    cache = GateChannelCache(DEVICE)
+    cache = GateChannelCache()
     fids = [run_qpt(name, device=DEVICE, channels=cache).fidelity
             for name in GATE_NAMES]
     mean = float(np.mean(fids))
@@ -163,7 +163,7 @@ def test_criterion_07_interleaved_rb():
     assert err < 1e-3, f"synthetic F_g error {err}"
 
     # device-limited interleaved RB over the full gate set
-    cache = GateChannelCache(DEVICE)
+    cache = GateChannelCache()
     ref_cfg = RbConfig(sequence_lengths=DENSE_LENGTHS, randomizations=50, seed=2)
     _, *interleaved = run_rb(ref_cfg, GATE_NAMES, DEVICE, channels=cache)
     fgs = [res.F_g for _, _, res in interleaved]
@@ -229,8 +229,7 @@ def test_criterion_09_clifford_suite():
 
 
 def test_criterion_10_readout_model():
-    model = readout_model(DEVICE)
-    mat = model.matrix
+    mat = confusion(DEVICE)
     assert mat[0, 0] == pytest.approx(0.980, abs=1e-12)
     assert mat[1, 1] == pytest.approx(0.936, abs=1e-12)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-15)
@@ -240,11 +239,11 @@ def test_criterion_10_readout_model():
     worst_sigma = 0.0
     for p0 in (1.0, 0.0, 0.5, 0.83):
         truth = np.array([p0, 1.0 - p0])
-        measured = model.apply(truth)
+        measured = truth @ mat
         n0 = rng.binomial(shots, measured[0])
-        est = model.correct(np.array([n0 / shots, 1.0 - n0 / shots]))
+        est = np.array([n0 / shots, 1.0 - n0 / shots]) @ np.linalg.inv(mat)
         sigma = math.sqrt(measured[0] * (1 - measured[0]) / shots) / (
-            model.f0 + model.f1 - 1.0)
+            mat[0, 0] + mat[1, 1] - 1.0)
         pull = abs(est[0] - p0) / max(sigma, 1e-12)
         assert pull < 3.0, f"p0={p0}: pull {pull}"
         worst_sigma = max(worst_sigma, pull)

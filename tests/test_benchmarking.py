@@ -20,7 +20,7 @@ from geomgate.qcore import (GATE_NAMES, I2, KET0, axis_angle_unitary,
                             clifford_group, clifford_index_of,
                             clifford_tables, density_of, named_gate,
                             phase_distance)
-from geomgate.tomography import readout_model
+from geomgate.tomography import confusion
 
 
 def test_rb_config_validation():
@@ -220,7 +220,7 @@ def _assert_shot_samples_continue_lone_streams(config, device):
     stream's Clifford indices, as ``_plain_samples`` draws it."""
     if config.shots is None:
         return
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     curve, _, _ = run_reference_rb(config, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(config, cache, device))
 
@@ -260,7 +260,7 @@ def test_true_rejection_redraws_its_stream(device, shots):
     config = RbConfig(sequence_lengths=(394, 396, 397), randomizations=2,
                       seed=217057, shots=shots)
     assert _assert_draws_equal_lone_streams(config) == 1
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     curve, _, _ = run_reference_rb(config, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(config, cache, device))
 
@@ -429,7 +429,7 @@ def test_reference_rb_noiseless():
 
 def test_reference_rb_reproducible(device):
     cfg = RbConfig(sequence_lengths=(1, 4, 8), randomizations=4, seed=5)
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     a = run_reference_rb(cfg, device, channels=cache)
     b = run_reference_rb(cfg, device, channels=cache)
     assert np.array_equal(a[0].means, b[0].means)
@@ -493,7 +493,7 @@ def test_interleaved_depolarizing_target_recovers_half_lambda():
 def test_interleaved_device_gate_fidelity(device):
     cfg = RbConfig(sequence_lengths=(2, 8, 16, 32, 64), randomizations=8,
                    seed=6)
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     _, _, result = run_interleaved_rb(cfg, "H", device, channels=cache)
     assert 0.99 < result.F_g <= 1.0
 
@@ -510,12 +510,13 @@ def _plain_samples(config, channels, device, target=None):
     folded by scalar table lookups; the shot sample is drawn from the
     sequence's own stream right after its Clifford indices.
     """
-    table = channels.stack([element.spec for element in clifford_group()])
+    table = channels.stack([element.spec for element in clifford_group()],
+                           device)
     compose, inverse = clifford_tables()
     if target is not None:
         name, target = target
         target_index = clifford_index_of(axis_angle_unitary(named_gate(name)))
-    readout = (readout_model(device) if config.shots else None)
+    readout = confusion(device)
     samples = []
     for li, m in enumerate(config.sequence_lengths):
         vals = []
@@ -538,16 +539,16 @@ def _plain_samples(config, channels, device, target=None):
                     p0 = 1.0
                 vals.append(p0)
                 continue
-            probs = readout.apply(np.array([p0, 1.0 - p0]))
+            probs = np.array([p0, 1.0 - p0]) @ readout
             n0 = rng.binomial(config.shots, min(max(probs[0], 0.0), 1.0))
-            est = readout.correct(np.array([n0 / config.shots,
-                                            1.0 - n0 / config.shots]))
+            est = (np.array([n0 / config.shots, 1.0 - n0 / config.shots])
+                   @ np.linalg.inv(readout))
             vals.append(float(est[0]))
         samples.append(np.array(vals))
     return samples
 
 
-def _target_channel(channels, name):
+def _target_channel(channels, name, device):
     """The channel ``run_rb`` interleaves for target H or Rz(pi): H, a few
     ulp from its Clifford element, runs that element's channel; Rz(pi) is
     no element's angles and runs its own pulse."""
@@ -558,7 +559,7 @@ def _target_channel(channels, name):
         assert spec != named_gate(name)
     else:
         assert name == "Rz(pi)"
-    return channels.stack([spec])[0]
+    return channels.stack([spec], device)[0]
 
 
 def _assert_curve_equals_plain(curve, samples):
@@ -572,7 +573,7 @@ def _assert_curve_equals_plain(curve, samples):
 def test_batched_rb_equals_per_sequence_loop(device, shots):
     cfg = RbConfig(sequence_lengths=(1, 2, 5, 9), randomizations=5, seed=11,
                    shots=shots)
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     curve, ref_fit, _ = run_reference_rb(cfg, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(cfg, cache, device))
 
@@ -580,7 +581,7 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
     # pulse
     for name in ("H", "Rz(pi)"):
         icurve, _, _ = run_interleaved_rb(cfg, name, device, channels=cache)
-        target = (name, _target_channel(cache, name))
+        target = (name, _target_channel(cache, name, device))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
 
@@ -602,7 +603,7 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
     assert runs[0][1].p == ref_fit.p
     for target, (icurve, ifit, iresult) in zip(targets, runs[1:]):
         if isinstance(target, str):
-            target = (target, _target_channel(cache, target))
+            target = (target, _target_channel(cache, target, device))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
         assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
@@ -611,7 +612,7 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
 def test_interleaved_rb_equals_its_run_rb_entry(device):
     cfg = RbConfig(sequence_lengths=(1, 2, 4, 8, 16), randomizations=4,
                    seed=3)
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     (_, ref_fit, _), _, (curve, fit, result) = run_rb(
         cfg, ["Rz(pi)", "H"], device, channels=cache)
     icurve, ifit, iresult = run_interleaved_rb(cfg, "H", device,
@@ -652,10 +653,11 @@ def _target_index(name):
 
 
 def test_sampled_rb_means_match_the_exact_ensemble_average(device):
-    cache = GateChannelCache(device)
-    cliffords = cache.stack([element.spec for element in clifford_group()])
+    cache = GateChannelCache()
+    cliffords = cache.stack([element.spec for element in clifford_group()],
+                            device)
     # each target's channel is given, so the oracle runs the same one
-    targets = [(name, cache.stack([named_gate(name)])[0])
+    targets = [(name, cache.stack([named_gate(name)], device)[0])
                for name in GATE_NAMES]
     cfg = RbConfig(sequence_lengths=tuple(range(2, 102, 2)),
                    randomizations=50, seed=2)
@@ -671,9 +673,11 @@ def test_sampled_rb_means_match_the_exact_ensemble_average(device):
 
 def test_exact_ensemble_average_of_depolarizing_gates_is_closed_form():
     s = 0.03
-    cache = GateChannelCache(DepolarizingNoise(s))
-    cliffords = cache.stack([element.spec for element in clifford_group()])
-    (h,) = cache.stack([named_gate("H")])
+    noise = DepolarizingNoise(s)
+    cache = GateChannelCache()
+    cliffords = cache.stack([element.spec for element in clifford_group()],
+                            noise)
+    (h,) = cache.stack([named_gate("H")], noise)
     m = np.arange(2, 102, 2)
     reference = _average_survival(m, cliffords)
     interleaved = _average_survival(m, cliffords, h, _target_index("H"))

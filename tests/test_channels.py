@@ -99,13 +99,13 @@ def test_cache_compiles_each_spec_once(monkeypatch, device):
         return gate_superops(specs, *args)
 
     monkeypatch.setattr(channels, "gate_superops", counting)
-    cache = GateChannelCache(device)
+    cache = GateChannelCache()
     spec, named_h = GateSpec(0.3, 0.2, 1.0), named_gate("H")
-    first = cache.stack([spec, named_h, spec])
+    first = cache.stack([spec, named_h, spec], device)
     assert first.shape == (3, 4, 4)
     assert calls == [[spec, named_h]]
     # a second stack of the same specs compiles nothing
-    second = cache.stack([named_h, spec])
+    second = cache.stack([named_h, spec], device)
     assert calls == [[spec, named_h]]
     assert np.array_equal(second, first[[1, 0]])
 
@@ -119,9 +119,9 @@ def test_cache_stack_ignores_what_it_held(device):
     h = clifford_index_of(axis_angle_unitary(named_h))
     assert group[h] != named_h
     for held in ([], [named_h], group[:5] + [named_h]):
-        cache = GateChannelCache(device)
-        cache.stack(held)
-        table = cache.stack(group + [named_h])
+        cache = GateChannelCache()
+        cache.stack(held, device)
+        table = cache.stack(group + [named_h], device)
         assert table.shape == (25, 4, 4)
         assert np.array_equal(table[:24], fresh)
         assert np.array_equal(table[24], gate_superops([named_h], device)[0])
@@ -131,9 +131,8 @@ def test_cache_stack_ignores_what_it_held(device):
 def test_results_do_not_depend_on_what_the_cache_ran_before(device):
     config = RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=4, seed=2)
     targets = ["H", "Rx(pi)"]
-    fresh_rb = run_rb(config, targets, device,
-                      channels=GateChannelCache(device))
-    shared = GateChannelCache(DeviceParams.default_xmon())
+    fresh_rb = run_rb(config, targets, device, channels=GateChannelCache())
+    shared = GateChannelCache()
     run_qpt("H", device=device, channels=shared)
     run_qpt("Rx(pi)", device=device, channels=shared)
     after_qpt = run_rb(config, targets, device, channels=shared)
@@ -141,8 +140,8 @@ def test_results_do_not_depend_on_what_the_cache_ran_before(device):
             after_qpt, fresh_rb, strict=True):
         assert np.array_equal(curve.means, want.means)
         assert fit == want_fit and result == want_result
-    fresh_qpt = run_qpt("H", device=device, channels=GateChannelCache(device))
-    shared = GateChannelCache(DeviceParams.default_xmon())
+    fresh_qpt = run_qpt("H", device=device, channels=GateChannelCache())
+    shared = GateChannelCache()
     run_rb(config, targets, device, channels=shared)
     after_rb = run_qpt("H", device=device, channels=shared)
     assert np.array_equal(after_rb.chi, fresh_qpt.chi)
@@ -200,28 +199,35 @@ def test_physical_channel_check(device):
 
 
 def test_cache_refuses_diverged_compile():
-    cache = GateChannelCache(DeviceParams(T1_us=1e-6, T2_star_us=10.0))
+    cache, stiff = GateChannelCache(), DeviceParams(T1_us=1e-6, T2_star_us=10.0)
     with np.errstate(all="ignore"), pytest.raises(NonPhysicalChannel):
-        cache.stack([named_gate("H")])
-    assert not cache._by_spec
+        cache.stack([named_gate("H")], stiff)
+    assert not any(cache._by_noise.values())
 
 
-def test_protocols_refuse_a_cache_for_another_noise_model(device):
+def test_one_cache_serves_every_noise_model(device):
+    # interleaved, so a channel held under another model would show
+    models = [device, DeviceParams(T1_us=5.0, T2_star_us=10.0), None,
+              DepolarizingNoise(0.01), DeviceParams.default_xmon()]
+    h = named_gate("H")
+    cache = GateChannelCache()
+    for noise in models + models[::-1]:
+        assert np.array_equal(cache.stack([h], noise),
+                              gate_superops([h], noise))
+        assert (run_qpt("H", device=noise, channels=cache).fidelity
+                == run_qpt("H", device=noise).fidelity)
+    # equal devices share their entries
+    assert len(cache._by_noise) == len(models) - 1
+
+
+def test_protocols_compile_at_the_cache_dt(device):
     config = RbConfig(sequence_lengths=(1, 2, 3), randomizations=2)
-    other = DeviceParams(T1_us=5.0, T2_star_us=10.0)
-    for noise, cache_noise in ((device, other), (device, None), (None, device),
-                               (device, DepolarizingNoise(0.01))):
-        cache = GateChannelCache(cache_noise)
-        with pytest.raises(ValueError, match="channel cache"):
-            run_qpt("H", device=noise, channels=cache)
-        with pytest.raises(ValueError, match="channel cache"):
-            run_rb(config, ["H"], noise, channels=cache)
-        assert not cache._by_spec  # refused before any compile
-    # an equal device is the same noise model, and the cache sets dt
-    cache = GateChannelCache(DeviceParams.default_xmon(), 10.0, 0.02)
+    cache = GateChannelCache(10.0, 0.02)
     assert (run_qpt("H", device=device, channels=cache).fidelity
             != run_qpt("H", device=device).fidelity)
     run_rb(config, ["H"], device, channels=cache)
+
+
 def test_stacked_compile_bit_equal_to_single(rng, device):
     group = clifford_group()
     specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),

@@ -63,7 +63,8 @@ def test_parse_mode():
     # a count must also be one Generator.binomial takes
     assert parse_mode(f"shots:{2**63 - 1}") == 2**63 - 1
     for text in (f"shots:{2**63}", "shots:" + "9" * 5000):
-        with pytest.raises(ConfigError, match="mode: "):
+        with pytest.raises(ConfigError,
+                           match=r"^mode: shots must be 1\.\.9223372036854775807"):
             parse_mode(text)
 
 
@@ -595,6 +596,19 @@ def test_cli_shots_beyond_the_binomial_limit_are_a_config_error(
     assert not out.exists()
     largest = config_from_dict({**doc, "mode": f"shots:{2**63 - 1}"})
     assert largest.shots == largest.rb.config.shots == 2**63 - 1
+
+
+def test_cli_shot_count_past_the_int_digit_limit(tmp_path, capsys):
+    # 5,000 digits is past Python's int() limit, whose message names a
+    # setting a config author cannot reach
+    path = _write_config(tmp_path, {"device": None, "qpt": {"gates": ["H"]}})
+    out = tmp_path / "out"
+    assert cli.main(["qpt", "--config", str(path), "--out", str(out),
+                     "--mode", "shots:" + "9" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mode: shots must be 1..")
+    assert "set_int_max_str_digits" not in err
+    assert not out.exists()
 
 
 def test_cli_stiff_step_refused_before_any_compile(tmp_path, capsys,

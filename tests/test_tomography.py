@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate.channels import GateChannelCache
+from geomgate.channels import DepolarizingNoise, GateChannelCache
 from geomgate.cli import _write_json
 from geomgate.errors import SingularSystem
 from geomgate.evolution import DeviceParams
 from geomgate.qcore import (GATE_NAMES, KET0, KET1, PAULIS, SIGMA_X,
                             density_of, named_gate)
-from geomgate.tomography import (ReadoutModel, chi_to_csv, ideal_chi,
+from geomgate.tomography import (chi_to_csv, confusion, ideal_chi,
                                  measure_expectations, pauli_coefficients,
                                  prepare_input_states, process_fidelity,
-                                 qpt_report, readout_model, reconstruct_chi,
+                                 qpt_report, reconstruct_chi,
                                  reconstruct_state, run_qpt, sample_outcomes)
 
 SQ2 = math.sqrt(2.0)
@@ -63,39 +63,50 @@ def test_measure_expectations_refuses_bad_shots():
 
 
 def test_measure_expectations_shot_unbiased(device):
-    readout = readout_model(device)
+    readout = confusion(device)
     shots = 1_000_000
     got = measure_expectations(density_of(KET0), shots=shots, readout=readout,
                                rng=np.random.default_rng(5))
     # corrected <sz> estimate: sigma from binomial noise through the inverse
-    p_meas0 = readout.apply(np.array([1.0, 0.0]))[0]
+    p_meas0 = (np.array([1.0, 0.0]) @ readout)[0]
     sigma = 2.0 * math.sqrt(p_meas0 * (1 - p_meas0) / shots) / (
-        readout.f0 + readout.f1 - 1.0)
+        readout[0, 0] + readout[1, 1] - 1.0)
     assert abs(got[2] - 1.0) < 3.0 * sigma
     assert abs(got[0]) < 5e-3 and abs(got[1]) < 5e-3
 
 
 def test_sample_outcomes_one_draw_then_correction(device):
-    readout = readout_model(device)
+    readout = confusion(device)
     p_true = np.array([0.7, 0.3])
     raw = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout,
                           correct=False)
     # one binomial draw on the confused probabilities, nothing else
-    n0 = np.random.default_rng(4).binomial(1000, readout.apply(p_true)[0])
+    n0 = np.random.default_rng(4).binomial(1000, (p_true @ readout)[0])
     assert raw.tolist() == [n0 / 1000, 1.0 - n0 / 1000]
     fixed = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout)
-    assert np.array_equal(fixed, readout.correct(raw))
+    assert np.array_equal(fixed, raw @ np.linalg.inv(readout))
+
+
+def test_identity_confusion_is_exact():
+    # perfect readout draws on p itself and corrects nothing, bit for bit
+    assert np.array_equal(confusion(DepolarizingNoise(0.1)), np.eye(2))
+    for p0 in (0.0, 1.0, 0.3, 0.5, 1.0 / 3.0, 1.0 - 1e-12):
+        for n in (1, 7, 1000):
+            n0 = np.random.default_rng(11).binomial(n, p0)
+            want = [n0 / n, 1.0 - n0 / n]
+            for correct in (True, False):
+                got = sample_outcomes(np.array([p0, 1.0 - p0]), n,
+                                      np.random.default_rng(11),
+                                      confusion(None), correct)
+                assert got.tolist() == want
 
 
 def test_readout_model_invariants(device):
-    model = readout_model(device)
-    mat = model.matrix
+    mat = confusion(device)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-15)
     assert mat[0, 0] == 0.98 and mat[1, 1] == 0.936
     p = np.array([0.37, 0.63])
-    assert np.allclose(model.correct(model.apply(p)), p, atol=1e-12)
-    with pytest.raises(ValueError):
-        ReadoutModel(0.3, 0.9)
+    assert np.allclose(p @ mat @ np.linalg.inv(mat), p, atol=1e-12)
 
 
 def test_reconstruct_state_examples():
@@ -117,11 +128,11 @@ FIDELITY = st.floats(0.5, 1.0, exclude_min=True)
 @settings(max_examples=200, deadline=None)
 @given(f0=FIDELITY, f1=FIDELITY, p0=st.floats(0.0, 1.0))
 def test_readout_correction_inverts_confusion(f0, f1, p0):
-    model = ReadoutModel(f0, f1)
+    mat = confusion(DeviceParams(1.0, 1.0, readout_f0=f0, readout_f1=f1))
     p = np.array([p0, 1.0 - p0])
     # inverting the confusion amplifies rounding by 1 / det = 1 / (f0 + f1 - 1)
     tol = 4.0 * np.finfo(float).eps / (f0 + f1 - 1.0)
-    assert np.abs(model.correct(model.apply(p)) - p).max() <= tol
+    assert np.abs(p @ mat @ np.linalg.inv(mat) - p).max() <= tol
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,7 +294,7 @@ def test_ideal_chi_phase_invariant(rng):
 # full pipeline
 
 def test_run_qpt_noiseless_exact_all_gates():
-    cache = GateChannelCache(None)
+    cache = GateChannelCache()
     for name in GATE_NAMES:
         res = run_qpt(name, channels=cache)
         assert abs(res.fidelity - 1.0) < 1e-6
