@@ -452,14 +452,16 @@ def _run_curves(config: RbConfig, table: np.ndarray, readout: np.ndarray,
                             survival)
     else:
         survival = np.empty_like(p0)
-        for c, li, ri in np.ndindex(p0.shape):
-            # the sequence's stream, drawn past its indices
+        for li, ri in np.ndindex(p0.shape[1:]):
+            # the sequence's stream, drawn past its indices once
             rng = stream(keys[li, ri])
             rng.integers(0, _N_CLIFFORD, size=lengths[li])
-            p = p0[c, li, ri]
-            survival[c, li, ri] = sample_outcomes(
-                np.array([p, 1.0 - p]), config.shots, rng, readout,
-                config.readout_correction)[0]
+            past = rng.bit_generator.state
+            for c, p in enumerate(p0[:, li, ri]):
+                rng.bit_generator.state = past
+                survival[c, li, ri] = sample_outcomes(
+                    np.array([p, 1.0 - p]), config.shots, rng, readout,
+                    config.readout_correction)[0]
     means = survival.mean(axis=2)
     stderrs = survival.std(axis=2, ddof=1) / math.sqrt(n_rand)
     return [DecayCurve(lengths=lengths, means=means[c], stderrs=stderrs[c],

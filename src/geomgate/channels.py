@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalChannel
-from .evolution import (I4, DeviceParams, _segments_of, lindblad_rk4_steps,
-                        schedule_propagator)
+from .evolution import (I4, DeviceParams, _lindblad_segments, _segments_of,
+                        rk4_steps, schedule_propagator)
 from .pulse import synthesize
 from .qcore import GateSpec
 
@@ -57,10 +57,10 @@ def schedule_superops(schedules, device: DeviceParams | None = None,
                       dt: float = 0.01) -> np.ndarray:
     """Superoperators of a stack of schedules, shape (G, 4, 4).
 
-    RK4 on dS/dt = L(t) S, run on all G schedules at once by the same
-    kernel as ``evolve_lindblad``, so the result is bit-equal to G separate
-    integrations. Segment k must last equally long in every schedule. With
-    no device this reduces to the exact unitary channels.
+    RK4 on dS/dt = L(t) S, run on all G schedules at once by the kernel of
+    ``evolve_lindblad`` on one rate grid per stacked segment, so the result
+    is bit-equal to G separate integrations. Segment k must last equally
+    long in every schedule. With no device: the exact unitary channels.
     """
     seg_lists = [_segments_of(schedule) for schedule in schedules]
     if device is None:
@@ -68,7 +68,7 @@ def schedule_superops(schedules, device: DeviceParams | None = None,
                          for segs in seg_lists])
     # keep only the last step, so no per-step stack stays alive
     s = np.repeat(I4[None], len(seg_lists), axis=0)
-    for s in lindblad_rk4_steps(s, seg_lists, device, dt):
+    for s in rk4_steps(s, _lindblad_segments(seg_lists, device, dt)):
         pass
     return s
 

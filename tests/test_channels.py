@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from geomgate import channels
+from geomgate import channels, evolution
 from geomgate.benchmarking import RbConfig, run_rb
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                check_physical, depolarizing_superop, gate_superop,
@@ -16,8 +16,8 @@ from geomgate.evolution import (DeviceParams, _drive_matrix, _segment_grid,
                                 schedule_propagator)
 from geomgate.errors import NonPhysicalChannel
 from geomgate.pulse import synthesize
-from geomgate.qcore import (GateSpec, axis_angle_unitary, clifford_group,
-                            clifford_index_of, named_gate)
+from geomgate.qcore import (GATE_NAMES, GateSpec, axis_angle_unitary,
+                            clifford_group, clifford_index_of, named_gate)
 from geomgate.tomography import run_qpt
 
 from conftest import random_spec
@@ -160,7 +160,8 @@ def _loop_steps(schedule, y, device, dt):
     for seg in schedule.segments:
         n = int(round(seg.duration / dt))
         h = seg.duration / n
-        _, w_full, w_half = _segment_grid(seg, dt, 1)
+        _, w_full, w_half = _segment_grid([seg], dt, 1)
+        w_full, w_half = w_full.ravel(), w_half.ravel()
         l_drive = lindblad_generator(_drive_matrix(seg), 0.0, 0.0)
         for i in range(n):
             l0 = w_full[i] * l_drive + l_diss
@@ -226,6 +227,25 @@ def test_protocols_compile_at_the_cache_dt(device):
     assert (run_qpt("H", device=device, channels=cache).fidelity
             != run_qpt("H", device=device).fidelity)
     run_rb(config, ["H"], device, channels=cache)
+
+
+def test_one_rate_grid_per_stacked_segment(monkeypatch, device):
+    # one grid serves every row of a stacked segment, and a trajectory's
+    # grids serve both its samples and its kernel
+    rows = []
+    grid = evolution._segment_grid
+
+    def counting(segs, dt, min_steps):
+        rows.append(len(segs))
+        return grid(segs, dt, min_steps)
+
+    monkeypatch.setattr(evolution, "_segment_grid", counting)
+    gate_superops([named_gate(g) for g in GATE_NAMES[:5]], device)
+    assert rows == [5, 5, 5]
+    rows.clear()
+    evolve_lindblad(synthesize(named_gate("H"), 10.0), np.diag([1.0, 0.0]),
+                    device)
+    assert rows == [1, 1, 1]
 
 
 def test_stacked_compile_bit_equal_to_single(rng, device):

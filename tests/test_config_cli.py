@@ -270,7 +270,8 @@ def test_config_round_trips_through_its_report_form():
 
 def test_shipped_configs_load():
     paths = sorted(CONFIGS.glob("*.json"))
-    assert [p.name for p in paths] == ["qpt_xmon.json", "rb_xmon.json"]
+    assert [p.name for p in paths] == ["qpt_xmon.json", "rb_xmon.json",
+                                       "synth_xmon.json"]
     for path in paths:
         load_config(path)
 

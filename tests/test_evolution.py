@@ -9,11 +9,12 @@ import pytest
 from geomgate.channels import gate_superops
 from geomgate.config import MAX_SEGMENT_STEPS
 from geomgate.errors import NotCyclic, PathNotClosed, StepTooLarge
-from geomgate.evolution import (DeviceParams, Trajectory, bloch_path_to_csv,
-                                bloch_trajectory, enclosed_solid_angle,
-                                evolve_lindblad, evolve_unitary,
-                                lindblad_rk4_steps,
-                                phase_decomposition, schedule_propagator,
+from geomgate.evolution import (DeviceParams, Trajectory, _drive_matrix,
+                                _lindblad_segments, _segment_grid,
+                                bloch_path_to_csv, bloch_trajectory,
+                                enclosed_solid_angle, evolve_lindblad,
+                                evolve_unitary, phase_decomposition,
+                                rk4_steps, schedule_propagator,
                                 segment_propagator_exact, trajectory_to_csv,
                                 wrap_angle)
 from geomgate.pulse import PulseSegment, synthesize
@@ -311,10 +312,27 @@ def test_t1_long_idle_takes_more_steps_than_a_config_segment(device):
     # the kernel runs them too; its first 1,000 steps decay as T1 does (the
     # whole Lindblad run takes seconds)
     y0 = density_of(KET1).reshape(1, 4, 1)
-    steps = lindblad_rk4_steps(y0, [idle], device, 0.05)
+    steps = rk4_steps(y0, _lindblad_segments([idle], device, 0.05))
     y = next(itertools.islice(steps, 999, None))
     want = math.exp(-1000 * (t1 / n) * device.gamma1_per_ns)
     assert abs(y[0, 3, 0].real - want) < 1e-12
+
+
+def test_kernel_steps_any_square_generator():
+    # the kernel reads only the arrays it is given: under A = -i K and
+    # B = 0 it steps pure states, (3, 2, 1), as the Schrodinger equation
+    schedules = [synthesize(named_gate(g), 10.0)
+                 for g in ("H", "Rx(pi/2)", "Rz(pi)")]
+    segments = [(*_segment_grid(segs, 0.01, 1),
+                 np.array([-1j * _drive_matrix(seg) for seg in segs]),
+                 np.zeros((2, 2)))
+                for segs in zip(*(s.segments for s in schedules))]
+    y = np.repeat(KET0.reshape(1, 2, 1), 3, axis=0)
+    for y in rk4_steps(y, segments):
+        pass
+    for sched, psi in zip(schedules, y):
+        want = schedule_propagator(sched) @ KET0
+        assert np.abs(psi[:, 0] - want).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------

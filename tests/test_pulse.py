@@ -82,11 +82,13 @@ def test_envelope_grid_matches_scalar_oracle(rng):
                                peak_amplitude=rng.uniform(0.0, 0.5),
                                phase_offset=0.0, envelope=envelope)
             n = int(rng.integers(1, 500))
-            h, w_full, w_half = _segment_grid(seg, seg.duration / n, 1)
+            h, w_full, w_half = _segment_grid([seg], seg.duration / n, 1)
             assert h == seg.duration / n
             want_full = [amplitude_at(seg, k * h) for k in range(n + 1)]
             want_half = [amplitude_at(seg, (k + 0.5) * h) for k in range(n)]
-            assert w_full.shape == (n + 1,) and w_half.shape == (n,)
+            assert w_full.shape == (n + 1, 1, 1, 1)
+            assert w_half.shape == (n, 1, 1, 1)
+            w_full, w_half = w_full.ravel(), w_half.ravel()
             assert np.abs(w_full - want_full).max() < 1e-15
             assert np.abs(w_half - want_half).max() < 1e-15
 
