@@ -16,8 +16,8 @@ randomization) draws its Clifford indices once per run, as
 ``SeedSequence((seed, li, ri))``: vectorized passes compute the keys, the
 Philox4x64-10 words and Lemire's method. ``numpy.random`` is loaded only
 to redraw a stream with a rejected draw (p = 16/2**32 per draw) and for
-shot sampling, where each curve re-keys the sequence's stream and draws
-past its indices, to sample from the position right after them. All
+shot sampling, where each sequence's stream is drawn past its indices
+once and every curve samples from the position right after them. All
 curves and randomizations of a length run as one batch: channels come
 from a (24, 4, 4) Clifford table by index, and one integer fold gives
 the recoveries of every curve. So every curve is reproducible regardless
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import GateChannelCache, vec
-from .errors import _seed, _shots, _whole
+from .errors import NonPhysicalChannel, _seed, _shots, _whole
 from .evolution import DeviceParams, _write_csv
 from .qcore import (KET0, axis_angle_unitary, clifford_group,
                     clifford_index_of, clifford_tables, density_of,
@@ -327,8 +327,7 @@ def _apply_sequences(table: np.ndarray, idx: np.ndarray,
     targets = np.reshape(targets, (-1, 1, 4, 4))
     for col in idx.T:
         v = np.matmul(table[col], v)
-        if len(targets):
-            v[plain:] = np.matmul(targets, v[plain:])
+        v[plain:] = np.matmul(targets, v[plain:])
     v = np.matmul(table[recovery], v)
     return v[..., 0, 0].real
 
@@ -445,11 +444,11 @@ def _run_curves(config: RbConfig, table: np.ndarray, readout: np.ndarray,
         p0[:, li] = _apply_sequences(
             table, idx, _recoveries(idx, target_indices), sops)
     if config.shots is None:
-        # absorb integrator dust at the boundaries; anything larger is a bug
-        # and must surface in the invariant checks
-        survival = np.where((-1e-9 < p0) & (p0 < 0.0), 0.0, p0)
-        survival = np.where((1.0 < survival) & (survival < 1.0 + 1e-9), 1.0,
-                            survival)
+        # clip integrator dust at the boundaries; anything larger is a bug
+        if not np.all((-1e-9 < p0) & (p0 < 1.0 + 1e-9)):
+            raise NonPhysicalChannel("RB survival outside [0, 1] by more "
+                                     "than 1e-9")
+        survival = np.clip(p0, 0.0, 1.0)
     else:
         survival = np.empty_like(p0)
         for li, ri in np.ndindex(p0.shape[1:]):

@@ -178,15 +178,12 @@ def lindblad_generator(h: np.ndarray, gamma1: float, gamma_phi: float) -> np.nda
     (G, 2, 2) stack of Hamiltonians ``h`` gives a (G, 4, 4) stack."""
     sm = SIGMA_MINUS
     pe = sm.conj().T @ sm
-    gen = -1j * (np.kron(h, np.eye(2))
-                 - np.kron(np.eye(2), np.swapaxes(h, -1, -2)))
-    if gamma1:
-        gen = gen + gamma1 * (np.kron(sm, sm.conj())
-                              - 0.5 * (np.kron(pe, np.eye(2))
-                                       + np.kron(np.eye(2), pe.T)))
-    if gamma_phi:
-        gen = gen + 0.5 * gamma_phi * (np.kron(SIGMA_Z, SIGMA_Z.conj()) - I4)
-    return gen
+    return (-1j * (np.kron(h, np.eye(2))
+                   - np.kron(np.eye(2), np.swapaxes(h, -1, -2)))
+            + gamma1 * (np.kron(sm, sm.conj())
+                        - 0.5 * (np.kron(pe, np.eye(2))
+                                 + np.kron(np.eye(2), pe.T)))
+            + 0.5 * gamma_phi * (np.kron(SIGMA_Z, SIGMA_Z.conj()) - I4))
 
 
 def _lindblad_segments(seg_lists, device: DeviceParams | None, dt: float):
@@ -283,8 +280,7 @@ def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
         # z - 1 is exact, so d - (z - 1) is the rounding of 1 + d; on a
         # constant envelope it repeats every step, so it is summed back
         zs = np.cumprod(z) * (1.0 + np.cumsum((d - (z - 1.0)) / z))
-        em = -1j * complex(math.cos(seg.phase_offset), -math.sin(seg.phase_offset))
-        ep = -1j * complex(math.cos(seg.phase_offset), math.sin(seg.phase_offset))
+        em, ep = (-1j * _drive_matrix(seg))[[0, 1], [1, 0]]
         a, b = states[pos].tolist()
         states[pos + 1:pos + n + 1, 0] = zs.real * a + zs.imag * (em * b)
         states[pos + 1:pos + n + 1, 1] = zs.real * b + zs.imag * (ep * a)
@@ -324,7 +320,7 @@ def phase_decomposition(traj: Trajectory) -> PhaseReport:
         raise ValueError("phase decomposition requires a pure-state trajectory")
     overlap = np.vdot(traj.states[0], traj.states[-1])
     defect = 1.0 - abs(overlap)
-    if defect > CYCLIC_TOL:
+    if not defect <= CYCLIC_TOL:  # a NaN state fails too
         raise NotCyclic(f"cyclicity defect {defect:.3g} exceeds {CYCLIC_TOL}")
     total = float(np.angle(overlap))
     expect = np.einsum("ti,tij,tj->t", traj.states.conj(), traj.hamiltonians,
@@ -354,7 +350,7 @@ def enclosed_solid_angle(path: np.ndarray) -> float:
     first path point (counterclockwise about the outward normal positive).
     """
     path = np.asarray(path, dtype=float)
-    if np.linalg.norm(path[0] - path[-1]) > CLOSURE_TOL:
+    if not np.linalg.norm(path[0] - path[-1]) <= CLOSURE_TOL:  # NaN fails
         raise PathNotClosed("path endpoints differ by more than the tolerance")
     v0 = path[0]
     a = path[:-1]

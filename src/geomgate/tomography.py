@@ -164,8 +164,8 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     gate_sop, *prep_sops = channels.stack([spec, *prep_specs], device)
 
     ideal_inputs = [density_of(psi) for psi in prepare_input_states()]
-    rho0 = vec(density_of(KET0))
-    actual_inputs = [unvec(sop @ rho0) for sop in prep_sops] or ideal_inputs
+    # S vec(|0><0|) is the first column of S, bit for bit
+    actual_inputs = [unvec(sop[:, 0]) for sop in prep_sops] or ideal_inputs
 
     readout = confusion(device)
     rng = None if shots is None else np.random.default_rng(seed)

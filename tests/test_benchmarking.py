@@ -16,6 +16,7 @@ from geomgate.benchmarking import (MAX_RB_DRAWS, DecayCurve, DecayFit,
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
 from geomgate.cli import _write_json
+from geomgate.errors import NonPhysicalChannel
 from geomgate.qcore import (GATE_NAMES, I2, KET0, axis_angle_unitary,
                             clifford_group, clifford_index_of,
                             clifford_tables, density_of, named_gate,
@@ -607,6 +608,15 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
         assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
+
+
+def test_out_of_band_survival_is_non_physical():
+    # a gain of 1.01 lifts survivals to 1.01-1.08, far past integrator dust:
+    # the exact-mode clip must refuse them, not fold them into a fit
+    h = unitary_superop(axis_angle_unitary(named_gate("H")))
+    with pytest.raises(NonPhysicalChannel, match="outside"):
+        run_rb(RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3),
+               [("H", 1.01 * h)])
 
 
 def test_interleaved_rb_equals_its_run_rb_entry(device):

@@ -646,6 +646,20 @@ def test_cli_nan_channel_exits_4_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_synth_nan_phases_exit_4_and_write_nothing(tmp_path, capsys):
+    # the half-step grid of a 1e308 ns segment overflows, so the states
+    # are NaN; they must fail the cyclicity check, not reach the reports
+    path = _write_config(tmp_path, {"segment_duration_ns": 1e308,
+                                    "dt_ns": 1e305, "synth": {"gate": "H"}})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert cli.main(["synth", "--config", str(path),
+                         "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cyclicity defect nan")
+    assert not out.exists()
+
+
 def test_cli_mode_and_seed_overrides(tmp_path):
     path = _write_config(tmp_path, {"device": None, "qpt": {"gates": ["H"]}})
     out = tmp_path / "out"

@@ -367,6 +367,14 @@ def test_phase_decomposition_not_cyclic():
         phase_decomposition(traj)
 
 
+def test_phase_decomposition_nan_state_is_not_cyclic():
+    # a NaN defect is not greater than any tolerance, yet must fail the check
+    traj = evolve_unitary([PulseSegment(10.0, 0.0, 0.0)], KET0, dt=0.05)
+    traj.states[-1] = np.nan
+    with pytest.raises(NotCyclic):
+        phase_decomposition(traj)
+
+
 # ---------------------------------------------------------------------------
 # Bloch paths and solid angle
 
@@ -407,6 +415,12 @@ def test_solid_angle_octant():
 
 def test_solid_angle_not_closed():
     path = np.array([[1, 0, 0], [0, 1, 0]], dtype=float)
+    with pytest.raises(PathNotClosed):
+        enclosed_solid_angle(path)
+
+
+def test_solid_angle_nan_endpoint_not_closed():
+    path = np.array([[1, 0, 0], [0, 1, 0], [np.nan, 0, 0]], dtype=float)
     with pytest.raises(PathNotClosed):
         enclosed_solid_angle(path)
 
