@@ -104,7 +104,8 @@ PHYSICAL_TOL = 1e-10
 def check_physical(sops: np.ndarray, specs) -> None:
     """Raise NonPhysicalChannel unless every superop of the (G, 4, 4) stack
     is finite, trace preserving and completely positive, each to
-    ``PHYSICAL_TOL``; ``specs`` name the gates in the message."""
+    ``PHYSICAL_TOL`` (CP by a Cholesky factor of each Choi matrix J + tol I,
+    by eigenvalues only if that fails); ``specs`` name the gates in errors."""
     def fail(bad, what):
         spec = specs[int(np.flatnonzero(bad)[0])]
         raise NonPhysicalChannel(
@@ -125,10 +126,13 @@ def check_physical(sops: np.ndarray, specs) -> None:
     choi = (sops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
             .reshape(-1, 4, 4))
     choi = 0.5 * (choi + choi.conj().swapaxes(1, 2))
-    choi_min = np.linalg.eigvalsh(choi)[:, 0]
-    if (choi_min < -PHYSICAL_TOL).any():
-        fail(choi_min < -PHYSICAL_TOL,
-             f"not completely positive (Choi eigenvalue {choi_min.min():.1e})")
+    try:  # J >= -tol exactly when J + tol I has a Cholesky factor
+        np.linalg.cholesky(choi + PHYSICAL_TOL * I4)
+    except np.linalg.LinAlgError:
+        choi_min = np.linalg.eigvalsh(choi)[:, 0]
+        if (choi_min < -PHYSICAL_TOL).any():
+            fail(choi_min < -PHYSICAL_TOL, "not completely positive "
+                 f"(Choi eigenvalue {choi_min.min():.1e})")
 
 
 class GateChannelCache:

@@ -35,10 +35,6 @@ class PathNotClosed(GeomgateError):
     """Bloch path endpoints do not coincide."""
 
 
-class SingularSystem(GeomgateError):
-    """Tomography inputs are not informationally complete."""
-
-
 class ConfigError(GeomgateError):
     """Experiment configuration failed to load or validate."""
 

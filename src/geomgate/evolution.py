@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -363,7 +362,7 @@ def enclosed_solid_angle(path: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # CSV export
 
-# rows per write: joining a whole table at once costs 0.6 MB of peak RSS
+# rows per tolist() and write: whole columns cost about 0.5 MB of peak RSS
 _CSV_BLOCK = 512
 
 
@@ -371,12 +370,12 @@ def _write_csv(path, header, columns) -> None:
     # csv.writer spells the Python values of .tolist() with str and quotes
     # neither numbers nor plain labels, so joining them writes the same
     # bytes, faster; for numbers, repr is the same text and a faster call
-    rows = map(",".join, zip(*(map(str if col.dtype.kind == "U" else repr,
-                                   col.tolist()) for col in columns)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, _CSV_BLOCK)):
-            fh.write("\r\n".join(block) + "\r\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = (map(str if col.dtype.kind == "U" else repr,
+                         col[i:i + _CSV_BLOCK].tolist()) for col in columns)
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -1,11 +1,12 @@
 """Quantum process tomography of a simulated gate channel.
 
-Four informationally complete input states are prepared by compiled gate
-pulses, pushed through the gate channel, and read out by state tomography
-(exact expectations, or binomially sampled shots with readout confusion and
-confusion-matrix-inversion correction). The process matrix chi over the
-Pauli basis (I, sx, sy, sz) is recovered by linear inversion from
-eps(rho_i) = sum_mn chi_mn E_m rho_i E_n^dag, and compared to the ideal
+Four informationally complete input states, |0>, |1>, |-i> and |+>, are
+prepared by compiled gate pulses, pushed through the gate channel, and read
+out by state tomography (exact expectations, or binomially sampled shots
+with readout confusion and confusion-matrix-inversion correction). The
+process matrix chi over the Pauli basis (I, sx, sy, sz) of
+eps(rho) = sum_mn chi_mn E_m rho E_n^dag follows from the four outputs in
+closed form (Nielsen & Chuang, Box 8.5), and is compared to the ideal
 rank-1 chi via the process fidelity Tr(chi chi_ideal).
 """
 
@@ -16,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GateChannelCache, unvec, vec
-from .errors import SingularSystem, _seed, _shots, mode_string
+from .errors import _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
-from .qcore import (GateSpec, KET0, PAULIS, PAULI_LABELS, axis_angle_unitary,
-                    density_of, named_gate)
+from .qcore import (GateSpec, I2, KET0, PAULIS, PAULI_LABELS, SIGMA_X,
+                    axis_angle_unitary, density_of, named_gate)
 
-# preparation pulses applied to |0>, in order
+# preparation pulses applied to |0>, in order: |0>, |1>, |-i>, |+>
 PREP_GATE_NAMES = ("I", "Rx(pi)", "Rx(pi/2)", "Ry(pi/2)")
+# D Lambda of Box 8.5; D maps the basis (I, X, -iY, Z) to (I, X, Y, Z)
+_BOX = np.diag([1.0, 1.0, -1.0j, 1.0]) @ np.block([[I2, SIGMA_X],
+                                                  [SIGMA_X, -I2]]) / 2.0
 
 
 def confusion(noise) -> np.ndarray:
@@ -98,22 +102,17 @@ def reconstruct_state(expectations) -> tuple[np.ndarray, bool]:
     return rho, projected
 
 
-def reconstruct_chi(inputs, outputs) -> np.ndarray:
-    """Linear inversion of eps(rho_i) = sum_mn chi_mn E_m rho_i E_n^dag.
-
-    Result is hermitized by averaging with its conjugate transpose. Raises
-    SingularSystem when the inputs do not span the operator space.
-    """
-    rho_in = np.reshape(list(inputs), (-1, 2, 2))
-    b_vec = np.reshape(list(outputs), -1)
-    if b_vec.shape != (rho_in.size,):
-        raise ValueError("inputs and outputs must pair up")
-    # row (i, a, b), column (m, n): (E_m rho_i E_n^dag)[a, b]
-    a_mat = np.einsum("mac,icd,nbd->iabmn", PAULIS, rho_in,
-                      np.conj(PAULIS)).reshape(-1, 16)
-    if np.linalg.matrix_rank(a_mat, tol=1e-9) < 16:
-        raise SingularSystem("tomography inputs are not informationally complete")
-    chi = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0].reshape(4, 4)
+def reconstruct_chi(outputs) -> np.ndarray:
+    """chi, in closed form, of the channel that maps the inputs of
+    ``prepare_input_states`` (|0>, |1>, |-i>, |+>) to ``outputs``: with
+    s = r0 + r1, p = 2 r+ - s and q = 2 r-i - s, eps(|0><1|) = (p - iq)/2,
+    eps(|1><0|) = (p + iq)/2 and chi = D Lambda [[r0, eps01], [eps10, r1]]
+    Lambda D^dag, hermitized by averaging with its conjugate transpose."""
+    r0, r1, rm, rp = np.asarray(outputs, dtype=complex)
+    s = r0 + r1
+    p, q = 2.0 * rp - s, 2.0 * rm - s
+    chi = _BOX @ np.block([[r0, (p - 1j * q) / 2.0],
+                           [(p + 1j * q) / 2.0, r1]]) @ _BOX.conj().T
     return 0.5 * (chi + chi.conj().T)
 
 
@@ -163,9 +162,9 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     channels = channels or GateChannelCache()
     gate_sop, *prep_sops = channels.stack([spec, *prep_specs], device)
 
-    ideal_inputs = [density_of(psi) for psi in prepare_input_states()]
     # S vec(|0><0|) is the first column of S, bit for bit
-    actual_inputs = [unvec(sop[:, 0]) for sop in prep_sops] or ideal_inputs
+    actual_inputs = ([unvec(sop[:, 0]) for sop in prep_sops]
+                     or [density_of(psi) for psi in prepare_input_states()])
 
     readout = confusion(device)
     rng = None if shots is None else np.random.default_rng(seed)
@@ -179,7 +178,7 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
         projected += int(flag)
         outputs.append(rho_rec)
 
-    chi = reconstruct_chi(ideal_inputs, outputs)
+    chi = reconstruct_chi(outputs)
     chi_id = ideal_chi(spec)
     return QptResult(gate=spec, chi=chi, chi_ideal=chi_id,
                      fidelity=process_fidelity(chi, chi_id),

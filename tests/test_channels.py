@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from geomgate import channels, evolution
 from geomgate.benchmarking import RbConfig, run_rb
-from geomgate.channels import (DepolarizingNoise, GateChannelCache,
-                               check_physical, depolarizing_superop, gate_superop,
+from geomgate.channels import (PHYSICAL_TOL, DepolarizingNoise,
+                               GateChannelCache, check_physical, depolarizing_superop, gate_superop,
                                gate_superops, schedule_superops,
                                unitary_superop, unvec, vec)
 from geomgate.evolution import (DeviceParams, _drive_matrix, _segment_grid,
@@ -197,6 +199,39 @@ def test_physical_channel_check(device):
         with pytest.raises(NonPhysicalChannel, match=what) as err:
             check_physical(stack, specs)
         assert f"{specs[1].theta:.6f}" in str(err.value)
+
+
+def _choi_min_eigenvalue(sop):
+    """Smallest eigenvalue of sum_ij |i><j| (x) eps(|i><j|), by eigvalsh."""
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |i><j|, row-major
+    choi = sum(np.kron(e, unvec(sop @ vec(e))) for e in units)
+    return np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min()
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.0, math.pi),
+       phi=st.floats(-math.pi, math.pi, exclude_max=True),
+       gamma=st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_min=True),
+       t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
+# at gamma = 0 the smallest Choi eigenvalue is t/2 - s: just inside and
+# just outside the tolerance
+@example(theta=0.0, phi=0.0, gamma=0.0, t=0.5, s=0.25 + 0.5 * PHYSICAL_TOL)
+@example(theta=0.0, phi=0.0, gamma=0.0, t=0.5, s=0.25 + 2.0 * PHYSICAL_TOL)
+def test_check_physical_cp_matches_eigenvalue_oracle(theta, phi, gamma, t, s):
+    # (1 - s - t) S_U + t S_dep + s S_T: every term is trace preserving, so
+    # the CP test decides; the transpose map S_T is the non-CP part
+    assume(s + t <= 1.0)
+    spec = GateSpec(theta, phi, gamma)
+    transpose = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    sop = ((1.0 - s - t) * unitary_superop(axis_angle_unitary(spec))
+           + t * depolarizing_superop(1.0) + s * transpose)
+    choi_min = _choi_min_eigenvalue(sop)
+    assume(abs(choi_min + PHYSICAL_TOL) > 1e-13)
+    if choi_min < -PHYSICAL_TOL:
+        with pytest.raises(NonPhysicalChannel, match="not completely positive"):
+            check_physical(sop[None], [spec])
+    else:
+        check_physical(sop[None], [spec])
 
 
 def test_cache_refuses_diverged_compile():

@@ -415,6 +415,27 @@ def test_cli_qpt_shipped_config(tmp_path, capsys):
     assert len(summary["fidelities"]) == 8
     assert 0.99 < summary["average_fidelity"] < 1.0
 
+@pytest.mark.parametrize("command, config, allowed", [
+    ("synth", "synth_xmon.json", ()),
+    ("qpt", "qpt_xmon.json", ()),
+    ("rb", "rb_xmon.json", ("solve",)),  # the decay fit's 3x3 step
+], ids=["synth", "qpt", "rb"])
+def test_exact_runs_call_no_lapack_eigen_or_svd_routine(
+        tmp_path, capsys, monkeypatch, command, config, allowed):
+    # exact runs need no eigen, SVD or least-squares solver: every public
+    # numpy.linalg callable but norm, cholesky and the allowed ones raises
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in np.linalg.__all__:
+        if name not in {"norm", "cholesky", "LinAlgError", *allowed}:
+            monkeypatch.setattr(np.linalg, name, refused(name))
+    assert cli.main([command, "--config", str(CONFIGS / config),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_synth_writes_artifacts(tmp_path, capsys):
     path = _write_config(tmp_path, {"synth": {"gate": "H"}})
     out = tmp_path / "out"
