@@ -17,7 +17,9 @@ randomization) draws its Clifford indices once per run, as
 Philox4x64-10 words and Lemire's method. ``numpy.random`` is loaded only
 to redraw a stream with a rejected draw (p = 16/2**32 per draw) and for
 shot sampling, where each sequence's stream is drawn past its indices
-once and every curve samples from the position right after them. All
+once and every curve samples from the position right after them, through
+``tomography.sample_outcomes`` with the confusion matrix's inverse that
+``run_rb`` computes once per run (none without readout correction). All
 curves and randomizations of a length run as one batch: channels come
 from a (24, 4, 4) Clifford table by index, and one integer fold gives
 the recoveries of every curve. So every curve is reproducible regardless
@@ -422,52 +424,6 @@ def fit_decay(curve: DecayCurve, weighted: bool = False) -> DecayFit:
 # ---------------------------------------------------------------------------
 # benchmark drivers
 
-def _run_curves(config: RbConfig, table: np.ndarray, readout: np.ndarray,
-                sops, target_indices: np.ndarray) -> list[DecayCurve]:
-    """Decay curves of reference RB and interleaved RB on shared sequences.
-
-    Curve 0 is the reference, whose target Clifford ``target_indices[0]``
-    is 0, the identity. Curve c > 0 interleaves the channel ``sops[c - 1]``
-    of Clifford ``target_indices[c]`` after every random Clifford. Each
-    (length, randomization) draws its Clifford indices once, from its own
-    stream, and every curve runs them, all curves of a length as one
-    batch. In shot mode each curve draws its sample from the stream
-    position right after the indices, as a lone sequence does, so every
-    curve equals executing it on its own.
-    """
-    lengths, n_rand = config.sequence_lengths, config.randomizations
-    keys = _stream_keys(config.seed, np.arange(len(lengths))[:, None],
-                        np.arange(n_rand))
-    stream = _stream_opener()
-    p0 = np.empty((len(target_indices), len(lengths), n_rand))
-    for li, idx in enumerate(_draw_sequences(lengths, keys, stream)):
-        p0[:, li] = _apply_sequences(
-            table, idx, _recoveries(idx, target_indices), sops)
-    if config.shots is None:
-        # clip integrator dust at the boundaries; anything larger is a bug
-        if not np.all((-1e-9 < p0) & (p0 < 1.0 + 1e-9)):
-            raise NonPhysicalChannel("RB survival outside [0, 1] by more "
-                                     "than 1e-9")
-        survival = np.clip(p0, 0.0, 1.0)
-    else:
-        survival = np.empty_like(p0)
-        for li, ri in np.ndindex(p0.shape[1:]):
-            # the sequence's stream, drawn past its indices once
-            rng = stream(keys[li, ri])
-            rng.integers(0, _N_CLIFFORD, size=lengths[li])
-            past = rng.bit_generator.state
-            for c, p in enumerate(p0[:, li, ri]):
-                rng.bit_generator.state = past
-                survival[c, li, ri] = sample_outcomes(
-                    np.array([p, 1.0 - p]), config.shots, rng, readout,
-                    config.readout_correction)[0]
-    means = survival.mean(axis=2)
-    stderrs = survival.std(axis=2, ddof=1) / math.sqrt(n_rand)
-    return [DecayCurve(lengths=lengths, means=means[c], stderrs=stderrs[c],
-                       samples=list(survival[c]))
-            for c in range(len(target_indices))]
-
-
 def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
            channels: GateChannelCache | None = None
            ) -> list[tuple[DecayCurve, DecayFit, RbResult]]:
@@ -480,14 +436,16 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
     are a few ulp off) runs that element's channel; any other runs its own
     pulse, as Rz(pi) = (0, 0, pi) does. Gates compile under ``device``
     with the default T and dt unless ``channels``, a cache that may hold
-    channels of any noise model, says otherwise. A sampled run reads out
-    through ``confusion(device)``. Every curve runs the same sampled
-    sequences, drawn once per (length, randomization). Returns ``(curve,
-    fit, result)`` for the reference, then for each target in order.
+    channels of any noise model, says otherwise. Every curve runs the same
+    sequences, drawn once per (length, randomization), and a sampled run
+    reads each out through ``confusion(device)``, corrected by its inverse
+    when ``readout_correction``. Returns ``(curve, fit, result)`` for the
+    reference, then for each target in order.
     """
     channels = channels or GateChannelCache()
     targets = [(t, None) if isinstance(t, str) else tuple(t) for t in targets]
     specs = [named_gate(name) for name, _ in targets]
+    # curve 0 is the reference, whose target Clifford 0 is the identity
     target_indices = np.array(
         [0] + [clifford_index_of(axis_angle_unitary(s)) for s in specs],
         dtype=np.intp)
@@ -498,10 +456,43 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
     runs = [cliffords[k] if rounded(spec) == rounded(cliffords[k]) else spec
             for spec, k in zip(specs, target_indices[1:])]
     sops = channels.stack(cliffords + runs, device)
-    curves = _run_curves(config, sops[:_N_CLIFFORD], confusion(device),
-                         [own if sop is None else sop for own, (_, sop)
-                          in zip(sops[_N_CLIFFORD:], targets)],
-                         target_indices)
+    target_sops = [own if sop is None else sop
+                   for own, (_, sop) in zip(sops[_N_CLIFFORD:], targets)]
+
+    lengths, n_rand = config.sequence_lengths, config.randomizations
+    keys = _stream_keys(config.seed, np.arange(len(lengths))[:, None],
+                        np.arange(n_rand))
+    stream = _stream_opener()
+    p0 = np.empty((len(target_indices), len(lengths), n_rand))
+    for li, idx in enumerate(_draw_sequences(lengths, keys, stream)):
+        p0[:, li] = _apply_sequences(sops[:_N_CLIFFORD], idx,
+                                     _recoveries(idx, target_indices),
+                                     target_sops)
+    if config.shots is None:
+        # clip integrator dust at the boundaries; anything larger is a bug
+        if not np.all((-1e-9 < p0) & (p0 < 1.0 + 1e-9)):
+            raise NonPhysicalChannel("RB survival outside [0, 1] by more "
+                                     "than 1e-9")
+        survival = np.clip(p0, 0.0, 1.0)
+    else:
+        readout = confusion(device)
+        unmix = np.linalg.inv(readout) if config.readout_correction else None
+        survival = np.empty_like(p0)
+        for li, ri in np.ndindex(p0.shape[1:]):
+            # the sequence's stream, drawn past its indices once
+            rng = stream(keys[li, ri])
+            rng.integers(0, _N_CLIFFORD, size=lengths[li])
+            past = rng.bit_generator.state
+            for c, p in enumerate(p0[:, li, ri]):
+                rng.bit_generator.state = past
+                survival[c, li, ri] = sample_outcomes(
+                    np.array([p, 1.0 - p]), config.shots, rng, readout,
+                    unmix)[0]
+    means = survival.mean(axis=2)
+    stderrs = survival.std(axis=2, ddof=1) / math.sqrt(n_rand)
+    curves = [DecayCurve(lengths=lengths, means=means[c], stderrs=stderrs[c],
+                         samples=list(survival[c]))
+              for c in range(len(target_indices))]
     weighted = config.shots is not None
     (curve, fit), *rest = [(c, fit_decay(c, weighted)) for c in curves]
     return [(curve, fit, RbResult(fit))] + [

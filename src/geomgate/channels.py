@@ -82,14 +82,12 @@ def gate_superops(specs, noise=None, segment_duration: float = 10.0,
     by depolarizing).
     """
     schedules = [synthesize(spec, segment_duration) for spec in specs]
-    if isinstance(noise, DeviceParams):
+    if noise is None or isinstance(noise, DeviceParams):
         return schedule_superops(schedules, noise, dt)
-    if noise is not None and not isinstance(noise, DepolarizingNoise):
+    if not isinstance(noise, DepolarizingNoise):
         raise TypeError(f"unsupported noise model {noise!r}")
-    ideal = schedule_superops(schedules, None)
-    if noise is None:
-        return ideal
-    return depolarizing_superop(noise.strength) @ ideal
+    return (depolarizing_superop(noise.strength)
+            @ schedule_superops(schedules, None))
 
 
 def gate_superop(spec: GateSpec, noise=None, segment_duration: float = 10.0,

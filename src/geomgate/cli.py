@@ -72,16 +72,17 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
                for name in cfg.qpt]
 
     outdir.mkdir(parents=True, exist_ok=True)
+    config = config_to_dict(cfg)
     for name, result in zip(cfg.qpt, results):
         payload = tomography.qpt_report(result, gate_name=name)
-        payload["config"] = config_to_dict(cfg)
+        payload["config"] = config
         slug = gate_slug(name)
         _write_json(payload, outdir / f"qpt_{slug}.json")
         tomography.chi_to_csv(result.chi, outdir / f"chi_{slug}.csv")
         print(f"{name:9s} F_P = {result.fidelity:.6f}")
     fidelities = [result.fidelity for result in results]
     avg = float(np.mean(fidelities))
-    _write_json({"config": config_to_dict(cfg),
+    _write_json({"config": config,
                  "gates": list(cfg.qpt),
                  "fidelities": fidelities,
                  "average_fidelity": avg},
@@ -96,9 +97,10 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
         cfg.rb.config, cfg.rb.interleaved, cfg.device, channels=cache)
 
     outdir.mkdir(parents=True, exist_ok=True)
+    config = config_to_dict(cfg)
     benchmarking.decay_to_csv(curve, outdir / "rb_reference.csv")
     payload = benchmarking.fit_report(ref_result)
-    payload["config"] = config_to_dict(cfg)
+    payload["config"] = config
     _write_json(payload, outdir / "rb_reference_fit.json")
     print(f"reference: p={ref_fit.p:.6f} r={ref_result.r:.6f} "
           f"F_avg={ref_result.F_avg:.6f} converged={ref_fit.converged}")
@@ -109,7 +111,7 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
         slug = gate_slug(target)
         benchmarking.decay_to_csv(icurve, outdir / f"rb_interleaved_{slug}.csv")
         payload = benchmarking.fit_report(iresult)
-        payload["config"] = config_to_dict(cfg)
+        payload["config"] = config
         payload["target"] = target
         _write_json(payload, outdir / f"rb_interleaved_{slug}_fit.json")
         print(f"interleaved {target:9s} p_g={iresult.p_g:.6f} "

@@ -54,16 +54,17 @@ def prepare_input_states() -> list[np.ndarray]:
 
 
 def sample_outcomes(p_true: np.ndarray, shots: int, rng, readout,
-                    correct: bool = True) -> np.ndarray:
+                    unmix) -> np.ndarray:
     """Estimated (P(0), P(1)) of one binary measurement from ``shots`` shots.
 
     The confusion matrix ``readout`` is applied before one binomial draw
-    from ``rng`` and, when ``correct``, removed afterwards by matrix
-    inversion (which may leave [0, 1] under sampling noise).
+    from ``rng``; ``unmix``, the caller's ``np.linalg.inv(readout)``,
+    removes it afterwards (which may leave [0, 1] under sampling noise),
+    and ``unmix=None`` returns the raw estimate.
     """
     n0 = rng.binomial(shots, min(max((p_true @ readout)[0], 0.0), 1.0))
     est = np.array([n0 / shots, 1.0 - n0 / shots])
-    return est @ np.linalg.inv(readout) if correct else est
+    return est if unmix is None else est @ unmix
 
 
 def measure_expectations(rho: np.ndarray, shots: int | None = None,
@@ -82,10 +83,11 @@ def measure_expectations(rho: np.ndarray, shots: int | None = None,
     if shots is None:
         return exact
     rng = np.random.default_rng(rng)
+    unmix = np.linalg.inv(readout)
     out = np.empty(3)
     for k, ev in enumerate(exact):
         est = sample_outcomes(np.array([(1.0 + ev) / 2.0, (1.0 - ev) / 2.0]),
-                              shots, rng, readout)
+                              shots, rng, readout, unmix)
         out[k] = est[0] - est[1]
     return out
 
@@ -163,16 +165,16 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     gate_sop, *prep_sops = channels.stack([spec, *prep_specs], device)
 
     # S vec(|0><0|) is the first column of S, bit for bit
-    actual_inputs = ([unvec(sop[:, 0]) for sop in prep_sops]
-                     or [density_of(psi) for psi in prepare_input_states()])
+    inputs = ([sop[:, 0] for sop in prep_sops]
+              or [vec(density_of(psi)) for psi in prepare_input_states()])
 
     readout = confusion(device)
     rng = None if shots is None else np.random.default_rng(seed)
 
     outputs = []
     projected = 0
-    for rho_in in actual_inputs:
-        rho_out = unvec(gate_sop @ vec(rho_in))
+    for v in inputs:
+        rho_out = unvec(gate_sop @ v)
         expect = measure_expectations(rho_out, shots=shots, readout=readout, rng=rng)
         rho_rec, flag = reconstruct_state(expect)
         projected += int(flag)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomgate import benchmarking, channels, cli, config, qcore
+from geomgate import benchmarking, channels, cli, config, qcore, tomography
 from geomgate.config import (MAX_SEGMENT_STEPS, config_from_dict,
                              config_to_dict, load_config)
 from geomgate.errors import ConfigError, mode_string, parse_mode
@@ -434,6 +434,32 @@ def test_exact_runs_call_no_lapack_eigen_or_svd_routine(
             monkeypatch.setattr(np.linalg, name, refused(name))
     assert cli.main([command, "--config", str(CONFIGS / config),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def test_readout_inverse_is_computed_once_per_run(monkeypatch, device):
+    # the confusion matrix is fixed for a run: shot-mode RB inverts it once,
+    # shot-mode QPT once per input state (4 per gate), exact runs never
+    inv, calls = np.linalg.inv, []
+
+    def spy(a):
+        calls.append(a)
+        return inv(a)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    cache = channels.GateChannelCache()
+    rb = benchmarking.RbConfig((1, 2, 3), randomizations=2, shots=64)
+    for cfg, want in ((rb, 1), (dataclasses.replace(rb, shots=None), 0),
+                      (dataclasses.replace(rb, readout_correction=False), 0)):
+        assert count(lambda: benchmarking.run_rb(
+            cfg, ["H", "Rz(pi)"], device, cache)) == want
+    for shots, per_gate in ((64, 4), (None, 0)):
+        assert count(lambda: [tomography.run_qpt(g, device, shots, 0, cache)
+                              for g in ("I", "H")]) == 2 * per_gate
 
 
 def test_cli_synth_writes_artifacts(tmp_path, capsys):

@@ -76,11 +76,13 @@ def test_sample_outcomes_one_draw_then_correction(device):
     readout = confusion(device)
     p_true = np.array([0.7, 0.3])
     raw = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout,
-                          correct=False)
+                          None)
     # one binomial draw on the confused probabilities, nothing else
     n0 = np.random.default_rng(4).binomial(1000, (p_true @ readout)[0])
     assert raw.tolist() == [n0 / 1000, 1.0 - n0 / 1000]
-    fixed = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout)
+    unmix = np.linalg.inv(readout)
+    fixed = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout,
+                            unmix)
     assert np.array_equal(fixed, raw @ np.linalg.inv(readout))
 
 
@@ -91,10 +93,10 @@ def test_identity_confusion_is_exact():
         for n in (1, 7, 1000):
             n0 = np.random.default_rng(11).binomial(n, p0)
             want = [n0 / n, 1.0 - n0 / n]
-            for correct in (True, False):
+            for unmix in (np.linalg.inv(confusion(None)), None):
                 got = sample_outcomes(np.array([p0, 1.0 - p0]), n,
                                       np.random.default_rng(11),
-                                      confusion(None), correct)
+                                      confusion(None), unmix)
                 assert got.tolist() == want
 
 
