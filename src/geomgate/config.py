@@ -139,6 +139,10 @@ RK4_HALF_DISK = 2.6155
 # dt_ns = 0.01); a finer dt_ns asks for a grid too large to allocate
 MAX_SEGMENT_STEPS = 100_000
 
+# a config's segment lasts at most 1 ms, about 50 times the reference T1; a
+# 1e308 ns segment overflows its time grid and the trajectory turns NaN
+MAX_SEGMENT_NS = 1e6
+
 
 def _check_step(device: DeviceParams, seg_t: float, dt: float,
                 where: str) -> None:
@@ -171,8 +175,9 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     seg_t = _finite(data.get("segment_duration_ns", 10.0),
                     f"{where}: segment_duration_ns")
     dt = _finite(data.get("dt_ns", 0.01), f"{where}: dt_ns")
-    if not seg_t > 0:
-        raise ConfigError(f"{where}: segment_duration_ns must be positive")
+    if not 0 < seg_t <= MAX_SEGMENT_NS:
+        raise ConfigError(f"{where}: segment_duration_ns must be positive and "
+                          f"at most {MAX_SEGMENT_NS:g}, got {seg_t}")
     lo, hi = seg_t / MAX_SEGMENT_STEPS, seg_t / MIN_TRAJECTORY_STEPS
     if not (0 < dt and lo <= dt <= hi):
         raise ConfigError(f"{where}: dt_ns = {dt} is outside [{lo}, {hi}], "

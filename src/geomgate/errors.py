@@ -20,7 +20,7 @@ class UnknownGateName(GeomgateError):
 
 
 class InvalidDuration(GeomgateError):
-    """Segment duration must be strictly positive."""
+    """Segment duration must be finite and strictly positive."""
 
 
 class StepTooLarge(GeomgateError):

@@ -5,7 +5,7 @@ resonant-drive segments. Segment pulse areas are (theta/2, pi/2,
 pi/2 - theta/2) and the carrier phase offsets are (phi - pi/2,
 phi - gamma/2 + pi/2, phi - pi/2); the middle segment changes the drive
 plane so the driven state traces a closed slice-shaped loop through both
-poles of the rotation axis. The default envelope Omega0 * sin^2(pi t / T)
+poles of the rotation axis. Every segment's envelope Omega0 sin^2(pi t / T)
 turns on and off smoothly at the segment edges.
 """
 
@@ -18,13 +18,10 @@ from dataclasses import dataclass
 from .errors import InvalidDuration
 from .qcore import GateSpec
 
-# pulse area per unit peak amplitude and unit duration of each envelope
-ENVELOPES = {"sin2": 0.5, "square": 1.0}
-
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One constant-phase drive interval.
+    """One constant-phase drive interval under a sin^2 envelope.
 
     duration in ns, peak_amplitude in rad/ns, phase_offset in rad.
     """
@@ -32,21 +29,19 @@ class PulseSegment:
     duration: float
     peak_amplitude: float
     phase_offset: float
-    envelope: str = "sin2"
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.peak_amplitude < 0:
-            raise ValueError("peak_amplitude must be nonnegative")
-        if self.envelope not in ENVELOPES:
-            raise ValueError(f"unknown envelope {self.envelope!r}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive, "
+                             f"got {self.duration}")
+        if not 0 <= self.peak_amplitude < math.inf:
+            raise ValueError("peak_amplitude must be finite and nonnegative, "
+                             f"got {self.peak_amplitude}")
 
 
 def segment_area(segment: PulseSegment) -> float:
-    """Closed-form pulse area: Omega0 T / 2 for sin^2, Omega0 T for square."""
-    return (ENVELOPES[segment.envelope] * segment.peak_amplitude
-            * segment.duration)
+    """Closed-form pulse area Omega0 T / 2 of the sin^2 envelope."""
+    return 0.5 * segment.peak_amplitude * segment.duration
 
 
 def _slice_path(spec: GateSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -74,14 +69,13 @@ class PulseSchedule:
         if len(self.segments) != 3:
             raise ValueError("schedule requires exactly 3 segments")
         for seg, a, p in zip(self.segments, *_slice_path(self.source_spec)):
-            if abs(segment_area(seg) - a) > 1e-12:
+            if not abs(segment_area(seg) - a) <= 1e-12:  # NaN fails too
                 raise ValueError("segment areas inconsistent with source spec")
-            if abs(seg.phase_offset - p) > 1e-12:
+            if not abs(seg.phase_offset - p) <= 1e-12:
                 raise ValueError("segment phases inconsistent with source spec")
 
 
-def synthesize(spec: GateSpec, segment_duration: float = 10.0,
-               envelope: str = "sin2") -> PulseSchedule:
+def synthesize(spec: GateSpec, segment_duration: float = 10.0) -> PulseSchedule:
     """Compile a rotation spec into its three-segment schedule.
 
     Every segment lasts ``segment_duration`` ns; the peak amplitude of
@@ -89,14 +83,14 @@ def synthesize(spec: GateSpec, segment_duration: float = 10.0,
     segment (theta = 0 or pi) is emitted with zero amplitude so the total
     gate time is always 3 T.
     """
-    if segment_duration <= 0:
-        raise InvalidDuration(f"segment duration must be > 0, got {segment_duration}")
-    unit_area = ENVELOPES[envelope] * segment_duration
+    if not 0 < segment_duration < math.inf:
+        raise InvalidDuration("segment duration must be finite and > 0, "
+                              f"got {segment_duration}")
+    unit_area = 0.5 * segment_duration
     segments = tuple(
         PulseSegment(duration=segment_duration,
                      peak_amplitude=a / unit_area,
-                     phase_offset=p,
-                     envelope=envelope)
+                     phase_offset=p)
         for a, p in zip(*_slice_path(spec))
     )
     return PulseSchedule(segments=segments, source_spec=spec)
@@ -117,7 +111,7 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
                 "duration_ns": s.duration,
                 "peak_rad_per_ns": s.peak_amplitude,
                 "phase_rad": s.phase_offset,
-                "envelope": s.envelope,
+                "envelope": "sin2",
             }
             for s in schedule.segments
         ],

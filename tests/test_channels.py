@@ -13,9 +13,10 @@ from geomgate.channels import (PHYSICAL_TOL, DepolarizingNoise,
                                GateChannelCache, check_physical, depolarizing_superop, gate_superop,
                                gate_superops, schedule_superops,
                                unitary_superop, unvec, vec)
-from geomgate.evolution import (DeviceParams, _drive_matrix, _segment_grid,
+from geomgate.evolution import (DeviceParams, _drive_matrix,
+                                _lindblad_segments, _segment_grid,
                                 evolve_lindblad, lindblad_generator,
-                                schedule_propagator)
+                                rk4_steps, schedule_propagator)
 from geomgate.errors import NonPhysicalChannel
 from geomgate.pulse import synthesize
 from geomgate.qcore import (GATE_NAMES, GateSpec, axis_angle_unitary,
@@ -310,24 +311,13 @@ def test_evolve_lindblad_every_step_bit_equal_to_loop(rng, device):
     # a kernel that yielded one reused buffer would repeat its last state
     spec = random_spec(rng)
     rho0 = _random_density(rng)
-    for envelope in ("sin2", "square"):
-        sched = synthesize(spec, 10.0, envelope=envelope)
-        for dt in (0.01, 10 / 37):
-            traj = evolve_lindblad(sched, rho0, device, dt=dt)
-            want = np.array(_loop_steps(sched, vec(rho0).reshape(4, 1),
-                                        device, dt)).reshape(-1, 2, 2)
-            assert traj.states.shape == want.shape
-            assert np.array_equal(traj.states, want), (envelope, dt)
-
-
-def test_stacked_compile_mixed_envelopes(rng, device):
-    spec = random_spec(rng)
-    schedules = [synthesize(spec, 10.0, envelope="square"),
-                 synthesize(spec, 10.0)]
-    stack = schedule_superops(schedules, device, dt=0.01)
-    for sched, sop in zip(schedules, stack):
-        assert np.array_equal(sop, schedule_superops([sched], device,
-                                                     dt=0.01)[0])
+    sched = synthesize(spec, 10.0)
+    for dt in (0.01, 10 / 37):
+        traj = evolve_lindblad(sched, rho0, device, dt=dt)
+        want = np.array(_loop_steps(sched, vec(rho0).reshape(4, 1),
+                                    device, dt)).reshape(-1, 2, 2)
+        assert traj.states.shape == want.shape
+        assert np.array_equal(traj.states, want), dt
 
 
 def test_stacked_compile_rejects_unequal_durations(device):
@@ -349,12 +339,12 @@ _SM = np.array([[0, 1], [0, 0]], dtype=complex)
 STRENGTHS = [(19.0, 10.0), (0.05, 0.03)]
 
 
-def _master_rhs(seg, t1_ns, t2_ns):
+def _master_rhs(seg, t1_ns, t2_ns, constant=False):
     """d rho/dt on one segment, for a flattened stack of density matrices.
 
     Written from the master equation alone: H(t) = Omega(t) (cos p sx +
-    sin p sy) with Omega(t) = Omega0 sin^2(pi t / T), or Omega0 for a square
-    envelope, relaxation at 1/T1 and pure dephasing at 1/T2*.
+    sin p sy) with Omega(t) = Omega0 sin^2(pi t / T), or Omega0 throughout
+    if ``constant``, relaxation at 1/T1 and pure dephasing at 1/T2*.
     """
     g1, gphi = 1.0 / t1_ns, 1.0 / t2_ns
     sp = _SM.conj().T
@@ -363,7 +353,7 @@ def _master_rhs(seg, t1_ns, t2_ns):
     def rhs(t, y):
         rho = y.reshape(-1, 2, 2)
         omega = seg.peak_amplitude
-        if seg.envelope != "square":
+        if not constant:
             omega *= math.sin(math.pi * t / seg.duration) ** 2
         ham = omega * k
         out = -1j * (ham @ rho - rho @ ham)
@@ -387,13 +377,12 @@ def _oracle_superop(schedule, t1_ns, t2_ns):
 
 
 def _expm_superop(schedule, t1_ns, t2_ns):
-    """Product of exp(L_k T_k) over square-envelope segments, where each
-    segment's generator L_k is constant; column j of L_k is vec of d rho/dt
-    at the j-th matrix unit."""
+    """Product of exp(L_k T_k) over the segments held at their peak rates,
+    where each segment's generator L_k is constant; column j of L_k is vec
+    of d rho/dt at the j-th matrix unit."""
     s = np.eye(4, dtype=complex)
     for seg in schedule.segments:
-        assert seg.envelope == "square"
-        rhs = _master_rhs(seg, t1_ns, t2_ns)
+        rhs = _master_rhs(seg, t1_ns, t2_ns, constant=True)
         gen = np.column_stack([rhs(0.0, e) for e in np.eye(4, dtype=complex)])
         s = expm(gen * seg.duration) @ s
     return s
@@ -412,15 +401,21 @@ def test_stacked_compile_matches_ode_oracle(t1_us, t2_us):
 
 
 @pytest.mark.parametrize("t1_us, t2_us", STRENGTHS)
-def test_square_envelope_matches_expm_oracle(rng, t1_us, t2_us):
+def test_kernel_constant_rate_matches_expm_oracle(rng, t1_us, t2_us):
+    # the kernel steps the rates it is given: held at each segment's peak,
+    # the generators of _lindblad_segments are constant, and exp(L T) exact
     device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
     for _ in range(3):
-        sched = synthesize(random_spec(rng), 10.0, envelope="square")
+        sched = synthesize(random_spec(rng), 10.0)
+        segments = [(h, np.full(w_full.shape, seg.peak_amplitude),
+                     np.full(w_half.shape, seg.peak_amplitude), a, b)
+                    for seg, (h, w_full, w_half, a, b) in zip(
+                        sched.segments,
+                        _lindblad_segments([sched.segments], device, 0.01))]
+        for s in rk4_steps(np.eye(4, dtype=complex)[None], segments):
+            pass
         want = _expm_superop(sched, t1_us * 1e3, t2_us * 1e3)
-        assert np.abs(schedule_superops([sched], device)[0] - want).max() < 1e-8
-        rho0 = _random_density(rng)
-        final = evolve_lindblad(sched, rho0, device).states[-1]
-        assert np.abs(final - unvec(want @ vec(rho0))).max() < 1e-8
+        assert np.abs(s[0] - want).max() < 1e-8
 
 
 @pytest.mark.parametrize("t1_us, t2_us", STRENGTHS)

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomgate import benchmarking, channels, cli, config, qcore, tomography
+from geomgate import (benchmarking, channels, cli, config, evolution, qcore,
+                      tomography)
 from geomgate.config import (MAX_SEGMENT_STEPS, config_from_dict,
                              config_to_dict, load_config)
 from geomgate.errors import ConfigError, mode_string, parse_mode
@@ -693,17 +694,38 @@ def test_cli_nan_channel_exits_4_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_synth_nan_phases_exit_4_and_write_nothing(tmp_path, capsys):
-    # the half-step grid of a 1e308 ns segment overflows, so the states
-    # are NaN; they must fail the cyclicity check, not reach the reports
+def test_cli_synth_overlong_segment_is_config_error(tmp_path, capsys):
+    # a 1e308 ns segment would overflow its time grid; it is refused at
+    # load, before numpy could warn (the suite makes a warning an error)
     path = _write_config(tmp_path, {"segment_duration_ns": 1e308,
                                     "dt_ns": 1e305, "synth": {"gate": "H"}})
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert cli.main(["synth", "--config", str(path),
-                         "--out", str(out)]) == 4
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "segment_duration_ns must be positive and at most 1e+06" in err
+    assert not out.exists()
+    # the longest segment a config allows still loads
+    cfg = config_from_dict({"segment_duration_ns": config.MAX_SEGMENT_NS,
+                            "dt_ns": 1e4})
+    assert cfg.segment_duration_ns == 1e6
+
+
+def test_cli_synth_nan_states_exit_4_and_write_nothing(tmp_path, capsys,
+                                                       monkeypatch):
+    # NaN states must fail the cyclicity check, not reach the reports
+    def nan_states(schedule, psi0, dt):
+        traj = evolve_unitary(schedule, psi0, dt)
+        traj.states[:] = np.nan
+        return traj
+
+    monkeypatch.setattr(evolution, "evolve_unitary", nan_states)
+    path = _write_config(tmp_path, {"synth": {"gate": "H"}})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: cyclicity defect nan")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
