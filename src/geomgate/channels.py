@@ -102,8 +102,8 @@ PHYSICAL_TOL = 1e-10
 def check_physical(sops: np.ndarray, specs) -> None:
     """Raise NonPhysicalChannel unless every superop of the (G, 4, 4) stack
     is finite, trace preserving and completely positive, each to
-    ``PHYSICAL_TOL`` (CP by a Cholesky factor of each Choi matrix J + tol I,
-    by eigenvalues only if that fails); ``specs`` name the gates in errors."""
+    ``PHYSICAL_TOL`` (CP by the LDL^H pivots of each Choi matrix J + tol I,
+    by eigenvalues only if one fails); ``specs`` name the gates in errors."""
     def fail(bad, what):
         spec = specs[int(np.flatnonzero(bad)[0])]
         raise NonPhysicalChannel(
@@ -124,9 +124,11 @@ def check_physical(sops: np.ndarray, specs) -> None:
     choi = (sops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
             .reshape(-1, 4, 4))
     choi = 0.5 * (choi + choi.conj().swapaxes(1, 2))
-    try:  # J >= -tol exactly when J + tol I has a Cholesky factor
-        np.linalg.cholesky(choi + PHYSICAL_TOL * I4)
-    except np.linalg.LinAlgError:
+    # J >= -tol iff J + tol I has positive LDL^H pivots; if not, eigenvalues
+    j = choi + PHYSICAL_TOL * I4
+    while j.shape[1] and (j[:, 0, 0].real > 0).all():
+        j = j[:, 1:, 1:] - j[:, 1:, :1] * j[:, :1, 1:] / j[:, :1, :1].real
+    if j.shape[1]:
         choi_min = np.linalg.eigvalsh(choi)[:, 0]
         if (choi_min < -PHYSICAL_TOL).any():
             fail(choi_min < -PHYSICAL_TOL, "not completely positive "

@@ -142,6 +142,8 @@ MAX_SEGMENT_STEPS = 100_000
 # a config's segment lasts at most 1 ms, about 50 times the reference T1; a
 # 1e308 ns segment overflows its time grid and the trajectory turns NaN
 MAX_SEGMENT_NS = 1e6
+# and at least 1 fs; the peak Rabi rate pi / T of a 1e-310 ns segment is inf
+MIN_SEGMENT_NS = 1e-6
 
 
 def _check_step(device: DeviceParams, seg_t: float, dt: float,
@@ -175,11 +177,12 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     seg_t = _finite(data.get("segment_duration_ns", 10.0),
                     f"{where}: segment_duration_ns")
     dt = _finite(data.get("dt_ns", 0.01), f"{where}: dt_ns")
-    if not 0 < seg_t <= MAX_SEGMENT_NS:
-        raise ConfigError(f"{where}: segment_duration_ns must be positive and "
-                          f"at most {MAX_SEGMENT_NS:g}, got {seg_t}")
+    if not MIN_SEGMENT_NS <= seg_t <= MAX_SEGMENT_NS:
+        raise ConfigError(f"{where}: segment_duration_ns must be in ["
+                          f"{MIN_SEGMENT_NS:g}, {MAX_SEGMENT_NS:g}], "
+                          f"got {seg_t}")
     lo, hi = seg_t / MAX_SEGMENT_STEPS, seg_t / MIN_TRAJECTORY_STEPS
-    if not (0 < dt and lo <= dt <= hi):
+    if not lo <= dt <= hi:
         raise ConfigError(f"{where}: dt_ns = {dt} is outside [{lo}, {hi}], "
                           f"segment_duration_ns/{MAX_SEGMENT_STEPS} to "
                           f"segment_duration_ns/{MIN_TRAJECTORY_STEPS}")

@@ -20,7 +20,7 @@ class UnknownGateName(GeomgateError):
 
 
 class InvalidDuration(GeomgateError):
-    """Segment duration must be finite and strictly positive."""
+    """Segment duration must be finite, positive and give finite peaks."""
 
 
 class StepTooLarge(GeomgateError):

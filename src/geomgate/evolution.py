@@ -315,8 +315,10 @@ def phase_decomposition(traj: Trajectory) -> PhaseReport:
     if not defect <= CYCLIC_TOL:  # a NaN state fails too
         raise NotCyclic(f"cyclicity defect {defect:.3g} exceeds {CYCLIC_TOL}")
     total = float(np.angle(overlap))
-    expect = np.einsum("ti,tij,tj->t", traj.states.conj(), traj.hamiltonians,
-                       traj.states).real
+    # <psi|H|psi> term by term: an einsum buffers about twice the memory
+    (c0, c1), h = traj.states.T, traj.hamiltonians
+    expect = (c0.conj() * h[:, 0, 0] * c0 + c0.conj() * h[:, 0, 1] * c1
+              + c1.conj() * h[:, 1, 0] * c0 + c1.conj() * h[:, 1, 1] * c1).real
     dynamical = -float(np.trapezoid(expect, traj.times))
     geometric = wrap_angle(total - dynamical)
     return PhaseReport(total=total, dynamical=dynamical, geometric=geometric,

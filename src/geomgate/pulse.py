@@ -83,10 +83,11 @@ def synthesize(spec: GateSpec, segment_duration: float = 10.0) -> PulseSchedule:
     segment (theta = 0 or pi) is emitted with zero amplitude so the total
     gate time is always 3 T.
     """
-    if not 0 < segment_duration < math.inf:
-        raise InvalidDuration("segment duration must be finite and > 0, "
-                              f"got {segment_duration}")
     unit_area = 0.5 * segment_duration
+    # the middle segment's area pi/2 is the largest, and so is its peak
+    if not 0 < unit_area < math.inf or 0.5 * math.pi / unit_area == math.inf:
+        raise InvalidDuration("segment duration must be finite, > 0 and give "
+                              f"finite peaks, got {segment_duration}")
     segments = tuple(
         PulseSegment(duration=segment_duration,
                      peak_amplitude=a / unit_area,

@@ -202,6 +202,43 @@ def test_physical_channel_check(device):
         assert f"{specs[1].theta:.6f}" in str(err.value)
 
 
+def _spy_on_eigvalsh(monkeypatch):
+    """Record the stacks numpy.linalg.eigvalsh is called on."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a) or eigvalsh(a))
+    return calls
+
+
+def test_physical_stacks_pass_on_pivots_alone(monkeypatch, device):
+    # rank-1 Choi matrices (ideal channels) leave pivots of about tol; they
+    # and the default Xmon's compiled channels pass without eigenvalues
+    cliffords = [e.spec for e in clifford_group()]
+    named = [named_gate(name) for name in GATE_NAMES]
+    stacks = [(specs, gate_superops(specs, noise))
+              for specs in (cliffords, named) for noise in (None, device)]
+    calls = _spy_on_eigvalsh(monkeypatch)
+    for specs, sops in stacks:
+        check_physical(sops, specs)
+    assert calls == []
+
+
+def test_one_non_cp_channel_refuses_its_stack(monkeypatch, device):
+    # the pivots refuse the stack, and the eigenvalues name the gate
+    specs = [named_gate(name) for name in GATE_NAMES]
+    sops = gate_superops(specs, device)
+    sops[5] = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # transpose: TP, not CP
+    calls = _spy_on_eigvalsh(monkeypatch)
+    with pytest.raises(NonPhysicalChannel) as err:
+        check_physical(sops, specs)
+    spec = specs[5]
+    assert str(err.value) == (
+        f"compiled channel of gate ({spec.theta:.6f}, {spec.phi:.6f}, "
+        f"{spec.gamma:.6f}) is not completely positive (Choi eigenvalue "
+        "-1.0e+00); dt_ns may be too coarse for the device rates")
+    assert len(calls) == 1 and calls[0].shape == (8, 4, 4)
+
+
 def _choi_min_eigenvalue(sop):
     """Smallest eigenvalue of sum_ij |i><j| (x) eps(|i><j|), by eigvalsh."""
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |i><j|, row-major

@@ -374,8 +374,8 @@ def test_dt_range_caps_a_segment_at_max_segment_steps():
         with pytest.raises(ConfigError, match="dt_ns") as exc:
             config_from_dict({**doc, "dt_ns": below})
         assert f"[{finest}, {t_ns / MIN_TRAJECTORY_STEPS}]" in str(exc.value)
-    # a subnormal T puts the lower bound at 0.0, which dt_ns must still pass
-    with pytest.raises(ConfigError, match="dt_ns = 0.0 is outside"):
+    # a subnormal T, whose lower bound would be 0.0, is refused before it
+    with pytest.raises(ConfigError, match="segment_duration_ns must be in"):
         config_from_dict({"segment_duration_ns": 5e-324, "dt_ns": 0.0})
     # the integrators take the finest dt_ns
     traj = evolve_unitary(synthesize(qcore.named_gate("H"), 10.0),
@@ -423,15 +423,16 @@ def test_cli_qpt_shipped_config(tmp_path, capsys):
 ], ids=["synth", "qpt", "rb"])
 def test_exact_runs_call_no_lapack_eigen_or_svd_routine(
         tmp_path, capsys, monkeypatch, command, config, allowed):
-    # exact runs need no eigen, SVD or least-squares solver: every public
-    # numpy.linalg callable but norm, cholesky and the allowed ones raises
+    # exact synth and qpt call no LAPACK routine, and rb only the fit's
+    # solve: every public numpy.linalg callable but norm and the allowed
+    # ones raises
     def refused(name):
         def call(*args, **kwargs):
             raise AssertionError(f"numpy.linalg.{name} called")
         return call
 
     for name in np.linalg.__all__:
-        if name not in {"norm", "cholesky", "LinAlgError", *allowed}:
+        if name not in {"norm", "LinAlgError", *allowed}:
             monkeypatch.setattr(np.linalg, name, refused(name))
     assert cli.main([command, "--config", str(CONFIGS / config),
                      "--out", str(tmp_path / "out")]) == 0
@@ -703,12 +704,33 @@ def test_cli_synth_overlong_segment_is_config_error(tmp_path, capsys):
     assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
-    assert "segment_duration_ns must be positive and at most 1e+06" in err
+    assert "segment_duration_ns must be in [1e-06, 1e+06]" in err
     assert not out.exists()
     # the longest segment a config allows still loads
     cfg = config_from_dict({"segment_duration_ns": config.MAX_SEGMENT_NS,
                             "dt_ns": 1e4})
     assert cfg.segment_duration_ns == 1e6
+
+
+def test_cli_synth_too_short_segment_is_config_error(tmp_path, capsys):
+    # the peak Rabi rate pi / T of a 1e-310 ns segment overflows; the config
+    # refuses it at load, and synthesize would raise InvalidDuration
+    path = _write_config(tmp_path, {"device": None,
+                                    "segment_duration_ns": 1e-310,
+                                    "dt_ns": 1e-313, "synth": {"gate": "H"}})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "segment_duration_ns must be in [1e-06, 1e+06], got 1e-310" in err
+    assert not out.exists()
+    # the shortest segment a config allows still loads, the next float down
+    # does not
+    doc = {"segment_duration_ns": config.MIN_SEGMENT_NS, "dt_ns": 1e-8}
+    assert config_from_dict(doc).segment_duration_ns == 1e-6
+    with pytest.raises(ConfigError, match="segment_duration_ns must be in"):
+        config_from_dict({**doc, "segment_duration_ns":
+                          math.nextafter(config.MIN_SEGMENT_NS, 0.0)})
 
 
 def test_cli_synth_nan_states_exit_4_and_write_nothing(tmp_path, capsys,
@@ -829,7 +851,7 @@ def test_cli_config_errors_name_the_field(tmp_path, capsys):
              ("rb", {"rb": {"interleaved": ["T"]}},
               ".rb: interleaved: unknown gate 'T'"),
              ("qpt", {"segment_duration_ns": 0.0, "qpt": {}},
-              ": segment_duration_ns must be positive"),
+              ": segment_duration_ns must be in [1e-06, 1e+06], got 0.0"),
              ("qpt", {"synth": {"gate": "H"}}, "config has no qpt section"),
              ("rb", {"qpt": {}}, "config has no rb section"),
              ("qpt", tmp_path, f"{tmp_path}: cannot read"),

@@ -350,6 +350,23 @@ def test_phase_decomposition_eigenstates(rng):
         assert abs(wrap_angle(rep.geometric - 0.5 * spec.gamma)) < 1e-6
 
 
+def test_phase_decomposition_matches_einsum_integral(rng):
+    # synthetic cyclic trajectories under random Hermitian Hamiltonians,
+    # sampled about as finely as the reference dt_ns: the dynamical phase
+    # is -integral <psi|H|psi> dt, here by einsum
+    for n in (2, 3, 17, 400):
+        times = np.cumsum(rng.uniform(0.001, 0.01, n))
+        states = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        states[-1] = np.exp(1j * rng.uniform(-PI, PI)) * states[0]
+        a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        hams = a + a.conj().swapaxes(1, 2)
+        rep = phase_decomposition(Trajectory(times, states, hams))
+        expect = np.einsum("ti,tij,tj->t", states.conj(), hams, states).real
+        assert abs(rep.dynamical + np.trapezoid(expect, times)) <= 1e-14
+        assert rep.total == float(np.angle(np.vdot(states[0], states[-1])))
+
+
 def test_phase_decomposition_zero_hamiltonian():
     segments = [PulseSegment(10.0, 0.0, 0.0)]
     traj = evolve_unitary(segments, KET0, dt=0.05)

@@ -44,9 +44,12 @@ def test_synthesize_hadamard_middle_phase():
 
 
 def test_synthesize_invalid_duration():
-    for duration in (0.0, -1.0, math.nan, math.inf):
+    # 0.5 * 5e-324 rounds to 0, and the peak pi / 1e-310 overflows to inf
+    for duration in (0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310):
         with pytest.raises(InvalidDuration):
             synthesize(GateSpec(0.1, 0.2, 0.3), duration)
+    sched = synthesize(GateSpec(0.1, 0.2, 0.3), 1e-300)
+    assert sched.segments[1].peak_amplitude == PI / 1e-300
 
 
 def test_synthesize_deterministic():
