@@ -325,8 +325,9 @@ def test_stacked_compile_bit_equal_to_single(rng, device):
     group = clifford_group()
     specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),
              random_spec(rng)]
-    # 10/37 gives 37 steps per segment, not a multiple of the kernel's chunk
-    for dt in (0.01, 10 / 37):
+    # 10/37 gives 37 steps per segment, not a multiple of the kernel's chunk,
+    # and 10/3 gives 3, fewer than one chunk
+    for dt in (0.01, 10 / 37, 10 / 3):
         stack = gate_superops(specs, device, dt=dt)
         assert stack.shape == (len(specs), 4, 4)
         for spec, sop in zip(specs, stack):
@@ -349,7 +350,7 @@ def test_evolve_lindblad_every_step_bit_equal_to_loop(rng, device):
     spec = random_spec(rng)
     rho0 = _random_density(rng)
     sched = synthesize(spec, 10.0)
-    for dt in (0.01, 10 / 37):
+    for dt in (0.01, 10 / 37, 10 / 3):
         traj = evolve_lindblad(sched, rho0, device, dt=dt)
         want = np.array(_loop_steps(sched, vec(rho0).reshape(4, 1),
                                     device, dt)).reshape(-1, 2, 2)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from geomgate.channels import gate_superops
 from geomgate.config import MAX_SEGMENT_STEPS
@@ -331,6 +332,25 @@ def test_kernel_steps_any_square_generator():
     for sched, psi in zip(schedules, y):
         want = schedule_propagator(sched) @ KET0
         assert np.abs(psi[:, 0] - want).max() < 1e-8
+
+
+def test_kernel_keeps_real_problems_real(rng):
+    # real generators and a real state make real stages: no step turns the
+    # stack complex, and at constant rates the end is exp(L T) of each row
+    a = rng.normal(size=(2, 3, 3))
+    b = rng.normal(size=(3, 3))
+    plan = ((0.3, 1000), (-0.7, 75))
+    segments = [(5e-4, np.full((n + 1, 2, 1, 1), w), np.full((n, 2, 1, 1), w),
+                 a, b)
+                for w, n in plan]
+    y = rng.normal(size=(2, 3, 2))
+    for s in rk4_steps(y, segments):
+        assert s.dtype == np.float64
+    for g in range(2):
+        want = y[g]
+        for w, n in plan:
+            want = expm((w * a[g] + b) * (5e-4 * n)) @ want
+        assert np.abs(s[g] - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
