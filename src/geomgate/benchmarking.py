@@ -468,11 +468,11 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
         p0[:, li] = _apply_sequences(sops[:_N_CLIFFORD], idx,
                                      _recoveries(idx, target_indices),
                                      target_sops)
+    # integrator dust at the boundaries is clipped; anything larger is a bug
+    if not np.all((-1e-9 < p0) & (p0 < 1.0 + 1e-9)):
+        raise NonPhysicalChannel("RB survival outside [0, 1] by more "
+                                 "than 1e-9")
     if config.shots is None:
-        # clip integrator dust at the boundaries; anything larger is a bug
-        if not np.all((-1e-9 < p0) & (p0 < 1.0 + 1e-9)):
-            raise NonPhysicalChannel("RB survival outside [0, 1] by more "
-                                     "than 1e-9")
         survival = np.clip(p0, 0.0, 1.0)
     else:
         readout = confusion(device)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalChannel
-from .evolution import (I4, DeviceParams, _lindblad_segments, _segments_of,
-                        rk4_steps, schedule_propagator)
+from .evolution import (I4, DeviceParams, _lindblad_segments, rk4_steps,
+                        schedule_propagator)
 from .pulse import synthesize
 from .qcore import GateSpec
 
@@ -53,41 +53,29 @@ def depolarizing_superop(strength: float) -> np.ndarray:
     return (1.0 - strength) * I4 + strength * np.outer(half_id, trace_row)
 
 
-def schedule_superops(schedules, device: DeviceParams | None = None,
-                      dt: float = 0.01) -> np.ndarray:
-    """Superoperators of a stack of schedules, shape (G, 4, 4).
-
-    RK4 on dS/dt = L(t) S, run on all G schedules at once by the kernel of
-    ``evolve_lindblad`` on one rate grid per stacked segment, so the result
-    is bit-equal to G separate integrations. Segment k must last equally
-    long in every schedule. With no device: the exact unitary channels.
-    """
-    seg_lists = [_segments_of(schedule) for schedule in schedules]
-    if device is None:
-        return np.array([unitary_superop(schedule_propagator(segs))
-                         for segs in seg_lists])
-    # keep only the last step, so no per-step stack stays alive
-    s = np.repeat(I4[None], len(seg_lists), axis=0)
-    for s in rk4_steps(s, _lindblad_segments(seg_lists, device, dt)):
-        pass
-    return s
-
-
 def gate_superops(specs, noise=None, segment_duration: float = 10.0,
                   dt: float = 0.01) -> np.ndarray:
     """Channels of several compiled gates under one noise model, (G, 4, 4).
 
-    ``noise`` is None (ideal), DeviceParams (Lindblad over the schedules,
-    integrated as one stack), or DepolarizingNoise (ideal unitary followed
-    by depolarizing).
+    ``noise`` is None (the exact unitary channels), DepolarizingNoise (ideal
+    unitary followed by depolarizing) or DeviceParams: RK4 on dS/dt = L(t) S
+    for all G schedules at once, by the kernel of ``evolve_lindblad`` on one
+    rate grid per stacked segment, so bit-equal to G separate integrations.
     """
-    schedules = [synthesize(spec, segment_duration) for spec in specs]
-    if noise is None or isinstance(noise, DeviceParams):
-        return schedule_superops(schedules, noise, dt)
-    if not isinstance(noise, DepolarizingNoise):
+    seg_lists = [synthesize(spec, segment_duration).segments for spec in specs]
+    if isinstance(noise, DeviceParams):
+        # keep only the last step, so no per-step stack stays alive
+        s = np.repeat(I4[None], len(seg_lists), axis=0)
+        for s in rk4_steps(s, _lindblad_segments(seg_lists, noise, dt)):
+            pass
+        return s
+    if noise is not None and not isinstance(noise, DepolarizingNoise):
         raise TypeError(f"unsupported noise model {noise!r}")
-    return (depolarizing_superop(noise.strength)
-            @ schedule_superops(schedules, None))
+    sops = np.array([unitary_superop(schedule_propagator(segs))
+                     for segs in seg_lists])
+    if noise is None:
+        return sops
+    return depolarizing_superop(noise.strength) @ sops
 
 
 def gate_superop(spec: GateSpec, noise=None, segment_duration: float = 10.0,

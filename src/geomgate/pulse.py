@@ -37,6 +37,9 @@ class PulseSegment:
         if not 0 <= self.peak_amplitude < math.inf:
             raise ValueError("peak_amplitude must be finite and nonnegative, "
                              f"got {self.peak_amplitude}")
+        if not math.isfinite(self.phase_offset):
+            raise ValueError("phase_offset must be finite, "
+                             f"got {self.phase_offset}")
 
 
 def segment_area(segment: PulseSegment) -> float:

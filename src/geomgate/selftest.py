@@ -36,6 +36,12 @@ class SelftestReport:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
+def _check(ok, msg: str) -> None:
+    """``assert ok, msg`` that ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _random_spec(rng) -> qcore.GateSpec:
     return qcore.GateSpec(rng.uniform(0.0, math.pi),
                           rng.uniform(-math.pi, math.pi),
@@ -52,7 +58,7 @@ def _suite_pauli(seed):
             want = want + 1j * sum(eps[i, j, k] * qcore.PAULIS[k + 1]
                                    for k in range(3))
             got = qcore.PAULIS[i + 1] @ qcore.PAULIS[j + 1]
-            assert np.allclose(got, want, atol=1e-14), f"sigma_{i} sigma_{j}"
+            _check(np.allclose(got, want, atol=1e-14), f"sigma_{i} sigma_{j}")
 
 
 def _suite_axis_angle(seed):
@@ -62,23 +68,23 @@ def _suite_axis_angle(seed):
         back = qcore.unitary_to_axis_angle(qcore.axis_angle_unitary(spec))
         d = qcore.phase_distance(qcore.axis_angle_unitary(back),
                                  qcore.axis_angle_unitary(spec))
-        assert d < 1e-10, f"round trip distance {d}"
+        _check(d < 1e-10, f"round trip distance {d}")
 
 
 def _suite_clifford(seed):
     group = qcore.clifford_group()
-    assert len(group) == 24, "group size"
+    _check(len(group) == 24, "group size")
     mats = np.array([e.unitary for e in group])
     for i in range(24):
         # phase distance 1 - |Tr(P^dag M)| / 2 of every product P = M_i M_j
         # to every element M, nearest element per j
         overlap = abs(np.einsum("jab,kab->jk", (mats[i] @ mats).conj(), mats))
         d = 1.0 - overlap.max(axis=1) / 2.0
-        bad = np.flatnonzero(~(d < 1e-9))
-        assert not len(bad), f"closure fails at ({i}, {bad[0]})"
+        j = int(np.argmax(~(d < 1e-9)))  # the first bad j, else 0
+        _check(d[j] < 1e-9, f"closure fails at ({i}, {j})")
     for i, inv in enumerate(qcore.clifford_tables()[1]):
         d = qcore.phase_distance(group[i].unitary @ group[inv].unitary, qcore.I2)
-        assert d < 1e-10, f"inverse fails at {i}"
+        _check(d < 1e-10, f"inverse fails at {i}")
 
 
 def _suite_synthesis(seed):
@@ -86,7 +92,7 @@ def _suite_synthesis(seed):
         spec = qcore.named_gate(name)
         prop = evolution.schedule_propagator(pulse.synthesize(spec, 10.0))
         d = qcore.phase_distance(prop, qcore.axis_angle_unitary(spec))
-        assert d < 1e-10, f"{name}: distance {d}"
+        _check(d < 1e-10, f"{name}: distance {d}")
 
 
 def _suite_integrator(seed):
@@ -98,11 +104,11 @@ def _suite_integrator(seed):
         psi0, _ = qcore.axis_eigenstates(spec)
         traj = evolution.evolve_unitary(sched, psi0, dt=0.01)
         err = np.linalg.norm(traj.states[-1] - u @ psi0)
-        assert err < 1e-8, f"integrator error {err}"
+        _check(err < 1e-8, f"integrator error {err}")
         report = evolution.phase_decomposition(traj)
-        assert abs(report.dynamical) < 1e-6, "dynamical phase"
+        _check(abs(report.dynamical) < 1e-6, "dynamical phase")
         geo_err = abs(evolution.wrap_angle(report.geometric + spec.gamma / 2.0))
-        assert geo_err < 1e-6, "geometric phase"
+        _check(geo_err < 1e-6, "geometric phase")
 
 
 def _suite_lindblad(seed):
@@ -113,25 +119,25 @@ def _suite_lindblad(seed):
                                      device, dt=0.05)
     want = math.exp(-50.0 / (device.T1_us * 1000.0))
     got = traj.states[-1][1, 1].real
-    assert abs(got - want) < 1e-9, "T1 decay"
+    _check(abs(got - want) < 1e-9, "T1 decay")
     traces = np.einsum("tii->t", traj.states).real
-    assert np.abs(traces - 1.0).max() < 1e-9, "trace conservation"
+    _check(np.abs(traces - 1.0).max() < 1e-9, "trace conservation")
 
 
 def _suite_qpt(seed):
     for name in ("H", "Rx(pi/2)"):
         res = tomography.run_qpt(name)
-        assert abs(res.fidelity - 1.0) < 1e-6, f"{name}: F={res.fidelity}"
+        _check(abs(res.fidelity - 1.0) < 1e-6, f"{name}: F={res.fidelity}")
 
 
 def _suite_rb(seed):
     cfg = benchmarking.RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
                                 seed=seed)
     _, fit, _ = benchmarking.run_rb(cfg, (), None)[0]
-    assert 1.0 - fit.p < 1e-6, "noiseless RB decay"
+    _check(1.0 - fit.p < 1e-6, "noiseless RB decay")
     lam = 0.05
     _, fit, _ = benchmarking.run_rb(cfg, (), channels.DepolarizingNoise(lam))[0]
-    assert abs(fit.p - (1.0 - lam)) < 1e-4, "depolarizing equivalence"
+    _check(abs(fit.p - (1.0 - lam)) < 1e-4, "depolarizing equivalence")
 
 
 def _suite_fitter(seed):
@@ -141,14 +147,14 @@ def _suite_fitter(seed):
                                     stderrs=np.zeros(len(m)),
                                     samples=[np.array([v]) for v in vals])
     fit = benchmarking.fit_decay(curve)
-    assert abs(fit.p - 0.99) < 1e-6, "fitter recovery"
+    _check(abs(fit.p - 0.99) < 1e-6, "fitter recovery")
 
 
 def _suite_readout(seed):
     readout = tomography.confusion(evolution.DeviceParams.default_xmon())
     p = np.array([0.3, 0.7])
     round_trip = p @ readout @ np.linalg.inv(readout)
-    assert np.abs(round_trip - p).max() < 1e-12, "correction unbiased"
+    _check(np.abs(round_trip - p).max() < 1e-12, "correction unbiased")
 
 
 SUITES = (

@@ -612,11 +612,13 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
 
 def test_out_of_band_survival_is_non_physical():
     # a gain of 1.01 lifts survivals to 1.01-1.08, far past integrator dust:
-    # the exact-mode clip must refuse them, not fold them into a fit
+    # the exact-mode clip must refuse them, not fold them into a fit, and
+    # shot mode too, whose sampling would clamp them into [0, 1]
     h = unitary_superop(axis_angle_unitary(named_gate("H")))
-    with pytest.raises(NonPhysicalChannel, match="outside"):
-        run_rb(RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3),
-               [("H", 1.01 * h)])
+    for shots in (None, 64):
+        with pytest.raises(NonPhysicalChannel, match="outside"):
+            run_rb(RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
+                            shots=shots), [("H", 1.01 * h)])
 
 
 def test_interleaved_rb_equals_its_run_rb_entry(device):

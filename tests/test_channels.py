@@ -11,14 +11,13 @@ from geomgate import channels, evolution
 from geomgate.benchmarking import RbConfig, run_rb
 from geomgate.channels import (PHYSICAL_TOL, DepolarizingNoise,
                                GateChannelCache, check_physical, depolarizing_superop, gate_superop,
-                               gate_superops, schedule_superops,
-                               unitary_superop, unvec, vec)
+                               gate_superops, unitary_superop, unvec, vec)
 from geomgate.evolution import (DeviceParams, _drive_matrix,
                                 _lindblad_segments, _segment_grid,
                                 evolve_lindblad, lindblad_generator,
                                 rk4_steps, schedule_propagator)
 from geomgate.errors import NonPhysicalChannel
-from geomgate.pulse import synthesize
+from geomgate.pulse import PulseSegment, synthesize
 from geomgate.qcore import (GATE_NAMES, GateSpec, axis_angle_unitary,
                             clifford_group, clifford_index_of, named_gate)
 from geomgate.tomography import run_qpt
@@ -58,7 +57,7 @@ def test_depolarizing_superop_analytic(rng):
 def test_schedule_superop_matches_direct_lindblad(rng, device):
     spec = random_spec(rng)
     sched = synthesize(spec, 10.0)
-    (sop,) = schedule_superops([sched], device, dt=0.01)
+    (sop,) = gate_superops([spec], device, 10.0, dt=0.01)
     for _ in range(3):
         rho0 = _random_density(rng)
         direct = evolve_lindblad(sched, rho0, device, dt=0.01).states[-1]
@@ -68,7 +67,7 @@ def test_schedule_superop_matches_direct_lindblad(rng, device):
 def test_schedule_superop_noiseless_is_unitary_channel(rng):
     spec = random_spec(rng)
     sched = synthesize(spec, 10.0)
-    (sop,) = schedule_superops([sched], None)
+    (sop,) = gate_superops([spec], None, 10.0)
     assert np.allclose(sop, unitary_superop(schedule_propagator(sched)),
                        atol=1e-14)
 
@@ -358,11 +357,10 @@ def test_evolve_lindblad_every_step_bit_equal_to_loop(rng, device):
         assert np.array_equal(traj.states, want), dt
 
 
-def test_stacked_compile_rejects_unequal_durations(device):
-    spec = named_gate("H")
+def test_stacked_compile_rejects_unequal_durations():
+    segs = [PulseSegment(10.0, 0.1, 0.0), PulseSegment(12.0, 0.1, 0.0)]
     with pytest.raises(ValueError, match="durations"):
-        schedule_superops([synthesize(spec, 10.0), synthesize(spec, 12.0)],
-                          device)
+        _segment_grid(segs, 0.01, 1)
 
 
 # ---------------------------------------------------------------------------

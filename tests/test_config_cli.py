@@ -1004,3 +1004,26 @@ def test_selftest_corrupted_clifford_table_fails(monkeypatch):
     # the first failing product in row-major order, as a pair-by-pair scan
     # of the corrupted list finds it
     assert "FAIL clifford-group: closure fails at (1, 1)" in report.lines
+
+
+_FAILING_QPT_PROBE = """
+import dataclasses, sys
+from geomgate import cli, tomography
+run_qpt = tomography.run_qpt
+tomography.run_qpt = lambda *a, **k: dataclasses.replace(run_qpt(*a, **k),
+                                                         fidelity=0.5)
+sys.exit(cli.main(["selftest", "--seed", "0"]))
+"""
+
+
+def test_selftest_fails_under_python_optimize(tmp_path):
+    # -O strips assert statements; a failing suite must still report FAIL
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAILING_QPT_PROBE],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert "FAIL qpt-noiseless: H: F=0.5" in proc.stdout.splitlines()
+    assert "9/10 suites passed (seed=0)" in proc.stdout.splitlines()

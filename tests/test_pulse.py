@@ -100,6 +100,9 @@ def test_segment_validation():
     for peak in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="peak_amplitude"):
             PulseSegment(duration=1.0, peak_amplitude=peak, phase_offset=0.0)
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phase_offset"):
+            PulseSegment(duration=1.0, peak_amplitude=0.1, phase_offset=phase)
 
 
 def test_segment_area_closed_form():
