@@ -208,12 +208,14 @@ def load_config(path, seed: int | None = None,
                 mode: str | None = None) -> ExperimentConfig:
     """The config at ``path``; ``seed`` and ``mode`` replace its own."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file") from None
     except OSError as err:
         raise ConfigError(f"{path}: cannot read: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8: {err.reason}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     if not isinstance(data, dict):

@@ -71,15 +71,15 @@ class DeviceParams:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-sampled evolution with the instantaneous Hamiltonian.
+    """Evolution under ``segments``, sampled at t = 0 and after every step.
 
     ``states`` has shape (N, 2) for pure states or (N, 2, 2) for density
-    matrices; ``hamiltonians`` has shape (N, 2, 2).
+    matrices; ``segments`` is the schedule's tuple of pulse segments.
     """
 
     times: np.ndarray
     states: np.ndarray
-    hamiltonians: np.ndarray
+    segments: tuple[PulseSegment, ...]
 
     @property
     def is_pure(self) -> bool:
@@ -156,16 +156,12 @@ def _segment_grid(segs, dt: float, min_steps: int):
             sin2[1::2, None, None, None] * peaks)
 
 
-def _step_samples(segments, grids):
-    """Times and Hamiltonians at t = 0 (H = 0) and after every RK4 step."""
-    times = [np.zeros(1)]
-    hams = [np.zeros((1, 2, 2), dtype=complex)]
-    t_off = 0.0
-    for seg, (h, w_full, *_) in zip(segments, grids):
-        times.append(t_off + np.arange(1, len(w_full)) * h)
-        hams.append(w_full[1:, 0] * _drive_matrix(seg))
-        t_off += seg.duration
-    return np.concatenate(times), np.concatenate(hams)
+def _sample_times(segments, grids):
+    """t = 0 and the end of every RK4 step."""
+    starts = np.cumsum([0.0] + [seg.duration for seg in segments])
+    return np.concatenate([np.zeros(1)] + [
+        t0 + np.arange(1, len(w_full)) * h
+        for t0, (h, w_full, *_) in zip(starts, grids)])
 
 
 def lindblad_generator(h: np.ndarray, gamma1: float, gamma_phi: float) -> np.ndarray:
@@ -234,7 +230,7 @@ def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
     """
     segments = _segments_of(schedule)
     grids = [_segment_grid([seg], dt, MIN_TRAJECTORY_STEPS) for seg in segments]
-    times, hams = _step_samples(segments, grids)
+    times = _sample_times(segments, grids)
     states = np.empty((len(times), 2), dtype=complex)
     states[0] = np.asarray(psi0, dtype=complex)
 
@@ -252,7 +248,7 @@ def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
         states[pos + 1:pos + n + 1, 0] = zs.real * a + zs.imag * (em * b)
         states[pos + 1:pos + n + 1, 1] = zs.real * b + zs.imag * (ep * a)
         pos += n
-    return Trajectory(times=times, states=states, hamiltonians=hams)
+    return Trajectory(times=times, states=states, segments=segments)
 
 
 def evolve_lindblad(schedule, rho0: np.ndarray,
@@ -266,11 +262,11 @@ def evolve_lindblad(schedule, rho0: np.ndarray,
     """
     segments = _segments_of(schedule)
     built = list(_lindblad_segments([segments], device, dt))
-    times, hams = _step_samples(segments, built)
+    times = _sample_times(segments, built)
     y0 = np.asarray(rho0, dtype=complex).reshape(1, 4, 1)
     states = np.array([y0, *rk4_steps(y0, built)])
     return Trajectory(times=times, states=states.reshape(-1, 2, 2),
-                      hamiltonians=hams)
+                      segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +275,10 @@ def evolve_lindblad(schedule, rho0: np.ndarray,
 def phase_decomposition(traj: Trajectory) -> PhaseReport:
     """Split the cyclic phase of a pure trajectory.
 
-    total = arg<psi(0)|psi(tau)>, dynamical = -integral <psi|H|psi> dt
-    (composite trapezoid over the samples), geometric = total - dynamical
-    wrapped to [-pi, pi).
+    total = arg<psi(0)|psi(tau)>, dynamical = -integral <psi|H|psi> dt,
+    geometric = total - dynamical wrapped to [-pi, pi). Inside segment k,
+    H = w(t) K_k commutes with K_k, so the integral there is area_k times
+    <psi_k|K_k|psi_k>, psi_k the state at the segment's start.
     """
     if not traj.is_pure:
         raise ValueError("phase decomposition requires a pure-state trajectory")
@@ -290,11 +287,10 @@ def phase_decomposition(traj: Trajectory) -> PhaseReport:
     if not defect <= CYCLIC_TOL:  # a NaN state fails too
         raise NotCyclic(f"cyclicity defect {defect:.3g} exceeds {CYCLIC_TOL}")
     total = float(np.angle(overlap))
-    # <psi|H|psi> term by term: an einsum buffers about twice the memory
-    (c0, c1), h = traj.states.T, traj.hamiltonians
-    expect = (c0.conj() * h[:, 0, 0] * c0 + c0.conj() * h[:, 0, 1] * c1
-              + c1.conj() * h[:, 1, 0] * c0 + c1.conj() * h[:, 1, 1] * c1).real
-    dynamical = -float(np.trapezoid(expect, traj.times))
+    starts = np.cumsum([0.0] + [seg.duration for seg in traj.segments])
+    psis = traj.states[np.searchsorted(traj.times, starts[:-1])]
+    dynamical = -float(sum(segment_area(seg) * np.vdot(p, _drive_matrix(seg) @ p)
+                           for seg, p in zip(traj.segments, psis)).real)
     geometric = wrap_angle(total - dynamical)
     return PhaseReport(total=total, dynamical=dynamical, geometric=geometric,
                        cyclicity_defect=max(defect, 0.0))

@@ -177,9 +177,11 @@ def run_selftest(seed: int = 0) -> SelftestReport:
     for name, fn in SUITES:
         try:
             fn(seed)
-        except AssertionError as err:
+        except Exception as err:  # a suite that raises fails, the rest still run
             report.failures += 1
-            report.lines.append(f"FAIL {name}: {err}")
+            what = (err if isinstance(err, AssertionError)
+                    else f"{type(err).__name__}: {err}")
+            report.lines.append(f"FAIL {name}: {what}")
         else:
             report.lines.append(f"PASS {name}")
     report.lines.append(

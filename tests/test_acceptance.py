@@ -71,7 +71,7 @@ def test_criterion_03_geometric_structure():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     worst_dyn = worst_geo = worst_solid = 0.0
-    for k in range(200):
+    for _ in range(200):
         spec = random_spec(rng)
         sched = synthesize(spec, 10.0)
         plus, minus = axis_eigenstates(spec)
@@ -88,15 +88,16 @@ def test_criterion_03_geometric_structure():
         assert abs(wrap_angle(rep_minus.geometric - 0.5 * spec.gamma)) < 1e-6
         worst_dyn = max(worst_dyn, abs(rep_minus.dynamical))
 
-        if k < 50:
-            omega = enclosed_solid_angle(bloch_trajectory(traj_plus))
-            err = abs(abs(omega) - abs(spec.gamma))
-            assert err < 1e-3
-            worst_solid = max(worst_solid, err)
+        # signed: Omega = gamma (mod 4 pi), geometric = -Omega/2 (mod 2 pi)
+        omega = enclosed_solid_angle(bloch_trajectory(traj_plus))
+        err = max(2.0 * abs(wrap_angle(0.5 * (omega - spec.gamma))),
+                  abs(wrap_angle(rep.geometric + 0.5 * omega)))
+        assert err < 1e-8
+        worst_solid = max(worst_solid, err)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(3, f"200 specs x |psi+/->: worst |dyn| {worst_dyn:.2e}, "
-               f"worst geo err {worst_geo:.2e}, worst ||O|-|g|| "
+               f"worst geo err {worst_geo:.2e}, worst solid-angle err "
                f"{worst_solid:.2e}, {elapsed:.1f}s")
 
 

@@ -833,6 +833,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_config_is_config_error(tmp_path, capsys):
+    # JSON is UTF-8: a Latin-1 byte is refused like any other config fault
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"synth": {"gate": "H"}, "x": "\xe9"}')
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_cli_missing_section_is_config_error(tmp_path):
     path = _write_config(tmp_path, {})
     assert cli.main(["synth", "--config", str(path),
@@ -980,6 +992,19 @@ def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
     failing = SelftestReport(lines=["FAIL fake: boom"], failures=1)
     monkeypatch.setattr(cli, "run_selftest", lambda seed: failing)
     assert cli.main(["selftest"]) == 4
+
+
+def test_cli_selftest_reports_a_raising_suite(monkeypatch, capsys):
+    # an error other than a failed check fails its suite; the rest still run
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(tomography, "run_qpt", boom)
+    assert cli.main(["selftest", "--seed", "0"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL qpt-noiseless: ValueError: boom" in lines
+    assert "PASS rb-noiseless-depolarizing" in lines
+    assert "9/10 suites passed (seed=0)" in lines
 
 
 # ---------------------------------------------------------------------------
