@@ -66,7 +66,7 @@ def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
 
 def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
     cache = GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
-    cache.stack(tomography.qpt_specs(cfg.qpt, cfg.device), cfg.device)
+    cache.stack(tomography.qpt_specs(cfg.qpt), cfg.device)
     results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
                                   seed=cfg.seed, channels=cache)
                for name in cfg.qpt]

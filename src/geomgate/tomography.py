@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GateChannelCache, unvec, vec
+from .channels import GateChannelCache, unvec
 from .errors import _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
 from .qcore import (GateSpec, I2, KET0, PAULIS, PAULI_LABELS, SIGMA_X,
-                    axis_angle_unitary, density_of, named_gate)
+                    axis_angle_unitary, named_gate)
 
 # preparation pulses applied to |0>, in order: |0>, |1>, |-i>, |+>
 PREP_GATE_NAMES = ("I", "Rx(pi)", "Rx(pi/2)", "Ry(pi/2)")
@@ -39,13 +39,11 @@ def confusion(noise) -> np.ndarray:
     return np.eye(2)
 
 
-def qpt_specs(gates, device: DeviceParams | None) -> list[GateSpec]:
-    """Every gate a QPT run compiles: the targets (names or specs), plus the
-    preparation gates when the inputs are prepared on a noisy device."""
-    specs = [named_gate(g) if isinstance(g, str) else g for g in gates]
-    if device is not None:
-        specs += [named_gate(n) for n in PREP_GATE_NAMES]
-    return specs
+def qpt_specs(gates) -> list[GateSpec]:
+    """Every gate a QPT run compiles: the targets (names or specs), then the
+    preparation gates."""
+    return ([named_gate(g) if isinstance(g, str) else g for g in gates]
+            + [named_gate(n) for n in PREP_GATE_NAMES])
 
 
 def prepare_input_states() -> list[np.ndarray]:
@@ -150,31 +148,31 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
             ) -> QptResult:
     """Full tomography pipeline for one gate.
 
-    With a device, preparation pulses are compiled schedules and incur the
-    same Lindblad noise as the gate itself; expectation readout is exact
-    unless ``shots`` is given, in which case the readout confusion of the
-    device, ``confusion(device)``, is applied and corrected. The fidelity is
-    computed from the raw hermitized linear-inversion chi. Gates compile
-    under ``device`` with the default T and dt unless ``channels``, a cache
-    that may hold channels of any noise model, says otherwise.
+    Preparation pulses compile like the gate, so on a device they incur its
+    Lindblad noise. Readout is exact unless ``shots`` is given: then
+    ``confusion(device)`` is applied and corrected, and the draws come from
+    a stream keyed by ``seed`` and the gate's angles, so a gate's result
+    does not depend on the other gates of a run or on their order. The
+    fidelity is that of the raw hermitized linear-inversion chi. Gates
+    compile under ``device`` with the default T and dt unless ``channels``,
+    a cache that may hold channels of any noise model, says otherwise.
     """
     seed = _seed(seed)
     shots = _shots(shots)
-    spec, *prep_specs = qpt_specs([gate], device)
+    spec, *prep_specs = qpt_specs([gate])
     channels = channels or GateChannelCache()
     gate_sop, *prep_sops = channels.stack([spec, *prep_specs], device)
 
-    # S vec(|0><0|) is the first column of S, bit for bit
-    inputs = ([sop[:, 0] for sop in prep_sops]
-              or [vec(density_of(psi)) for psi in prepare_input_states()])
-
     readout = confusion(device)
-    rng = None if shots is None else np.random.default_rng(seed)
+    # a fixed-length key of the seed and the angles' bits; + 0.0 folds -0.0
+    angles = np.array([spec.theta, spec.phi, spec.gamma]) + 0.0
+    rng = (None if shots is None else np.random.default_rng(
+        [seed, *angles.view(np.uint64).tolist()]))
 
     outputs = []
     projected = 0
-    for v in inputs:
-        rho_out = unvec(gate_sop @ v)
+    for sop in prep_sops:  # S vec(|0><0|) is S's first column, bit for bit
+        rho_out = unvec(gate_sop @ sop[:, 0])
         expect = measure_expectations(rho_out, shots=shots, readout=readout, rng=rng)
         rho_rec, flag = reconstruct_state(expect)
         projected += int(flag)

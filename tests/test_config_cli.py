@@ -512,6 +512,31 @@ def test_cli_qpt_deterministic_outputs(tmp_path):
     assert (out1 / "qpt_h.json").read_bytes() == (out2 / "qpt_h.json").read_bytes()
 
 
+def test_cli_qpt_shot_report_independent_of_batch_and_order(tmp_path):
+    # a gate's shot stream is keyed by the seed and its own angles, not by
+    # its place in the run, so alone, in a list or in the list reversed it
+    # writes the same report; only the embedded config records the list
+    gates = ["H", "Rx(pi/2)", "Rz(pi)"]
+    runs = {"all": gates, "reversed": gates[::-1]}
+    runs.update({cli.gate_slug(g): [g] for g in gates})
+    for out, names in runs.items():
+        path = _write_config(tmp_path, {"mode": "shots:256",
+                                        "qpt": {"gates": names}})
+        assert cli.main(["qpt", "--config", str(path), "--out",
+                         str(tmp_path / out)]) == 0
+
+    def written(out, gate):
+        slug = cli.gate_slug(gate)
+        report = json.loads((tmp_path / out / f"qpt_{slug}.json").read_text())
+        assert report.pop("config")["qpt"]["gates"] == runs[out]
+        return report, (tmp_path / out / f"chi_{slug}.csv").read_bytes()
+
+    for gate in gates:
+        alone = written(cli.gate_slug(gate), gate)
+        assert written("all", gate) == alone
+        assert written("reversed", gate) == alone
+
+
 def test_cli_rb_noiseless(tmp_path, capsys):
     path = _write_config(tmp_path, {
         "device": None,

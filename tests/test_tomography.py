@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate.channels import DepolarizingNoise, GateChannelCache
+from geomgate.channels import DepolarizingNoise, GateChannelCache, vec
 from geomgate.cli import _write_json
 from geomgate.evolution import DeviceParams
-from geomgate.qcore import (GATE_NAMES, KET0, PAULIS, SIGMA_X, density_of,
-                            named_gate)
+from geomgate.qcore import (GATE_NAMES, KET0, PAULIS, SIGMA_X, GateSpec,
+                            density_of, named_gate)
 from geomgate.tomography import (chi_to_csv, confusion, ideal_chi,
                                  measure_expectations, pauli_coefficients,
                                  prepare_input_states, process_fidelity,
-                                 qpt_report, reconstruct_chi,
+                                 qpt_report, qpt_specs, reconstruct_chi,
                                  reconstruct_state, run_qpt, sample_outcomes)
 
 SQ2 = math.sqrt(2.0)
@@ -279,6 +279,31 @@ def test_run_qpt_noiseless_exact_all_gates():
         _assert_process_matrix(res.chi)
 
 
+def test_qpt_device_free_inputs_are_the_ideal_states():
+    # without a device the compiled preparations still supply the inputs,
+    # and they are the ideal states to rounding
+    cache = GateChannelCache()
+    inputs = cache.stack(qpt_specs([]), None)[:, :, 0]
+    ideal = [vec(density_of(psi)) for psi in prepare_input_states()]
+    assert np.abs(inputs - ideal).max() <= 1e-15
+    for name in GATE_NAMES:
+        res = run_qpt(name, channels=cache)
+        assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert res.projected_count == 0
+
+
+def test_qpt_gates_draw_independent_shot_noise(device):
+    # each gate's shots come from its own stream, so across seeds the F_P
+    # residuals of two gates are uncorrelated to within sampling error
+    cache = GateChannelCache()
+    cache.stack(qpt_specs(GATE_NAMES), device)
+    seeds = range(40)
+    fids = np.array([[run_qpt(g, device, 1024, seed, cache).fidelity
+                      for seed in seeds] for g in GATE_NAMES])
+    corr = np.corrcoef(fids)[np.triu_indices(len(GATE_NAMES), 1)]
+    assert np.abs(corr).max() < 3.0 / math.sqrt(len(seeds))
+
+
 def test_run_qpt_shot_mode_reproducible():
     a = run_qpt("H", shots=2048, seed=9)
     b = run_qpt("H", shots=2048, seed=9)
@@ -315,6 +340,11 @@ def test_run_qpt_accepts_spec_and_name():
     a = run_qpt("H")
     b = run_qpt(named_gate("H"))
     assert a.fidelity == pytest.approx(b.fidelity, abs=1e-12)
+    # a spec equal to a named gate, -0.0 angle and all, draws its stream
+    spec = GateSpec(0.0, -0.0, math.pi)
+    assert spec == named_gate("Rz(pi)")
+    assert np.array_equal(run_qpt(spec, shots=64, seed=2).chi,
+                          run_qpt("Rz(pi)", shots=64, seed=2).chi)
 
 
 def test_run_qpt_noisy_prep_uses_pulses(device):
