@@ -1,8 +1,8 @@
 """Command-line harness: synth | qpt | rb | selftest.
 
 Reads a JSON experiment config, runs the requested characterization, and
-writes plot-ready CSV / JSON artifacts into the output directory (flag
---out, falling back to $GEOMGATE_OUT, then ./geomgate_out), which each
+writes plot-ready CSV / JSON artifacts into the output directory (--out,
+else $GEOMGATE_OUT if set and not empty, else ./geomgate_out), which each
 command creates only after its computation has succeeded. Every report
 embeds the fully resolved configuration. Exit codes: 0 success, 2 config
 error or unwritable output directory, 3 fit divergence, 4 invariant failure
@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "selftest":
             p.add_argument("--config", required=True,
                            help="path to the JSON experiment config")
-            p.add_argument("--out", default=None, help="output directory "
-                           "(default $GEOMGATE_OUT or ./geomgate_out)")
+            p.add_argument("--out", default=None, help="output directory (default "
+                           "$GEOMGATE_OUT if set and not empty, else ./geomgate_out)")
         if name in ("qpt", "rb"):
             p.add_argument("--mode", default=None,
                            help="override the config mode: exact | shots:<n>")
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.seed, getattr(args, "mode", None))
         if getattr(cfg, args.command) is None:
             raise ConfigError(f"config has no {args.command} section")
-        outdir = Path(args.out or os.environ.get("GEOMGATE_OUT", "geomgate_out"))
+        outdir = Path(args.out or os.environ.get("GEOMGATE_OUT") or "geomgate_out")
         command = {"synth": cmd_synth, "qpt": cmd_qpt, "rb": cmd_rb}[args.command]
         return command(cfg, outdir)
     except ConfigError as err:

@@ -218,6 +218,9 @@ def load_config(path, seed: int | None = None,
         raise ConfigError(f"{path}: not UTF-8: {err.reason}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except (ValueError, RecursionError) as err:  # 4,301+ digits, deep nesting
+        # int()'s message ends with a setting a config author cannot reach
+        raise ConfigError(f"{path}: {str(err).split(';')[0]}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     if seed is not None:

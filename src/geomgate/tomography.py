@@ -2,8 +2,8 @@
 
 Four informationally complete input states, |0>, |1>, |-i> and |+>, are
 prepared by compiled gate pulses, pushed through the gate channel, and read
-out by state tomography (exact expectations, or binomially sampled shots
-with readout confusion and confusion-matrix-inversion correction). The
+out as one stack by state tomography (exact expectations, or binomially
+sampled shots with readout confusion and its inversion, once per gate). The
 process matrix chi over the Pauli basis (I, sx, sy, sz) of
 eps(rho) = sum_mn chi_mn E_m rho E_n^dag follows from the four outputs in
 closed form (Nielsen & Chuang, Box 8.5), and is compared to the ideal
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GateChannelCache, unvec
+from .channels import GateChannelCache
 from .errors import _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
 from .qcore import (GateSpec, I2, KET0, PAULIS, PAULI_LABELS, SIGMA_X,
@@ -53,41 +53,43 @@ def prepare_input_states() -> list[np.ndarray]:
 
 def sample_outcomes(p_true: np.ndarray, shots: int, rng, readout,
                     unmix) -> np.ndarray:
-    """Estimated (P(0), P(1)) of one binary measurement from ``shots`` shots.
+    """Estimated (P(0), P(1)), from ``shots`` shots each, of every row of a
+    ``(..., 2)`` stack of a binary measurement's outcome probabilities.
 
     The confusion matrix ``readout`` is applied before one binomial draw
-    from ``rng``; ``unmix``, the caller's ``np.linalg.inv(readout)``,
-    removes it afterwards (which may leave [0, 1] under sampling noise),
-    and ``unmix=None`` returns the raw estimate.
+    per row, in row order, from ``rng``; ``unmix``, the caller's
+    ``np.linalg.inv(readout)``, removes it afterwards (which may leave
+    [0, 1] under sampling noise); ``unmix=None`` keeps the raw estimate.
     """
-    n0 = rng.binomial(shots, min(max((p_true @ readout)[0], 0.0), 1.0))
-    est = np.array([n0 / shots, 1.0 - n0 / shots])
+    n0 = rng.binomial(shots, np.clip((p_true @ readout)[..., 0], 0.0, 1.0))
+    # int / int rounds once, where float64 would round n0 past 2**53 first
+    frac = np.asarray(np.asarray(n0, dtype=object) / shots, dtype=float)
+    est = np.stack([frac, 1.0 - frac], axis=-1)
     return est if unmix is None else est @ unmix
 
 
 def measure_expectations(rho: np.ndarray, shots: int | None = None,
-                         readout=((1.0, 0.0), (0.0, 1.0)),
-                         rng=None) -> np.ndarray:
-    """(<sx>, <sy>, <sz>) of rho, exactly or from sampled measurements.
+                         readout=None, rng=None) -> np.ndarray:
+    """(<sx>, <sy>, <sz>) of each state of a ``(..., 2, 2)`` stack, exactly
+    or from sampled measurements.
 
     Shot mode simulates basis-rotated binary measurements: for each axis the
-    +1-eigenstate outcome maps to readout "0". The confusion matrix
-    ``readout`` (perfect by default) is applied before binomial sampling and
-    removed afterwards by matrix inversion, so the estimate is unbiased in
-    expectation.
+    +1-eigenstate outcome maps to readout "0". Every state and axis is
+    sampled by one ``sample_outcomes`` call, in (state, axis) order, through
+    the confusion matrix ``readout`` (``confusion(None)``, perfect readout,
+    by default), and corrected by its one inverse, so the estimate is
+    unbiased in expectation.
     """
-    exact = np.array([np.trace(rho @ p).real for p in PAULIS[1:]])
+    exact = np.trace(np.asarray(rho)[..., None, :, :] @ PAULIS[1:],
+                     axis1=-2, axis2=-1).real
     shots = _shots(shots)
     if shots is None:
         return exact
-    rng = np.random.default_rng(rng)
-    unmix = np.linalg.inv(readout)
-    out = np.empty(3)
-    for k, ev in enumerate(exact):
-        est = sample_outcomes(np.array([(1.0 + ev) / 2.0, (1.0 - ev) / 2.0]),
-                              shots, rng, readout, unmix)
-        out[k] = est[0] - est[1]
-    return out
+    readout = confusion(None) if readout is None else readout
+    est = sample_outcomes(np.stack([1.0 + exact, 1.0 - exact], -1) / 2.0,
+                          shots, np.random.default_rng(rng), readout,
+                          np.linalg.inv(readout))
+    return est[..., 0] - est[..., 1]
 
 
 def reconstruct_state(expectations) -> tuple[np.ndarray, bool]:
@@ -149,11 +151,12 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     """Full tomography pipeline for one gate.
 
     Preparation pulses compile like the gate, so on a device they incur its
-    Lindblad noise. Readout is exact unless ``shots`` is given: then
-    ``confusion(device)`` is applied and corrected, and the draws come from
-    a stream keyed by ``seed`` and the gate's angles, so a gate's result
-    does not depend on the other gates of a run or on their order. The
-    fidelity is that of the raw hermitized linear-inversion chi. Gates
+    Lindblad noise. Readout is exact unless ``shots`` is given: then one
+    ``measure_expectations`` call samples the four outputs through
+    ``confusion(device)`` and corrects them with its one inverse. The draws
+    come from a stream keyed by ``seed`` and the gate's angles, so a gate's
+    result does not depend on the other gates of a run or on their order.
+    The fidelity is that of the raw hermitized linear-inversion chi. Gates
     compile under ``device`` with the default T and dt unless ``channels``,
     a cache that may hold channels of any noise model, says otherwise.
     """
@@ -161,28 +164,22 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
     shots = _shots(shots)
     spec, *prep_specs = qpt_specs([gate])
     channels = channels or GateChannelCache()
-    gate_sop, *prep_sops = channels.stack([spec, *prep_specs], device)
-
-    readout = confusion(device)
+    sops = channels.stack([spec, *prep_specs], device)
     # a fixed-length key of the seed and the angles' bits; + 0.0 folds -0.0
     angles = np.array([spec.theta, spec.phi, spec.gamma]) + 0.0
     rng = (None if shots is None else np.random.default_rng(
         [seed, *angles.view(np.uint64).tolist()]))
-
-    outputs = []
-    projected = 0
-    for sop in prep_sops:  # S vec(|0><0|) is S's first column, bit for bit
-        rho_out = unvec(gate_sop @ sop[:, 0])
-        expect = measure_expectations(rho_out, shots=shots, readout=readout, rng=rng)
-        rho_rec, flag = reconstruct_state(expect)
-        projected += int(flag)
-        outputs.append(rho_rec)
+    # S vec(|0><0|) is S's first column; (4, 1) operands keep matvec rounding
+    rho_out = (sops[0] @ sops[1:, :, :1]).reshape(-1, 2, 2)
+    expect = measure_expectations(rho_out, shots=shots,
+                                  readout=confusion(device), rng=rng)
+    outputs, flags = zip(*map(reconstruct_state, expect))
 
     chi = reconstruct_chi(outputs)
     chi_id = ideal_chi(spec)
     return QptResult(gate=spec, chi=chi, chi_ideal=chi_id,
                      fidelity=process_fidelity(chi, chi_id),
-                     projected_count=projected,
+                     projected_count=sum(flags),
                      shots=shots, seed=seed)
 
 

@@ -440,7 +440,8 @@ def test_exact_runs_call_no_lapack_eigen_or_svd_routine(
 
 def test_readout_inverse_is_computed_once_per_run(monkeypatch, device):
     # the confusion matrix is fixed for a run: shot-mode RB inverts it once,
-    # shot-mode QPT once per input state (4 per gate), exact runs never
+    # shot-mode QPT once per gate (its four outputs are one stack), exact
+    # runs never
     inv, calls = np.linalg.inv, []
 
     def spy(a):
@@ -459,7 +460,7 @@ def test_readout_inverse_is_computed_once_per_run(monkeypatch, device):
                       (dataclasses.replace(rb, readout_correction=False), 0)):
         assert count(lambda: benchmarking.run_rb(
             cfg, ["H", "Rz(pi)"], device, cache)) == want
-    for shots, per_gate in ((64, 4), (None, 0)):
+    for shots, per_gate in ((64, 1), (None, 0)):
         assert count(lambda: [tomography.run_qpt(g, device, shots, 0, cache)
                               for g in ("I", "H")]) == 2 * per_gate
 
@@ -686,6 +687,25 @@ def test_cli_shot_count_past_the_int_digit_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": ' + "1" * 5000 + "}", "integer string conversion"),
+    ("[" * 100_000, "while decoding a JSON array"),
+], ids=["5000-digit-seed", "100000-deep-array"])
+def test_cli_json_past_the_parser_limits_is_a_config_error(
+        tmp_path, capsys, text, message):
+    # json.load raises ValueError (int()'s digit limit) or RecursionError
+    # on these; both are config faults, told in one line
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert "set_int_max_str_digits" not in err
+    assert not out.exists()
+
+
 def test_cli_stiff_step_refused_before_any_compile(tmp_path, capsys,
                                                    monkeypatch):
     compiled = []
@@ -849,6 +869,16 @@ def test_cli_out_from_environment(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["synth", "--config", str(path)]) == 0
     assert (envdir / "schedule.json").exists()
+
+
+def test_cli_empty_out_environment_means_the_default(tmp_path, monkeypatch):
+    # Path("") is the current directory; an empty GEOMGATE_OUT is unset
+    path = _write_config(tmp_path, {"synth": {"gate": "H"}})
+    monkeypatch.setenv("GEOMGATE_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--config", str(path)]) == 0
+    assert (tmp_path / "geomgate_out" / "schedule.json").exists()
+    assert not (tmp_path / "schedule.json").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

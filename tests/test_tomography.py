@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -84,6 +85,31 @@ def test_sample_outcomes_one_draw_then_correction(device):
     fixed = sample_outcomes(p_true, 1000, np.random.default_rng(4), readout,
                             unmix)
     assert np.array_equal(fixed, raw @ np.linalg.inv(readout))
+
+
+@pytest.mark.parametrize("shots", [1, 64, 1024, 10_000, 2**40, 2**53 + 1])
+def test_sample_outcomes_stack_equals_one_row_calls(device, shots):
+    # one binomial draw per row, in row order: the same bits, and the same
+    # final generator state, as one call per row on a copy of the stream
+    readout = confusion(device)
+    p0 = np.random.default_rng(3).random(12)
+    p_true = np.stack([p0, 1.0 - p0], axis=-1)
+    for unmix in (None, np.linalg.inv(readout)):
+        stacked = np.random.default_rng(8)
+        lone = copy.deepcopy(stacked)
+        got = sample_outcomes(p_true.reshape(4, 3, 2), shots, stacked,
+                              readout, unmix).reshape(12, 2)
+        want = np.array([sample_outcomes(p, shots, lone, readout, unmix)
+                         for p in p_true])
+        assert got.tobytes() == want.tobytes()
+        assert stacked.bit_generator.state == lone.bit_generator.state
+    # the raw P(0) is Python's once-rounded n0 / shots; at 2**53 + 1 shots
+    # float64(n0) / float64(shots) differs in all 12 rows
+    hand = np.random.default_rng(8)
+    n0 = [hand.binomial(shots, q) for q in (p_true @ readout)[:, 0]]
+    raw = sample_outcomes(p_true, shots, np.random.default_rng(8), readout,
+                          None)
+    assert raw[:, 0].tolist() == [n / shots for n in n0]
 
 
 def test_identity_confusion_is_exact():
@@ -302,6 +328,36 @@ def test_qpt_gates_draw_independent_shot_noise(device):
                       for seed in seeds] for g in GATE_NAMES])
     corr = np.corrcoef(fids)[np.triu_indices(len(GATE_NAMES), 1)]
     assert np.abs(corr).max() < 3.0 / math.sqrt(len(seeds))
+
+
+@pytest.mark.parametrize("shots", [None, 64, 1024])
+def test_run_qpt_equals_a_loop_over_preparations_and_axes(device, shots):
+    # QPT's reports rest on this, bit for bit: one matrix-vector product per
+    # preparation and, with shots, one one-row draw per (preparation, axis),
+    # on the gate's keyed stream, corrected by the inverse of
+    # confusion(device)
+    cache = GateChannelCache()
+    spec = named_gate("H")
+    sops = cache.stack(qpt_specs([spec]), device)
+    readout = confusion(device)
+    unmix = np.linalg.inv(readout)
+    angles = np.array([spec.theta, spec.phi, spec.gamma]) + 0.0
+    rng = np.random.default_rng([7, *angles.view(np.uint64).tolist()])
+    outputs = []
+    for sop in sops[1:]:
+        rho = (sops[0] @ sop[:, 0]).reshape(2, 2)
+        expect = []
+        for pauli in PAULIS[1:]:
+            ev = np.trace(rho @ pauli).real
+            if shots is not None:
+                est = sample_outcomes(np.array([(1.0 + ev) / 2.0,
+                                                (1.0 - ev) / 2.0]),
+                                      shots, rng, readout, unmix)
+                ev = est[0] - est[1]
+            expect.append(ev)
+        outputs.append(reconstruct_state(expect)[0])
+    got = run_qpt(spec, device, shots, 7, cache)
+    assert got.chi.tobytes() == reconstruct_chi(outputs).tobytes()
 
 
 def test_run_qpt_shot_mode_reproducible():
