@@ -3,30 +3,36 @@ single-qubit gates: three-segment slice-path synthesis, unitary and Lindblad
 propagation, geometric-phase analysis, quantum process tomography, and
 Clifford randomized benchmarking."""
 
-from .benchmarking import (DecayCurve, DecayFit, RbConfig, RbResult,
-                           fit_decay, run_rb)
-from .channels import DepolarizingNoise, GateChannelCache
-from .errors import GeomgateError
-from .evolution import (DeviceParams, PhaseReport, Trajectory,
-                        bloch_trajectory, enclosed_solid_angle,
-                        evolve_lindblad, evolve_unitary, phase_decomposition,
-                        schedule_propagator)
-from .pulse import PulseSchedule, PulseSegment, synthesize
-from .qcore import (CliffordElement, GateSpec, GATE_NAMES, axis_angle_unitary,
-                    clifford_group, named_gate, phase_distance,
-                    unitary_to_axis_angle)
-from .tomography import QptResult, process_fidelity, reconstruct_chi, run_qpt
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CliffordElement", "DecayCurve", "DecayFit", "DepolarizingNoise",
-    "DeviceParams", "GATE_NAMES", "GateChannelCache", "GateSpec",
-    "GeomgateError", "PhaseReport", "PulseSchedule", "PulseSegment",
-    "QptResult", "RbConfig", "RbResult", "Trajectory",
-    "axis_angle_unitary", "bloch_trajectory", "clifford_group",
-    "enclosed_solid_angle", "evolve_lindblad", "evolve_unitary", "fit_decay",
-    "named_gate", "phase_decomposition", "phase_distance", "process_fidelity",
-    "reconstruct_chi", "run_qpt", "run_rb", "schedule_propagator",
-    "synthesize",
-]
+# every submodule and its public names, each imported on first use (PEP 562)
+_EXPORTS = {
+    "benchmarking": ("DecayCurve", "DecayFit", "RbConfig", "RbResult",
+                     "fit_decay", "run_rb"),
+    "channels": ("DepolarizingNoise", "GateChannelCache"),
+    "cli": (), "config": (), "errors": ("GeomgateError",),
+    "evolution": ("DeviceParams", "PhaseReport", "Trajectory",
+                  "bloch_trajectory", "enclosed_solid_angle",
+                  "evolve_lindblad", "evolve_unitary", "phase_decomposition",
+                  "schedule_propagator"),
+    "pulse": ("PulseSchedule", "PulseSegment", "synthesize"),
+    "qcore": ("CliffordElement", "GateSpec", "GATE_NAMES",
+              "axis_angle_unitary", "clifford_group", "named_gate",
+              "phase_distance", "unitary_to_axis_angle"),
+    "selftest": (),
+    "tomography": ("QptResult", "process_fidelity", "reconstruct_chi",
+                   "run_qpt"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name, name)
+    if home not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")  # importlib's imports escape -X importtime
+    module = sys.modules[f"{__name__}.{home}"]
+    return module if home == name else getattr(module, name)

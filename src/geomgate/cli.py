@@ -7,7 +7,7 @@ command creates only after its computation has succeeded. Every report
 embeds the fully resolved configuration. Exit codes: 0 success, 2 config
 error or unwritable output directory, 3 fit divergence, 4 invariant failure
 (including a compiled channel that is not finite, trace preserving and
-completely positive).
+completely positive). A command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarking, evolution, pulse, tomography
-from .channels import GateChannelCache
+from . import evolution, pulse
 from .config import ExperimentConfig, config_to_dict, load_config
 from .errors import ConfigError, GeomgateError
 from .pulse import _write_json
 from .qcore import axis_eigenstates
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +63,8 @@ def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
-    cache = GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
+    from . import channels, tomography
+    cache = channels.GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
     cache.stack(tomography.qpt_specs(cfg.qpt), cfg.device)
     results = [tomography.run_qpt(name, device=cfg.device, shots=cfg.shots,
                                   seed=cfg.seed, channels=cache)
@@ -92,7 +91,8 @@ def cmd_qpt(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
-    cache = GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
+    from . import benchmarking, channels
+    cache = channels.GateChannelCache(cfg.segment_duration_ns, cfg.dt_ns)
     (curve, ref_fit, ref_result), *interleaved = benchmarking.run_rb(
         cfg.rb.config, cfg.rb.interleaved, cfg.device, channels=cache)
 
@@ -121,7 +121,8 @@ def cmd_rb(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def cmd_selftest(seed: int) -> int:
-    report = run_selftest(seed=seed)
+    from . import selftest
+    report = selftest.run_selftest(seed=seed)
     sys.stdout.write(report.text)
     print(f"report sha256: {report.digest}")
     return EXIT_OK if report.all_passed else EXIT_INVARIANT

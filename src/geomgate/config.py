@@ -11,12 +11,14 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
-from .benchmarking import RbConfig
 from .errors import (ConfigError, UnknownGateName, _seed, mode_string,
                      parse_mode)
 from .evolution import MIN_TRAJECTORY_STEPS, DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
+if TYPE_CHECKING:  # only an rb section loads the RB engine, in _parse_rb
+    from .benchmarking import RbConfig
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,7 @@ def _parse_qpt(data, where: str) -> tuple[str, ...]:
 
 
 def _parse_rb(data, where: str, shots: int | None, seed: int) -> RbSection:
+    from .benchmarking import RbConfig
     _check_fields(data, {"lengths", "randomizations", "interleaved",
                          "readout_correction"}, where)
     # RbConfig holds the defaults of the settings the document leaves out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from geomgate import (benchmarking, channels, cli, config, evolution, qcore,
-                      tomography)
+                      selftest, tomography)
 from geomgate.config import (MAX_SEGMENT_STEPS, config_from_dict,
                              config_to_dict, load_config)
 from geomgate.errors import ConfigError, mode_string, parse_mode
@@ -303,7 +303,12 @@ def test_step_bound_covers_the_generator_norm():
     for t_ns, t1_us, t2_us in ((10.0, 19.0, 10.0), (10.0, 1e-3, 1e-2),
                                (2.0, 1e-4, 1e-5), (50.0, 1e-5, 1e-3),
                                (10.0, 1e-6, 10.0), (3.0, 1e-6, 1e-6),
-                               (7.0, 10.0, 1e-7), (0.5, 2e-7, 3e-4)):
+                               (7.0, 10.0, 1e-7), (0.5, 2e-7, 3e-4),
+                               # its first guess passes, and the search
+                               # steps up to a largest dt_ns of
+                               # 0.36354245932362744
+                               (188.13322269997718, 0.0002587777278126536,
+                                0.00019117469907201505)):
         device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
         g1, gphi = device.gamma1_per_ns, device.gamma_phi_per_ns
         bound = 2 * PI / t_ns + max(math.sqrt(2) * g1, g1 / 2 + gphi)
@@ -332,7 +337,7 @@ def test_step_bound_covers_the_generator_norm():
         config_from_dict({**doc, "dt_ns": largest})
         with pytest.raises(ConfigError, match="largest dt_ns"):
             config_from_dict({**doc, "dt_ns": up})
-    assert stiff == 5
+    assert stiff == 6
 
 
 def test_stiff_step_refused_with_the_largest_passing_dt():
@@ -977,14 +982,20 @@ def _run_fresh(tmp_path, docs):
     for cmd, extra in docs.items():
         path = _write_config(tmp_path, extra, name=f"{cmd}.json")
         argv += [cmd, str(path), str(tmp_path / f"out_{cmd}")]
+    return _python(tmp_path, _IMPORT_PROBE, *argv).splitlines()[-3:]
+
+
+def _python(cwd, code, *argv):
+    """The standard output of ``code`` run in a fresh interpreter on
+    ``src/`` with ``argv``; the run must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
-                          env=env, cwd=tmp_path, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-3:]
+    return proc.stdout
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -1009,6 +1020,69 @@ def test_exact_runs_never_load_numpy_random(tmp_path):
     codes, _, loaded = _run_fresh(tmp_path / "shots",
                                   {"rb": {"mode": "shots:16", "rb": rb}})
     assert (codes, loaded) == ("[0]", "True")
+
+
+_LOAD_PROBE = """
+import sys
+import geomgate.cli
+code = geomgate.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("geomgate.")))
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("synth", ["cli", "config", "errors", "evolution", "pulse", "qcore"]),
+    ("qpt", ["channels", "cli", "config", "errors", "evolution", "pulse",
+             "qcore", "tomography"]),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, loaded):
+    # neither synth nor qpt runs the RB engine or the selftest, and synth
+    # compiles no channel: a fresh interpreter never imports those modules
+    out = _python(tmp_path, _LOAD_PROBE, command, "--config",
+                  str(CONFIGS / f"{command}_xmon.json"), "--out", "out")
+    last = out.splitlines()[-1].split()
+    assert last == ["0", *(f"geomgate.{name}" for name in loaded)]
+
+
+_EXPORT_PROBE = """
+import importlib, json, pkgutil, sys
+import geomgate
+bare = [m for m in sys.modules if m.startswith("geomgate.")]
+star = {}
+exec("from geomgate import *", star)
+wrong = []
+submodules = [info.name for info in pkgutil.iter_modules(geomgate.__path__)]
+for name in submodules:  # geomgate.<submodule> before its import
+    if getattr(geomgate, name) is not sys.modules["geomgate." + name]:
+        wrong.append(name)
+for name in geomgate.__all__:
+    # the object every submodule that binds the name binds
+    bound = {id(vars(sys.modules["geomgate." + module])[name])
+             for module in submodules
+             if name in vars(sys.modules["geomgate." + module])}
+    if bound != {id(star[name])} or getattr(geomgate, name) is not star[name]:
+        wrong.append(name)
+try:
+    geomgate.no_such_name
+    unknown = None
+except AttributeError as err:
+    unknown = str(err)
+print(json.dumps({"bare": bare, "star": sorted(set(star) - {"__builtins__"}),
+                  "all": sorted(geomgate.__all__), "submodules": submodules,
+                  "wrong": wrong, "unknown": unknown}))
+"""
+
+
+def test_package_names_resolve_on_first_access(tmp_path):
+    # `import geomgate` loads no submodule; each public name, the star
+    # import and each submodule name then load the module that defines it
+    out = json.loads(_python(tmp_path, _EXPORT_PROBE))
+    assert out["bare"] == []
+    assert out["star"] == out["all"] and len(out["all"]) == 33
+    assert {"cli", "config", "selftest"} <= set(out["submodules"])
+    assert out["wrong"] == []
+    assert out["unknown"] == ("module 'geomgate' has no attribute "
+                              "'no_such_name'")
 
 
 def test_cli_selftest_passes(capsys):
@@ -1045,7 +1119,7 @@ def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
     from geomgate.selftest import SelftestReport
 
     failing = SelftestReport(lines=["FAIL fake: boom"], failures=1)
-    monkeypatch.setattr(cli, "run_selftest", lambda seed: failing)
+    monkeypatch.setattr(selftest, "run_selftest", lambda seed: failing)
     assert cli.main(["selftest"]) == 4
 
 

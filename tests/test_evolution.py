@@ -598,6 +598,17 @@ def test_csv_writers_match_per_row_repr(tmp_path, rng):
     assert len(text.splitlines()) == 1025
 
 
+def test_pure_state_analyses_refuse_a_density_matrix_trajectory():
+    # the phase split and the Bloch path read state vectors; a Lindblad
+    # trajectory holds density matrices
+    traj = evolve_lindblad(synthesize(named_gate("H"), 10.0), density_of(KET0))
+    assert not traj.is_pure
+    with pytest.raises(ValueError, match="phase decomposition requires"):
+        phase_decomposition(traj)
+    with pytest.raises(ValueError, match="bloch trajectory requires"):
+        bloch_trajectory(traj)
+
+
 def test_device_params_validation():
     with pytest.raises(ValueError):
         DeviceParams(T1_us=0.0, T2_star_us=10.0)
