@@ -9,10 +9,10 @@ __version__ = "0.1.0"
 
 # every submodule and its public names, each imported on first use (PEP 562)
 _EXPORTS = {
-    "benchmarking": ("DecayCurve", "DecayFit", "RbConfig", "RbResult",
-                     "fit_decay", "run_rb"),
+    "benchmarking": ("DecayCurve", "DecayFit", "RbResult", "fit_decay",
+                     "run_rb"),
     "channels": ("DepolarizingNoise", "GateChannelCache"),
-    "cli": (), "config": (), "errors": ("GeomgateError",),
+    "cli": (), "config": ("RbConfig",), "errors": ("GeomgateError",),
     "evolution": ("DeviceParams", "PhaseReport", "Trajectory",
                   "bloch_trajectory", "enclosed_solid_angle",
                   "evolve_lindblad", "evolve_unitary", "phase_decomposition",

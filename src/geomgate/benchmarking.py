@@ -18,7 +18,7 @@ Philox4x64-10 words and Lemire's method. ``numpy.random`` is loaded only
 to redraw a stream with a rejected draw (p = 16/2**32 per draw) and for
 shot sampling, where each sequence's stream is drawn past its indices
 once and every curve samples from the position right after them, through
-``tomography.sample_outcomes`` with the confusion matrix's inverse that
+``channels.sample_outcomes`` with the confusion matrix's inverse that
 ``run_rb`` computes once per run (none without readout correction). All
 curves and randomizations of a length run as one batch: channels come
 from a (24, 4, 4) Clifford table by index, and one integer fold gives
@@ -35,52 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import GateChannelCache, vec
-from .errors import NonPhysicalChannel, _seed, _shots, _whole
+from .channels import GateChannelCache, confusion, sample_outcomes, vec
+from .config import RbConfig
+from .errors import NonPhysicalChannel
 from .evolution import DeviceParams, _write_csv
 from .qcore import (KET0, axis_angle_unitary, clifford_group,
                     clifford_index_of, clifford_tables, density_of,
                     named_gate)
-from .tomography import confusion, sample_outcomes
 
-DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
 MAX_FIT_ITERATIONS = 200
-# Clifford indices a run draws, randomizations x sum(sequence_lengths); at
-# the cap, lengths (1, 2, 3) and 8 targets peak near 650 MB
-MAX_RB_DRAWS = 1_000_000
-
-
-@dataclass(frozen=True)
-class RbConfig:
-    """Benchmarking run parameters; ``shots=None`` means exact survival."""
-
-    sequence_lengths: tuple[int, ...] = DEFAULT_LENGTHS
-    randomizations: int = 50
-    shots: int | None = None
-    seed: int = 0
-    readout_correction: bool = True
-
-    def __post_init__(self):
-        lengths = tuple(_whole(m, "sequence length")
-                        for m in self.sequence_lengths)
-        object.__setattr__(self, "sequence_lengths", lengths)
-        object.__setattr__(self, "randomizations",
-                           _whole(self.randomizations, "randomizations"))
-        object.__setattr__(self, "seed", _seed(self.seed))
-        object.__setattr__(self, "shots", _shots(self.shots))
-        if not isinstance(self.readout_correction, bool):
-            raise ValueError("readout_correction must be true or false, "
-                             f"got {self.readout_correction!r}")
-        if not lengths or any(m < 1 for m in lengths):
-            raise ValueError("sequence lengths must be positive")
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ValueError("sequence lengths must be strictly increasing")
-        if len(lengths) < 3:
-            raise ValueError("need at least 3 sequence lengths to fit")
-        if self.randomizations < 2:
-            raise ValueError("need at least 2 randomizations per length")
-        if self.randomizations * sum(lengths) > MAX_RB_DRAWS:
-            raise ValueError(f"randomizations x sum of lengths > {MAX_RB_DRAWS}")
 
 
 @dataclass

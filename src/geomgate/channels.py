@@ -4,7 +4,8 @@ Row-major vectorization: vec(rho) = rho.reshape(4), so vec(A rho B) =
 (A kron B^T) vec(rho). A gate schedule under a fixed noise model is a linear
 map on rho; compiling it once to a superoperator makes sequence execution a
 chain of 4x4 products, exactly equivalent to concatenated master-equation
-integration because the dynamics are time-local and linear.
+integration because the dynamics are time-local and linear. ``confusion``
+and ``sample_outcomes`` are a noise model's readout, shared by QPT and RB.
 """
 
 from __future__ import annotations
@@ -82,6 +83,33 @@ def gate_superop(spec: GateSpec, noise=None, segment_duration: float = 10.0,
                  dt: float = 0.01) -> np.ndarray:
     """Channel of one compiled gate under a noise model (see gate_superops)."""
     return gate_superops([spec], noise, segment_duration, dt)[0]
+
+
+def confusion(noise) -> np.ndarray:
+    """Readout confusion matrix of a noise model: ``[j, k]`` is P(measured k
+    | true j), with diagonal (readout_f0, readout_f1) for a device and the
+    identity (perfect readout) for any other model."""
+    if isinstance(noise, DeviceParams):
+        return np.array([[noise.readout_f0, 1.0 - noise.readout_f0],
+                         [1.0 - noise.readout_f1, noise.readout_f1]])
+    return np.eye(2)
+
+
+def sample_outcomes(p_true: np.ndarray, shots: int, rng, readout,
+                    unmix) -> np.ndarray:
+    """Estimated (P(0), P(1)), from ``shots`` shots each, of every row of a
+    ``(..., 2)`` stack of a binary measurement's outcome probabilities.
+
+    The confusion matrix ``readout`` is applied before one binomial draw
+    per row, in row order, from ``rng``; ``unmix``, the caller's
+    ``np.linalg.inv(readout)``, removes it afterwards (which may leave
+    [0, 1] under sampling noise); ``unmix=None`` keeps the raw estimate.
+    """
+    n0 = rng.binomial(shots, np.clip((p_true @ readout)[..., 0], 0.0, 1.0))
+    # int / int rounds once, where float64 would round n0 past 2**53 first
+    frac = np.asarray(np.asarray(n0, dtype=object) / shots, dtype=float)
+    est = np.stack([frac, 1.0 - frac], axis=-1)
+    return est if unmix is None else est @ unmix
 
 
 PHYSICAL_TOL = 1e-10

@@ -3,6 +3,7 @@
 A config document is a single JSON object; unknown fields anywhere are
 rejected and every embedded value is validated on load. Reports emitted by
 the CLI embed the fully resolved configuration so no defaults stay hidden.
+``RbConfig`` holds the RB settings, so reading a config loads no engine.
 """
 
 from __future__ import annotations
@@ -11,20 +12,55 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING
 
-from .errors import (ConfigError, UnknownGateName, _seed, mode_string,
-                     parse_mode)
+from .errors import (ConfigError, UnknownGateName, _seed, _shots, _whole,
+                     mode_string, parse_mode)
 from .evolution import MIN_TRAJECTORY_STEPS, DeviceParams
 from .qcore import GATE_NAMES, GateSpec, named_gate
-if TYPE_CHECKING:  # only an rb section loads the RB engine, in _parse_rb
-    from .benchmarking import RbConfig
+
+DEFAULT_LENGTHS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
+# Clifford indices a run draws, randomizations x sum(sequence_lengths); at
+# the cap, lengths (1, 2, 3) and 8 targets peak near 650 MB
+MAX_RB_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SynthSection:
     gate: str | None
     spec: GateSpec
+
+
+@dataclass(frozen=True)
+class RbConfig:
+    """Benchmarking run parameters; ``shots=None`` means exact survival."""
+
+    sequence_lengths: tuple[int, ...] = DEFAULT_LENGTHS
+    randomizations: int = 50
+    shots: int | None = None
+    seed: int = 0
+    readout_correction: bool = True
+
+    def __post_init__(self):
+        lengths = tuple(_whole(m, "sequence length")
+                        for m in self.sequence_lengths)
+        object.__setattr__(self, "sequence_lengths", lengths)
+        object.__setattr__(self, "randomizations",
+                           _whole(self.randomizations, "randomizations"))
+        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "shots", _shots(self.shots))
+        if not isinstance(self.readout_correction, bool):
+            raise ValueError("readout_correction must be true or false, "
+                             f"got {self.readout_correction!r}")
+        if not lengths or any(m < 1 for m in lengths):
+            raise ValueError("sequence lengths must be positive")
+        if any(b <= a for a, b in zip(lengths, lengths[1:])):
+            raise ValueError("sequence lengths must be strictly increasing")
+        if len(lengths) < 3:
+            raise ValueError("need at least 3 sequence lengths to fit")
+        if self.randomizations < 2:
+            raise ValueError("need at least 2 randomizations per length")
+        if self.randomizations * sum(lengths) > MAX_RB_DRAWS:
+            raise ValueError(f"randomizations x sum of lengths > {MAX_RB_DRAWS}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +156,6 @@ def _parse_qpt(data, where: str) -> tuple[str, ...]:
 
 
 def _parse_rb(data, where: str, shots: int | None, seed: int) -> RbSection:
-    from .benchmarking import RbConfig
     _check_fields(data, {"lengths", "randomizations", "interleaved",
                          "readout_correction"}, where)
     # RbConfig holds the defaults of the settings the document leaves out

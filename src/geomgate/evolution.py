@@ -157,11 +157,11 @@ def _segment_grid(segs, dt: float, min_steps: int):
 
 
 def _sample_times(segments, grids):
-    """t = 0 and the end of every RK4 step."""
+    """t = 0 and every RK4 step end, each segment's last exactly at its end."""
     starts = np.cumsum([0.0] + [seg.duration for seg in segments])
     return np.concatenate([np.zeros(1)] + [
-        t0 + np.arange(1, len(w_full)) * h
-        for t0, (h, w_full, *_) in zip(starts, grids)])
+        t0 + np.linspace(0.0, seg.duration, len(w_full))[1:]
+        for t0, seg, (_, w_full, *_) in zip(starts, segments, grids)])
 
 
 def lindblad_generator(h: np.ndarray, gamma1: float, gamma_phi: float) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import benchmarking, channels, evolution, pulse, qcore, tomography
+from . import (benchmarking, channels, config, evolution, pulse, qcore,
+               tomography)
 
 
 @dataclass
@@ -131,8 +132,8 @@ def _suite_qpt(seed):
 
 
 def _suite_rb(seed):
-    cfg = benchmarking.RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
-                                seed=seed)
+    cfg = config.RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
+                          seed=seed)
     _, fit, _ = benchmarking.run_rb(cfg, (), None)[0]
     _check(1.0 - fit.p < 1e-6, "noiseless RB decay")
     lam = 0.05
@@ -151,7 +152,7 @@ def _suite_fitter(seed):
 
 
 def _suite_readout(seed):
-    readout = tomography.confusion(evolution.DeviceParams.default_xmon())
+    readout = channels.confusion(evolution.DeviceParams.default_xmon())
     p = np.array([0.3, 0.7])
     round_trip = p @ readout @ np.linalg.inv(readout)
     _check(np.abs(round_trip - p).max() < 1e-12, "correction unbiased")

@@ -3,7 +3,7 @@
 Four informationally complete input states, |0>, |1>, |-i> and |+>, are
 prepared by compiled gate pulses, pushed through the gate channel, and read
 out as one stack by state tomography (exact expectations, or binomially
-sampled shots with readout confusion and its inversion, once per gate). The
+sampled shots through ``channels.confusion``, inverted once per gate). The
 process matrix chi over the Pauli basis (I, sx, sy, sz) of
 eps(rho) = sum_mn chi_mn E_m rho E_n^dag follows from the four outputs in
 closed form (Nielsen & Chuang, Box 8.5), and is compared to the ideal
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GateChannelCache
+from .channels import GateChannelCache, confusion, sample_outcomes
 from .errors import _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
 from .qcore import (GateSpec, I2, KET0, PAULIS, PAULI_LABELS, SIGMA_X,
@@ -29,16 +29,6 @@ _BOX = np.diag([1.0, 1.0, -1.0j, 1.0]) @ np.block([[I2, SIGMA_X],
                                                   [SIGMA_X, -I2]]) / 2.0
 
 
-def confusion(noise) -> np.ndarray:
-    """Readout confusion matrix of a noise model: ``[j, k]`` is P(measured k
-    | true j), with diagonal (readout_f0, readout_f1) for a device and the
-    identity (perfect readout) for any other model."""
-    if isinstance(noise, DeviceParams):
-        return np.array([[noise.readout_f0, 1.0 - noise.readout_f0],
-                         [1.0 - noise.readout_f1, noise.readout_f1]])
-    return np.eye(2)
-
-
 def qpt_specs(gates) -> list[GateSpec]:
     """Every gate a QPT run compiles: the targets (names or specs), then the
     preparation gates."""
@@ -49,23 +39,6 @@ def qpt_specs(gates) -> list[GateSpec]:
 def prepare_input_states() -> list[np.ndarray]:
     """The four tomography input states: prep gates applied to |0>."""
     return [axis_angle_unitary(named_gate(n)) @ KET0 for n in PREP_GATE_NAMES]
-
-
-def sample_outcomes(p_true: np.ndarray, shots: int, rng, readout,
-                    unmix) -> np.ndarray:
-    """Estimated (P(0), P(1)), from ``shots`` shots each, of every row of a
-    ``(..., 2)`` stack of a binary measurement's outcome probabilities.
-
-    The confusion matrix ``readout`` is applied before one binomial draw
-    per row, in row order, from ``rng``; ``unmix``, the caller's
-    ``np.linalg.inv(readout)``, removes it afterwards (which may leave
-    [0, 1] under sampling noise); ``unmix=None`` keeps the raw estimate.
-    """
-    n0 = rng.binomial(shots, np.clip((p_true @ readout)[..., 0], 0.0, 1.0))
-    # int / int rounds once, where float64 would round n0 past 2**53 first
-    frac = np.asarray(np.asarray(n0, dtype=object) / shots, dtype=float)
-    est = np.stack([frac, 1.0 - frac], axis=-1)
-    return est if unmix is None else est @ unmix
 
 
 def measure_expectations(rho: np.ndarray, shots: int | None = None,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from geomgate import benchmarking
-from geomgate.benchmarking import (MAX_RB_DRAWS, DecayCurve, DecayFit,
-                                   RbConfig, RbResult, _draw_sequences,
+from geomgate.benchmarking import (DecayCurve, DecayFit, RbConfig,
+                                   RbResult, _draw_sequences,
                                    _philox_words, _recoveries, _stream_keys,
                                    _stream_opener, decay_to_csv, fit_decay,
                                    fit_report, run_interleaved_rb, run_rb,
@@ -16,6 +16,7 @@ from geomgate.benchmarking import (MAX_RB_DRAWS, DecayCurve, DecayFit,
 from geomgate.channels import (DepolarizingNoise, GateChannelCache,
                                depolarizing_superop, unitary_superop)
 from geomgate.cli import _write_json
+from geomgate.config import MAX_RB_DRAWS
 from geomgate.errors import NonPhysicalChannel
 from geomgate.qcore import (GATE_NAMES, I2, KET0, axis_angle_unitary,
                             clifford_group, clifford_index_of,

@@ -658,7 +658,7 @@ def test_cli_rb_too_large_to_allocate_is_a_config_error(tmp_path, capsys, rb):
     assert cli.main(["rb", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
-    assert f"> {benchmarking.MAX_RB_DRAWS}" in err
+    assert f"> {config.MAX_RB_DRAWS}" in err
     assert not out.exists()
 
 
@@ -1034,14 +1034,33 @@ print(code, *sorted(m for m in sys.modules if m.startswith("geomgate.")))
     ("synth", ["cli", "config", "errors", "evolution", "pulse", "qcore"]),
     ("qpt", ["channels", "cli", "config", "errors", "evolution", "pulse",
              "qcore", "tomography"]),
+    ("rb", ["benchmarking", "channels", "cli", "config", "errors",
+            "evolution", "pulse", "qcore"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, loaded):
-    # neither synth nor qpt runs the RB engine or the selftest, and synth
-    # compiles no channel: a fresh interpreter never imports those modules
+    # no command runs the selftest, synth compiles no channel, and neither
+    # synth nor qpt runs the RB engine nor rb the QPT one: a fresh
+    # interpreter never imports those modules
     out = _python(tmp_path, _LOAD_PROBE, command, "--config",
                   str(CONFIGS / f"{command}_xmon.json"), "--out", "out")
     last = out.splitlines()[-1].split()
     assert last == ["0", *(f"geomgate.{name}" for name in loaded)]
+
+
+_CONFIG_LOAD_PROBE = """
+import sys
+from geomgate.config import load_config
+load_config(sys.argv[1])
+print(*sorted(m for m in sys.modules if m.startswith("geomgate.")))
+"""
+
+
+def test_reading_a_config_loads_no_protocol_engine(tmp_path):
+    # an rb section is read into config's own RbConfig, so reading it
+    # imports neither the RB engine nor the channels or QPT it runs on
+    out = _python(tmp_path, _CONFIG_LOAD_PROBE, str(CONFIGS / "rb_xmon.json"))
+    assert out.split() == [f"geomgate.{name}" for name in
+                           ("config", "errors", "evolution", "pulse", "qcore")]
 
 
 _EXPORT_PROBE = """

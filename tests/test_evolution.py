@@ -406,6 +406,19 @@ def test_phase_decomposition_closed_form_half_turn(rng):
         assert abs(wrap_angle(rep.total - PI)) < 1e-6
 
 
+def test_segment_boundaries_land_on_a_sample():
+    # 285 steps of h = T / 285 sum to 1 ulp short of T, so step ends taken
+    # as arange(1, n + 1) * h put the next segment's start state a step late
+    t_seg, dt = 14.763532717729133, 0.05173163902050624
+    sched = synthesize(named_gate("H"), t_seg)
+    psi0, _ = axis_eigenstates(named_gate("H"))
+    starts = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+    for traj in (evolve_unitary(sched, psi0, dt=dt),
+                 evolve_lindblad(sched, density_of(psi0), dt=dt)):
+        assert len(traj.times) == 3 * 285 + 1
+        assert np.array_equal(traj.times[[285, 570]], starts[1:3])
+
+
 def test_phase_decomposition_zero_hamiltonian():
     segments = [PulseSegment(10.0, 0.0, 0.0)]
     traj = evolve_unitary(segments, KET0, dt=0.05)
