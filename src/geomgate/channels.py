@@ -62,12 +62,20 @@ def gate_superops(specs, noise=None, segment_duration: float = 10.0,
     unitary followed by depolarizing) or DeviceParams: RK4 on dS/dt = L(t) S
     for all G schedules at once, by the kernel of ``evolve_lindblad`` on one
     rate grid per stacked segment, so bit-equal to G separate integrations.
+    Rows step as they would alone, so each distinct first segment steps once.
     """
     seg_lists = [synthesize(spec, segment_duration).segments for spec in specs]
     if isinstance(noise, DeviceParams):
+        # repr, unlike ==, tells a -0.0 from a 0.0 in a segment
+        heads = {repr(segs[0]): segs[:1] for segs in seg_lists}
+        index = [list(heads).index(repr(segs[0])) for segs in seg_lists]
+        s = np.repeat(I4[None], len(heads), axis=0)
         # keep only the last step, so no per-step stack stays alive
-        s = np.repeat(I4[None], len(seg_lists), axis=0)
-        for s in rk4_steps(s, _lindblad_segments(seg_lists, noise, dt)):
+        for s in rk4_steps(s, _lindblad_segments(
+                list(heads.values()), noise, dt)):
+            pass
+        for s in rk4_steps(s[index], _lindblad_segments(
+                [segs[1:] for segs in seg_lists], noise, dt)):
             pass
         return s
     if noise is not None and not isinstance(noise, DepolarizingNoise):

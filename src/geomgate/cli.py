@@ -46,8 +46,9 @@ def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
 
     outdir.mkdir(parents=True, exist_ok=True)
     pulse.save_schedule(schedule, outdir / "schedule.json")
-    evolution.trajectory_to_csv(traj, outdir / "trajectory.csv")
-    evolution.bloch_path_to_csv(traj, outdir / "bloch_path.csv")
+    t_ns = list(evolution.spell(traj.times))  # text for both CSVs
+    evolution.trajectory_to_csv(traj, outdir / "trajectory.csv", t_ns)
+    evolution.bloch_path_to_csv(traj, outdir / "bloch_path.csv", t_ns)
     _write_json({"config": config_to_dict(cfg),
                  "total_phase": report.total,
                  "dynamical_phase": report.dynamical,

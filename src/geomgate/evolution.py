@@ -332,32 +332,38 @@ def enclosed_solid_angle(path: np.ndarray) -> float:
 _CSV_BLOCK = 512
 
 
+def spell(col):
+    """An iterator over a column's CSV text: str of labels, repr of numbers."""
+    return map(str if col.dtype.kind == "U" else repr, col.tolist())
+
+
 def _write_csv(path, header, columns) -> None:
-    # csv.writer spells the Python values of .tolist() with str and quotes
-    # neither numbers nor plain labels, so joining them writes the same
-    # bytes, faster; for numbers, repr is the same text and a faster call
+    # csv.writer spells .tolist() values with str, quoting neither numbers
+    # nor plain labels, so joining them writes the same bytes, faster (repr
+    # is str's text for numbers, and faster); a list column is text already
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = (map(str if col.dtype.kind == "U" else repr,
-                         col[i:i + _CSV_BLOCK].tolist()) for col in columns)
+            cells = (col[i:i + _CSV_BLOCK] if isinstance(col, list)
+                     else spell(col[i:i + _CSV_BLOCK]) for col in columns)
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Pure: t_ns, re_c0, im_c0, re_c1, im_c1. Density: the 4 real dof."""
+def trajectory_to_csv(traj: Trajectory, path, t_ns=None) -> None:
+    """Pure: t_ns, re_c0, im_c0, re_c1, im_c1. Density: the 4 real dof.
+    ``t_ns``, here and in bloch_path_to_csv, may be list(spell(traj.times))."""
     st = traj.states
     if traj.is_pure:
         _write_csv(path, ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
-                   (traj.times, st[:, 0].real, st[:, 0].imag,
+                   (t_ns or traj.times, st[:, 0].real, st[:, 0].imag,
                     st[:, 1].real, st[:, 1].imag))
     else:
         _write_csv(path, ["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"],
-                   (traj.times, st[:, 0, 0].real, st[:, 0, 1].real,
+                   (t_ns or traj.times, st[:, 0, 0].real, st[:, 0, 1].real,
                     st[:, 0, 1].imag, st[:, 1, 1].real))
 
 
-def bloch_path_to_csv(traj: Trajectory, path) -> None:
+def bloch_path_to_csv(traj: Trajectory, path, t_ns=None) -> None:
     """Columns t_ns, x, y, z of the Bloch path of a pure trajectory."""
     _write_csv(path, ["t_ns", "x", "y", "z"],
-               (traj.times, *bloch_trajectory(traj).T))
+               (t_ns or traj.times, *bloch_trajectory(traj).T))

@@ -312,8 +312,10 @@ def test_one_rate_grid_per_stacked_segment(monkeypatch, device):
         return grid(segs, dt, min_steps)
 
     monkeypatch.setattr(evolution, "_segment_grid", counting)
+    # I, H, Rx(pi), Rx(pi/2), Ry(pi): Rx(pi) and Rx(pi/2) share a first
+    # segment, which steps once
     gate_superops([named_gate(g) for g in GATE_NAMES[:5]], device)
-    assert rows == [5, 5, 5]
+    assert rows == [4, 5, 5]
     rows.clear()
     evolve_lindblad(synthesize(named_gate("H"), 10.0), np.diag([1.0, 0.0]),
                     device)
@@ -324,12 +326,23 @@ def test_stacked_compile_bit_equal_to_single(rng, device):
     group = clifford_group()
     specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),
              random_spec(rng)]
+    # I, Rz(pi) and Rz(pi/2) share a zero-drive first segment, and Rx(pi)
+    # and Rx(pi/2) share one: each distinct first segment steps once
+    shared = [named_gate(g) for g in ("I", "Rz(pi)", "Rz(pi/2)", "Rx(pi)",
+                                      "Rx(pi/2)")]
+    assert len({synthesize(spec).segments[0] for spec in shared}) == 2
     # 10/37 gives 37 steps per segment, not a multiple of the kernel's chunk,
     # and 10/3 gives 3, fewer than one chunk
     for dt in (0.01, 10 / 37, 10 / 3):
         stack = gate_superops(specs, device, dt=dt)
         assert stack.shape == (len(specs), 4, 4)
         for spec, sop in zip(specs, stack):
+            assert np.array_equal(sop, gate_superop(spec, device, dt=dt))
+            assert np.array_equal(sop, _loop_superop(synthesize(spec), device,
+                                                     dt))
+        stack = gate_superops(shared, device, dt=dt)
+        assert stack.shape == (len(shared), 4, 4)
+        for spec, sop in zip(shared, stack):
             assert np.array_equal(sop, gate_superop(spec, device, dt=dt))
             assert np.array_equal(sop, _loop_superop(synthesize(spec), device,
                                                      dt))

@@ -496,6 +496,22 @@ def test_cli_synth_identity_gate(tmp_path, capsys):
     assert report["geometric_phase"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_cli_synth_writes_one_time_column_to_both_csvs(tmp_path, capsys):
+    # the trajectory and Bloch-path CSVs carry the same t_ns text: repr of
+    # each sample time, 3 segments of 500 steps after t = 0
+    path = _write_config(tmp_path, {"dt_ns": 0.02,
+                                    "synth": {"gate": "Rx(pi/2)"}})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+    trajectory, bloch = ([line.split(",")[0] for line in
+                          (out / name).read_text().splitlines()]
+                         for name in ("trajectory.csv", "bloch_path.csv"))
+    times = evolve_unitary(synthesize(qcore.named_gate("Rx(pi/2)"), 10.0),
+                           qcore.KET0, dt=0.02).times
+    assert trajectory == bloch == ["t_ns", *map(repr, times.tolist())]
+    assert len(trajectory) == 1 + 3 * 500 + 1
+
+
 def test_cli_qpt_noiseless(tmp_path, capsys):
     path = _write_config(tmp_path, {"device": None,
                                     "qpt": {"gates": ["I", "H"]}})

@@ -15,8 +15,8 @@ from geomgate.evolution import (DeviceParams, Trajectory, _drive_matrix,
                                 enclosed_solid_angle, evolve_lindblad,
                                 evolve_unitary, phase_decomposition,
                                 rk4_steps, schedule_propagator,
-                                segment_propagator_exact, trajectory_to_csv,
-                                wrap_angle)
+                                segment_propagator_exact, spell,
+                                trajectory_to_csv, wrap_angle)
 from geomgate.pulse import PulseSegment, synthesize
 from geomgate.qcore import (GATE_NAMES, GateSpec, I2, KET0, KET1, SIGMA_X,
                             SIGMA_Y, SIGMA_Z, axis_angle_unitary,
@@ -568,9 +568,17 @@ def _check_writers(tmp_path, times, states, dens):
                [(t, r[0, 0].real, r[0, 1].real, r[0, 1].imag, r[1, 1].real)
                 for t, r in zip(times, dens)])
 
+    # a caller may pass the time column already spelled: same bytes
+    t_ns = list(spell(times))
+    trajectory_to_csv(traj, tmp_path / "pure_t.csv", t_ns)
+    bloch_path_to_csv(traj, tmp_path / "bloch_t.csv", t_ns)
+    trajectory_to_csv(Trajectory(times, dens, ()), tmp_path / "rho_t.csv",
+                      t_ns)
+
     for stem in ("pure", "bloch", "rho"):
-        got = (tmp_path / f"{stem}.csv").read_bytes()
-        assert got == (tmp_path / f"{stem}_ref.csv").read_bytes(), stem
+        want = (tmp_path / f"{stem}_ref.csv").read_bytes()
+        assert (tmp_path / f"{stem}.csv").read_bytes() == want, stem
+        assert (tmp_path / f"{stem}_t.csv").read_bytes() == want, stem
     return (tmp_path / "pure.csv").read_text()
 
 
