@@ -39,10 +39,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(4)
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(2, 2)
-
-
 def unitary_superop(u: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> U rho U^dag."""
     return np.kron(u, u.conj())
@@ -81,7 +77,7 @@ def gate_superops(specs, noise=None, segment_duration: float = 10.0,
     if noise is not None and not isinstance(noise, DepolarizingNoise):
         raise TypeError(f"unsupported noise model {noise!r}")
     sops = np.array([unitary_superop(schedule_propagator(segs))
-                     for segs in seg_lists])
+                     for segs in seg_lists], dtype=complex).reshape(-1, 4, 4)
     if noise is None:
         return sops
     return depolarizing_superop(noise.strength) @ sops
@@ -187,4 +183,5 @@ class GateChannelCache:
                                      self.dt)
             check_physical(sops, missing)
             by_spec.update(zip(missing, sops))
-        return np.array([by_spec[spec] for spec in specs])
+        return np.array([by_spec[spec] for spec in specs],
+                        dtype=complex).reshape(-1, 4, 4)

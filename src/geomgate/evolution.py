@@ -107,12 +107,6 @@ def _drive_matrix(segment: PulseSegment) -> np.ndarray:
             + math.sin(segment.phase_offset) * SIGMA_Y)
 
 
-def segment_propagator_exact(segment: PulseSegment) -> np.ndarray:
-    """cos(a) I - i sin(a) (cos(phi') sx + sin(phi') sy), a = pulse area."""
-    a = segment_area(segment)
-    return math.cos(a) * I2 - 1j * math.sin(a) * _drive_matrix(segment)
-
-
 def _segments_of(schedule) -> tuple[PulseSegment, ...]:
     if isinstance(schedule, PulseSchedule):
         return schedule.segments
@@ -123,7 +117,8 @@ def schedule_propagator(schedule) -> np.ndarray:
     """Ordered product U_3 U_2 U_1 of the exact segment propagators."""
     u = I2
     for seg in _segments_of(schedule):
-        u = segment_propagator_exact(seg) @ u
+        a = segment_area(seg)
+        u = (math.cos(a) * I2 - 1j * math.sin(a) * _drive_matrix(seg)) @ u
     return u
 
 
@@ -340,7 +335,10 @@ def spell(col):
 def _write_csv(path, header, columns) -> None:
     # csv.writer spells .tolist() values with str, quoting neither numbers
     # nor plain labels, so joining them writes the same bytes, faster (repr
-    # is str's text for numbers, and faster); a list column is text already
+    # is str's text for numbers, and faster); a list column is text already.
+    # zip would stop at the shortest column, so unequal ones are refused
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"unequal CSV columns: {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, len(columns[0]), _CSV_BLOCK):

@@ -19,7 +19,7 @@ import numpy as np
 from .channels import GateChannelCache, confusion, sample_outcomes
 from .errors import _seed, _shots, mode_string
 from .evolution import DeviceParams, _write_csv
-from .qcore import (GateSpec, I2, KET0, PAULIS, PAULI_LABELS, SIGMA_X,
+from .qcore import (GateSpec, I2, PAULIS, PAULI_LABELS, SIGMA_X,
                     axis_angle_unitary, named_gate)
 
 # preparation pulses applied to |0>, in order: |0>, |1>, |-i>, |+>
@@ -34,11 +34,6 @@ def qpt_specs(gates) -> list[GateSpec]:
     preparation gates."""
     return ([named_gate(g) if isinstance(g, str) else g for g in gates]
             + [named_gate(n) for n in PREP_GATE_NAMES])
-
-
-def prepare_input_states() -> list[np.ndarray]:
-    """The four tomography input states: prep gates applied to |0>."""
-    return [axis_angle_unitary(named_gate(n)) @ KET0 for n in PREP_GATE_NAMES]
 
 
 def measure_expectations(rho: np.ndarray, shots: int | None = None,
@@ -78,8 +73,8 @@ def reconstruct_state(expectations) -> tuple[np.ndarray, bool]:
 
 
 def reconstruct_chi(outputs) -> np.ndarray:
-    """chi, in closed form, of the channel that maps the inputs of
-    ``prepare_input_states`` (|0>, |1>, |-i>, |+>) to ``outputs``: with
+    """chi, in closed form, of the channel that maps the four inputs
+    |0>, |1>, |-i>, |+> (``PREP_GATE_NAMES`` on |0>) to ``outputs``: with
     s = r0 + r1, p = 2 r+ - s and q = 2 r-i - s, eps(|0><1|) = (p - iq)/2,
     eps(|1><0|) = (p + iq)/2 and chi = D Lambda [[r0, eps01], [eps10, r1]]
     Lambda D^dag, hermitized by averaging with its conjugate transpose."""

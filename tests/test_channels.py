@@ -11,7 +11,7 @@ from geomgate import channels, evolution
 from geomgate.benchmarking import RbConfig, run_rb
 from geomgate.channels import (PHYSICAL_TOL, DepolarizingNoise,
                                GateChannelCache, check_physical, depolarizing_superop, gate_superop,
-                               gate_superops, unitary_superop, unvec, vec)
+                               gate_superops, unitary_superop, vec)
 from geomgate.evolution import (DeviceParams, _drive_matrix,
                                 _lindblad_segments, _segment_grid,
                                 evolve_lindblad, lindblad_generator,
@@ -33,21 +33,21 @@ def _random_density(rng):
 
 def test_vec_round_trip(rng):
     rho = _random_density(rng)
-    assert np.allclose(unvec(vec(rho)), rho, atol=0)
+    assert np.allclose(vec(rho).reshape(2, 2), rho, atol=0)
 
 
 def test_unitary_superop_is_conjugation(rng):
     spec = random_spec(rng)
     u = axis_angle_unitary(spec)
     rho = _random_density(rng)
-    assert np.allclose(unvec(unitary_superop(u) @ vec(rho)),
+    assert np.allclose((unitary_superop(u) @ vec(rho)).reshape(2, 2),
                        u @ rho @ u.conj().T, atol=1e-14)
 
 
 def test_depolarizing_superop_analytic(rng):
     lam = 0.17
     rho = _random_density(rng)
-    got = unvec(depolarizing_superop(lam) @ vec(rho))
+    got = (depolarizing_superop(lam) @ vec(rho)).reshape(2, 2)
     want = (1 - lam) * rho + lam * np.eye(2) / 2.0
     assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ def test_schedule_superop_matches_direct_lindblad(rng, device):
     for _ in range(3):
         rho0 = _random_density(rng)
         direct = evolve_lindblad(sched, rho0, device, dt=0.01).states[-1]
-        assert np.abs(unvec(sop @ vec(rho0)) - direct).max() < 1e-12
+        assert np.abs((sop @ vec(rho0)).reshape(2, 2) - direct).max() < 1e-12
 
 
 def test_schedule_superop_noiseless_is_unitary_channel(rng):
@@ -76,8 +76,19 @@ def test_lindblad_generator_traceless_action(rng, device):
     gen = lindblad_generator(axis_angle_unitary(random_spec(rng)) * 0.1,
                              device.gamma1_per_ns, device.gamma_phi_per_ns)
     rho = _random_density(rng)
-    drho = unvec(gen @ vec(rho))
+    drho = (gen @ vec(rho)).reshape(2, 2)
     assert abs(np.trace(drho)) < 1e-14
+
+
+@pytest.mark.parametrize("noise", [None, DepolarizingNoise(0.1),
+                                   DeviceParams.default_xmon()],
+                         ids=["exact", "depolarizing", "device"])
+def test_no_gates_compile_to_an_empty_channel_stack(noise):
+    assert gate_superops([], noise).shape == (0, 4, 4)
+    cache = GateChannelCache()
+    assert cache.stack([], noise).shape == (0, 4, 4)
+    cache.stack([named_gate("H")], noise)
+    assert cache.stack(iter([]), noise).shape == (0, 4, 4)
 
 
 def test_gate_superop_dispatch(rng, device):
@@ -86,9 +97,9 @@ def test_gate_superop_dispatch(rng, device):
     noisy = gate_superop(spec, device)
     depol = gate_superop(spec, DepolarizingNoise(0.05))
     rho = _random_density(rng)
-    assert abs(np.trace(unvec(noisy @ vec(rho))) - 1.0) < 1e-9
-    want = unvec(depolarizing_superop(0.05) @ ideal @ vec(rho))
-    assert np.allclose(unvec(depol @ vec(rho)), want, atol=1e-14)
+    assert abs(np.trace((noisy @ vec(rho)).reshape(2, 2)) - 1.0) < 1e-9
+    want = (depolarizing_superop(0.05) @ ideal @ vec(rho)).reshape(2, 2)
+    assert np.allclose((depol @ vec(rho)).reshape(2, 2), want, atol=1e-14)
     with pytest.raises(TypeError):
         gate_superop(spec, noise="bad")
 
@@ -241,7 +252,7 @@ def test_one_non_cp_channel_refuses_its_stack(monkeypatch, device):
 def _choi_min_eigenvalue(sop):
     """Smallest eigenvalue of sum_ij |i><j| (x) eps(|i><j|), by eigvalsh."""
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |i><j|, row-major
-    choi = sum(np.kron(e, unvec(sop @ vec(e))) for e in units)
+    choi = sum(np.kron(e, (sop @ vec(e)).reshape(2, 2)) for e in units)
     return np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from geomgate.benchmarking import DecayCurve, decay_to_csv
 from geomgate.channels import gate_superops
 from geomgate.config import MAX_SEGMENT_STEPS
 from geomgate.errors import NotCyclic, PathNotClosed, StepTooLarge
@@ -14,14 +15,14 @@ from geomgate.evolution import (DeviceParams, Trajectory, _drive_matrix,
                                 bloch_path_to_csv, bloch_trajectory,
                                 enclosed_solid_angle, evolve_lindblad,
                                 evolve_unitary, phase_decomposition,
-                                rk4_steps, schedule_propagator,
-                                segment_propagator_exact, spell,
+                                rk4_steps, schedule_propagator, spell,
                                 trajectory_to_csv, wrap_angle)
 from geomgate.pulse import PulseSegment, synthesize
 from geomgate.qcore import (GATE_NAMES, GateSpec, I2, KET0, KET1, SIGMA_X,
                             SIGMA_Y, SIGMA_Z, axis_angle_unitary,
                             axis_eigenstates, density_of, named_gate,
                             phase_distance)
+from geomgate.tomography import chi_to_csv
 
 from conftest import random_spec
 
@@ -38,26 +39,26 @@ def _segment(area, phase, duration=10.0):
 # exact propagators
 
 def test_segment_propagator_half_pi_x():
-    u = segment_propagator_exact(_segment(PI / 2, 0.0))
+    u = schedule_propagator([_segment(PI / 2, 0.0)])
     assert np.allclose(u, -1j * SIGMA_X, atol=1e-15)
 
 
 def test_segment_propagator_zero_area():
-    u = segment_propagator_exact(_segment(0.0, 1.2))
+    u = schedule_propagator([_segment(0.0, 1.2)])
     assert np.allclose(u, I2, atol=0)
 
 
 def test_segment_propagator_quarter_pi_y():
-    u = segment_propagator_exact(_segment(PI / 4, PI / 2))
+    u = schedule_propagator([_segment(PI / 4, PI / 2)])
     want = math.cos(PI / 4) * I2 - 1j * math.sin(PI / 4) * SIGMA_Y
     assert np.allclose(u, want, atol=1e-15)
 
 
 def test_segment_propagator_envelope_independent():
     # a longer, lower envelope of the same area gives the same propagator
-    a = segment_propagator_exact(_segment(0.7, 0.3))
-    b = segment_propagator_exact(PulseSegment(duration=40.0, peak_amplitude=0.035,
-                                              phase_offset=0.3))
+    a = schedule_propagator([_segment(0.7, 0.3)])
+    b = schedule_propagator([PulseSegment(duration=40.0, peak_amplitude=0.035,
+                                          phase_offset=0.3)])
     assert np.allclose(a, b, atol=1e-15)
 
 
@@ -541,6 +542,25 @@ def test_bloch_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_ns", "x", "y", "z"]
     assert float(rows[1][1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ["decay_without_samples", "short_t_ns",
+                                  "short_chi"])
+def test_csv_writers_refuse_unequal_columns(tmp_path, case):
+    # zip stops at the shortest column, so unequal columns would drop rows
+    # silently; they are refused before the file is opened
+    traj = evolve_unitary(synthesize(named_gate("H"), 10.0), KET0, dt=0.1)
+    with pytest.raises(ValueError, match="unequal CSV columns"):
+        if case == "decay_without_samples":
+            decay_to_csv(DecayCurve((1, 2, 4), np.array([0.9, 0.8, 0.7]),
+                                    np.array([0.01, 0.02, 0.03])),
+                         tmp_path / "rb.csv")
+        elif case == "short_t_ns":
+            trajectory_to_csv(traj, tmp_path / "traj.csv",
+                              list(spell(traj.times))[:-1])
+        else:
+            chi_to_csv(np.eye(3, dtype=complex), tmp_path / "chi.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _repr_rows(path, header, rows):

@@ -12,10 +12,10 @@ from geomgate.channels import DepolarizingNoise, GateChannelCache, vec
 from geomgate.cli import _write_json
 from geomgate.evolution import DeviceParams
 from geomgate.qcore import (GATE_NAMES, KET0, PAULIS, SIGMA_X, GateSpec,
-                            density_of, named_gate)
-from geomgate.tomography import (chi_to_csv, confusion, ideal_chi,
-                                 measure_expectations, pauli_coefficients,
-                                 prepare_input_states, process_fidelity,
+                            axis_angle_unitary, density_of, named_gate)
+from geomgate.tomography import (PREP_GATE_NAMES, chi_to_csv, confusion,
+                                 ideal_chi, measure_expectations,
+                                 pauli_coefficients, process_fidelity,
                                  qpt_report, qpt_specs, reconstruct_chi,
                                  reconstruct_state, run_qpt, sample_outcomes)
 
@@ -25,18 +25,25 @@ SQ2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # input states
 
+def _ideal_inputs():
+    """The density matrices of the ideal preparation gates of
+    ``PREP_GATE_NAMES`` applied to |0>: the four QPT inputs, in order."""
+    return [density_of(axis_angle_unitary(named_gate(n)) @ KET0)
+            for n in PREP_GATE_NAMES]
+
+
 def test_prepare_input_states_values():
     # |0>, |1>, |-i>, |+> in this order: reconstruct_chi inverts on exactly
     # these four inputs
     want = [np.array([[1, 0], [0, 0]]), np.array([[0, 0], [0, 1]]),
             np.array([[1, 1j], [-1j, 1]]) / 2, np.array([[1, 1], [1, 1]]) / 2]
-    got = [density_of(s) for s in prepare_input_states()]
+    got = _ideal_inputs()
     assert np.abs(np.array(got) - np.array(want)).max() < 1e-15
 
 
 def test_prepare_input_states_informationally_complete():
     gram = np.empty((4, 4), dtype=complex)
-    rhos = [density_of(s) for s in prepare_input_states()]
+    rhos = _ideal_inputs()
     for i in range(4):
         for j in range(4):
             gram[i, j] = np.trace(rhos[i].conj().T @ rhos[j])
@@ -186,7 +193,7 @@ def _assert_process_matrix(chi):
 
 
 def test_reconstruct_chi_identity_channel():
-    inputs = [density_of(s) for s in prepare_input_states()]
+    inputs = _ideal_inputs()
     chi = reconstruct_chi(inputs)
     want = np.zeros((4, 4), dtype=complex)
     want[0, 0] = 1.0
@@ -194,7 +201,7 @@ def test_reconstruct_chi_identity_channel():
 
 
 def test_reconstruct_chi_sigma_x_channel():
-    inputs = [density_of(s) for s in prepare_input_states()]
+    inputs = _ideal_inputs()
     outputs = _exact_channel_outputs([SIGMA_X], inputs)
     chi = reconstruct_chi(outputs)
     want = np.zeros((4, 4), dtype=complex)
@@ -204,7 +211,7 @@ def test_reconstruct_chi_sigma_x_channel():
 
 def test_reconstruct_chi_hadamard_rank_one():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / SQ2
-    inputs = [density_of(s) for s in prepare_input_states()]
+    inputs = _ideal_inputs()
     outputs = _exact_channel_outputs([h], inputs)
     chi = reconstruct_chi(outputs)
     v = np.array([0.0, 1.0 / SQ2, 0.0, 1.0 / SQ2], dtype=complex)
@@ -216,7 +223,7 @@ def test_reconstruct_chi_kraus_pair_oracle():
     g = 0.23
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1 - g)]], dtype=complex)
     k1 = np.array([[0.0, math.sqrt(g)], [0.0, 0.0]], dtype=complex)
-    inputs = [density_of(s) for s in prepare_input_states()]
+    inputs = _ideal_inputs()
     outputs = _exact_channel_outputs([k0, k1], inputs)
     chi = reconstruct_chi(outputs)
     want = np.zeros((4, 4), dtype=complex)
@@ -232,7 +239,7 @@ def test_reconstruct_chi_reproduces_outputs(rng):
     from geomgate.qcore import axis_angle_unitary
 
     u = axis_angle_unitary(random_spec(rng))
-    inputs = [density_of(s) for s in prepare_input_states()]
+    inputs = _ideal_inputs()
     outputs = _exact_channel_outputs([u], inputs)
     chi = reconstruct_chi(outputs)
     for rho_in, rho_out in zip(inputs, outputs):
@@ -261,7 +268,7 @@ def _loop_system(inputs, outputs):
 def test_reconstruct_chi_matches_least_squares_oracle(rng):
     # the closed form against lstsq of the 16 x 16 linear system, hermitized
     # as reconstruct_chi documents
-    inputs = [density_of(s) for s in prepare_input_states()]
+    inputs = _ideal_inputs()
     for _ in range(20):
         physical = [density_of(v / np.linalg.norm(v)) for v in
                     rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))]
@@ -310,7 +317,7 @@ def test_qpt_device_free_inputs_are_the_ideal_states():
     # and they are the ideal states to rounding
     cache = GateChannelCache()
     inputs = cache.stack(qpt_specs([]), None)[:, :, 0]
-    ideal = [vec(density_of(psi)) for psi in prepare_input_states()]
+    ideal = [vec(rho) for rho in _ideal_inputs()]
     assert np.abs(inputs - ideal).max() <= 1e-15
     for name in GATE_NAMES:
         res = run_qpt(name, channels=cache)
