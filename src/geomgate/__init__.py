@@ -17,10 +17,10 @@ _EXPORTS = {
                   "bloch_trajectory", "enclosed_solid_angle",
                   "evolve_lindblad", "evolve_unitary", "phase_decomposition",
                   "schedule_propagator"),
-    "pulse": ("PulseSchedule", "PulseSegment", "synthesize"),
-    "qcore": ("CliffordElement", "GateSpec", "GATE_NAMES",
-              "axis_angle_unitary", "clifford_group", "named_gate",
-              "phase_distance", "unitary_to_axis_angle"),
+    "pulse": ("PulseSegment", "synthesize"),
+    "qcore": ("GateSpec", "GATE_NAMES", "axis_angle_unitary",
+              "clifford_group", "named_gate", "phase_distance",
+              "unitary_to_axis_angle"),
     "selftest": (),
     "tomography": ("QptResult", "process_fidelity", "reconstruct_chi",
                    "run_qpt"),

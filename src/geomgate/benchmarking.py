@@ -412,7 +412,7 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
     target_indices = np.array(
         [0] + [clifford_index_of(axis_angle_unitary(s)) for s in specs],
         dtype=np.intp)
-    cliffords = [element.spec for element in clifford_group()]
+    cliffords = clifford_group()
 
     def rounded(spec):
         return [round(a, 12) for a in (spec.theta, spec.phi, spec.gamma)]

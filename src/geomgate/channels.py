@@ -60,7 +60,7 @@ def gate_superops(specs, noise=None, segment_duration: float = 10.0,
     rate grid per stacked segment, so bit-equal to G separate integrations.
     Rows step as they would alone, so each distinct first segment steps once.
     """
-    seg_lists = [synthesize(spec, segment_duration).segments for spec in specs]
+    seg_lists = [synthesize(spec, segment_duration) for spec in specs]
     if isinstance(noise, DeviceParams):
         # repr, unlike ==, tells a -0.0 from a 0.0 in a segment
         heads = {repr(segs[0]): segs[:1] for segs in seg_lists}

@@ -39,13 +39,13 @@ def gate_slug(name: str) -> str:
 
 def cmd_synth(cfg: ExperimentConfig, outdir: Path) -> int:
     spec = cfg.synth.spec
-    schedule = pulse.synthesize(spec, cfg.segment_duration_ns)
+    segments = pulse.synthesize(spec, cfg.segment_duration_ns)
     psi_plus, _ = axis_eigenstates(spec)
-    traj = evolution.evolve_unitary(schedule, psi_plus, dt=cfg.dt_ns)
+    traj = evolution.evolve_unitary(segments, psi_plus, dt=cfg.dt_ns)
     report = evolution.phase_decomposition(traj)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    pulse.save_schedule(schedule, outdir / "schedule.json")
+    pulse.save_schedule(spec, segments, outdir / "schedule.json")
     t_ns = list(evolution.spell(traj.times))  # text for both CSVs
     evolution.trajectory_to_csv(traj, outdir / "trajectory.csv", t_ns)
     evolution.bloch_path_to_csv(traj, outdir / "bloch_path.csv", t_ns)

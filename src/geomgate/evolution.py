@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCyclic, PathNotClosed, StepTooLarge
-from .pulse import PulseSchedule, PulseSegment, segment_area
+from .pulse import PulseSegment, segment_area
 from .qcore import I2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 I4 = np.eye(4, dtype=complex)
@@ -107,16 +107,10 @@ def _drive_matrix(segment: PulseSegment) -> np.ndarray:
             + math.sin(segment.phase_offset) * SIGMA_Y)
 
 
-def _segments_of(schedule) -> tuple[PulseSegment, ...]:
-    if isinstance(schedule, PulseSchedule):
-        return schedule.segments
-    return tuple(schedule)
-
-
-def schedule_propagator(schedule) -> np.ndarray:
-    """Ordered product U_3 U_2 U_1 of the exact segment propagators."""
+def schedule_propagator(segments) -> np.ndarray:
+    """Ordered product ... U_2 U_1 of the exact segment propagators."""
     u = I2
-    for seg in _segments_of(schedule):
+    for seg in segments:
         a = segment_area(seg)
         u = (math.cos(a) * I2 - 1j * math.sin(a) * _drive_matrix(seg)) @ u
     return u
@@ -212,8 +206,8 @@ def rk4_steps(y: np.ndarray, segments):
         del w_full, w_half  # freed before the next grid is built
 
 
-def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
-    """Integrate i d|psi>/dt = H(t)|psi> over the schedule.
+def evolve_unitary(segments, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
+    """Integrate i d|psi>/dt = H(t)|psi> over a sequence of segments.
 
     Requires dt <= segment duration / MIN_TRAJECTORY_STEPS; the actual step
     divides each segment exactly. Inside a segment d|psi>/dt = w(t) A |psi>
@@ -223,7 +217,7 @@ def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
     Re(Z_j) psi_s + Im(Z_j) A psi_s, with Z the cumulative product of the
     multipliers z and psi_s the state at the segment start.
     """
-    segments = _segments_of(schedule)
+    segments = tuple(segments)
     grids = [_segment_grid([seg], dt, MIN_TRAJECTORY_STEPS) for seg in segments]
     times = _sample_times(segments, grids)
     states = np.empty((len(times), 2), dtype=complex)
@@ -246,16 +240,16 @@ def evolve_unitary(schedule, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
     return Trajectory(times=times, states=states, segments=segments)
 
 
-def evolve_lindblad(schedule, rho0: np.ndarray,
+def evolve_lindblad(segments, rho0: np.ndarray,
                     device: DeviceParams | None = None,
                     dt: float = 0.01) -> Trajectory:
-    """Integrate the master equation over the schedule.
+    """Integrate the master equation over a sequence of segments.
 
     d rho/dt = -i[H, rho] + G1 D[s-] rho + (Gphi/2) D[sz] rho, G1 = 1/T1,
     Gphi = 1/T2*, no dissipation for ``device=None``. The samples and the
     ``rk4_steps`` run of vec(rho), a (1, 4, 1) stack, share one input list.
     """
-    segments = _segments_of(schedule)
+    segments = tuple(segments)
     built = list(_lindblad_segments([segments], device, dt))
     times = _sample_times(segments, built)
     y0 = np.asarray(rho0, dtype=complex).reshape(1, 4, 1)
@@ -351,17 +345,19 @@ def trajectory_to_csv(traj: Trajectory, path, t_ns=None) -> None:
     """Pure: t_ns, re_c0, im_c0, re_c1, im_c1. Density: the 4 real dof.
     ``t_ns``, here and in bloch_path_to_csv, may be list(spell(traj.times))."""
     st = traj.states
+    # [] is a column, too short to write, not a missing one
+    t_ns = traj.times if t_ns is None else t_ns
     if traj.is_pure:
         _write_csv(path, ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
-                   (t_ns or traj.times, st[:, 0].real, st[:, 0].imag,
+                   (t_ns, st[:, 0].real, st[:, 0].imag,
                     st[:, 1].real, st[:, 1].imag))
     else:
         _write_csv(path, ["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"],
-                   (t_ns or traj.times, st[:, 0, 0].real, st[:, 0, 1].real,
+                   (t_ns, st[:, 0, 0].real, st[:, 0, 1].real,
                     st[:, 0, 1].imag, st[:, 1, 1].real))
 
 
 def bloch_path_to_csv(traj: Trajectory, path, t_ns=None) -> None:
     """Columns t_ns, x, y, z of the Bloch path of a pure trajectory."""
-    _write_csv(path, ["t_ns", "x", "y", "z"],
-               (t_ns or traj.times, *bloch_trajectory(traj).T))
+    t_ns = traj.times if t_ns is None else t_ns
+    _write_csv(path, ["t_ns", "x", "y", "z"], (t_ns, *bloch_trajectory(traj).T))

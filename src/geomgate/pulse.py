@@ -56,30 +56,9 @@ def _slice_path(spec: GateSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return areas, phases
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Ordered three-segment schedule realizing ``source_spec``.
-
-    Segment areas and phase offsets are pinned to the source spec and
-    checked on construction.
-    """
-
-    segments: tuple[PulseSegment, PulseSegment, PulseSegment]
-    source_spec: GateSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if len(self.segments) != 3:
-            raise ValueError("schedule requires exactly 3 segments")
-        for seg, a, p in zip(self.segments, *_slice_path(self.source_spec)):
-            if not abs(segment_area(seg) - a) <= 1e-12:  # NaN fails too
-                raise ValueError("segment areas inconsistent with source spec")
-            if not abs(seg.phase_offset - p) <= 1e-12:
-                raise ValueError("segment phases inconsistent with source spec")
-
-
-def synthesize(spec: GateSpec, segment_duration: float = 10.0) -> PulseSchedule:
-    """Compile a rotation spec into its three-segment schedule.
+def synthesize(spec: GateSpec,
+               segment_duration: float = 10.0) -> tuple[PulseSegment, ...]:
+    """Compile a rotation spec into its three slice-path segments.
 
     Every segment lasts ``segment_duration`` ns; the peak amplitude of
     segment k is scaled so its area matches the protocol. A zero-area
@@ -91,25 +70,23 @@ def synthesize(spec: GateSpec, segment_duration: float = 10.0) -> PulseSchedule:
     if not 0 < unit_area < math.inf or 0.5 * math.pi / unit_area == math.inf:
         raise InvalidDuration("segment duration must be finite, > 0 and give "
                               f"finite peaks, got {segment_duration}")
-    segments = tuple(
+    return tuple(
         PulseSegment(duration=segment_duration,
                      peak_amplitude=a / unit_area,
                      phase_offset=p)
         for a, p in zip(*_slice_path(spec))
     )
-    return PulseSchedule(segments=segments, source_spec=spec)
 
 
 # ---------------------------------------------------------------------------
 # schedule.json
 
-def schedule_to_dict(schedule: PulseSchedule) -> dict:
-    spec = schedule.source_spec
+def schedule_to_dict(spec: GateSpec, segments) -> dict:
     return {
         "theta": spec.theta,
         "phi": spec.phi,
         "gamma": spec.gamma,
-        "T_ns": schedule.segments[0].duration,
+        "T_ns": segments[0].duration,
         "segments": [
             {
                 "duration_ns": s.duration,
@@ -117,7 +94,7 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
                 "phase_rad": s.phase_offset,
                 "envelope": "sin2",
             }
-            for s in schedule.segments
+            for s in segments
         ],
     }
 
@@ -127,5 +104,5 @@ def _write_json(payload: dict, path) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def save_schedule(schedule: PulseSchedule, path) -> None:
-    _write_json(schedule_to_dict(schedule), path)
+def save_schedule(spec: GateSpec, segments, path) -> None:
+    _write_json(schedule_to_dict(spec, segments), path)

@@ -173,15 +173,6 @@ def axis_eigenstates(spec: GateSpec) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Clifford group
 
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    """One group element: canonical index, SU(2) matrix, axis-angle spec."""
-
-    index: int
-    unitary: np.ndarray
-    spec: GateSpec
-
-
 @lru_cache(maxsize=1)
 def _clifford_data():
     # breadth-first expansion from the identity under quarter rotations about
@@ -211,10 +202,6 @@ def _clifford_data():
     specs = [unitary_to_axis_angle(m) for m in mats]
     canon = np.array([axis_angle_unitary(s) for s in specs])
     canon.setflags(write=False)
-    elements = tuple(
-        CliffordElement(index=k, unitary=canon[k], spec=specs[k])
-        for k in range(24)
-    )
 
     # composition table: compose[i, j] = index of U_i @ U_j (up to phase)
     prod = np.einsum("iab,jbc->ijac", canon, canon)
@@ -227,11 +214,12 @@ def _clifford_data():
 
     compose.setflags(write=False)
     inverse.setflags(write=False)
-    return elements, canon, compose, inverse
+    return tuple(specs), canon, compose, inverse
 
 
-def clifford_group() -> list[CliffordElement]:
-    """The 24 single-qubit Cliffords in canonical order (element 0 = I)."""
+def clifford_group() -> list[GateSpec]:
+    """The axis-angle specs of the 24 single-qubit Cliffords in canonical
+    order (element 0 = I); axis_angle_unitary gives their matrices."""
     return list(_clifford_data()[0])
 
 

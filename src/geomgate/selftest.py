@@ -75,7 +75,7 @@ def _suite_axis_angle(seed):
 def _suite_clifford(seed):
     group = qcore.clifford_group()
     _check(len(group) == 24, "group size")
-    mats = np.array([e.unitary for e in group])
+    mats = np.array([qcore.axis_angle_unitary(spec) for spec in group])
     for i in range(24):
         # phase distance 1 - |Tr(P^dag M)| / 2 of every product P = M_i M_j
         # to every element M, nearest element per j
@@ -84,7 +84,7 @@ def _suite_clifford(seed):
         j = int(np.argmax(~(d < 1e-9)))  # the first bad j, else 0
         _check(d[j] < 1e-9, f"closure fails at ({i}, {j})")
     for i, inv in enumerate(qcore.clifford_tables()[1]):
-        d = qcore.phase_distance(group[i].unitary @ group[inv].unitary, qcore.I2)
+        d = qcore.phase_distance(mats[i] @ mats[inv], qcore.I2)
         _check(d < 1e-10, f"inverse fails at {i}")
 
 

@@ -201,7 +201,7 @@ def test_criterion_09_clifford_suite():
     start = time.perf_counter()
     group = clifford_group()
     assert len(group) == 24
-    mats = np.array([e.unitary for e in group])
+    mats = np.array([axis_angle_unitary(e) for e in group])
     compose, inverse = clifford_tables()
     prod = np.einsum("iab,jbc->ijac", mats, mats)
     overlap = abs(np.einsum("ijab,kab->ijk", prod.conj(), mats)) / 2.0

@@ -103,8 +103,8 @@ def test_sample_sequence_products_close(rng):
         indices, recovery = sample_sequence(20, _lone_stream(k, 0, 0))
         acc = I2
         for idx in indices:
-            acc = group[idx].unitary @ acc
-        acc = group[recovery].unitary @ acc
+            acc = axis_angle_unitary(group[idx]) @ acc
+        acc = axis_angle_unitary(group[recovery]) @ acc
         assert phase_distance(acc, I2) < 1e-10
 
 
@@ -286,7 +286,7 @@ def test_recoveries_equal_per_sequence_fold(m):
     for r, row in enumerate(idx.tolist()):
         acc = I2
         for k in row + [recovery[0, r]]:
-            acc = group[k].unitary @ acc
+            acc = axis_angle_unitary(group[k]) @ acc
         assert phase_distance(acc, I2) < 1e-10
 
 
@@ -512,8 +512,7 @@ def _plain_samples(config, channels, device, target=None):
     folded by scalar table lookups; the shot sample is drawn from the
     sequence's own stream right after its Clifford indices.
     """
-    table = channels.stack([element.spec for element in clifford_group()],
-                           device)
+    table = channels.stack(clifford_group(), device)
     compose, inverse = clifford_tables()
     if target is not None:
         name, target = target
@@ -557,7 +556,7 @@ def _target_channel(channels, name, device):
     spec = named_gate(name)
     if name == "H":
         k = clifford_index_of(axis_angle_unitary(spec))
-        spec = clifford_group()[k].spec
+        spec = clifford_group()[k]
         assert spec != named_gate(name)
     else:
         assert name == "Rz(pi)"
@@ -667,8 +666,7 @@ def _target_index(name):
 
 def test_sampled_rb_means_match_the_exact_ensemble_average(device):
     cache = GateChannelCache()
-    cliffords = cache.stack([element.spec for element in clifford_group()],
-                            device)
+    cliffords = cache.stack(clifford_group(), device)
     # each target's channel is given, so the oracle runs the same one
     targets = [(name, cache.stack([named_gate(name)], device)[0])
                for name in GATE_NAMES]
@@ -688,8 +686,7 @@ def test_exact_ensemble_average_of_depolarizing_gates_is_closed_form():
     s = 0.03
     noise = DepolarizingNoise(s)
     cache = GateChannelCache()
-    cliffords = cache.stack([element.spec for element in clifford_group()],
-                            noise)
+    cliffords = cache.stack(clifford_group(), noise)
     (h,) = cache.stack([named_gate("H")], noise)
     m = np.arange(2, 102, 2)
     reference = _average_survival(m, cliffords)

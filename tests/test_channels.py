@@ -124,7 +124,7 @@ def test_cache_compiles_each_spec_once(monkeypatch, device):
 
 
 def test_cache_stack_ignores_what_it_held(device):
-    group = [element.spec for element in clifford_group()]
+    group = clifford_group()
     fresh = gate_superops(group, device)
     named_h = named_gate("H")
     # the H Clifford's angles differ from the named spec's by a few ulp;
@@ -170,7 +170,7 @@ def _loop_steps(schedule, y, device, dt):
     l_diss = lindblad_generator(np.zeros((2, 2)), device.gamma1_per_ns,
                                 device.gamma_phi_per_ns)
     steps = [y]
-    for seg in schedule.segments:
+    for seg in schedule:
         n = int(round(seg.duration / dt))
         h = seg.duration / n
         _, w_full, w_half = _segment_grid([seg], dt, 1)
@@ -195,7 +195,7 @@ def _loop_superop(schedule, device, dt):
 
 
 def test_physical_channel_check(device):
-    specs = [e.spec for e in clifford_group()[:3]]
+    specs = clifford_group()[:3]
     for noise in (None, device, DepolarizingNoise(0.05),
                   DeviceParams(T1_us=0.05, T2_star_us=0.05)):
         check_physical(gate_superops(specs, noise), specs)
@@ -223,7 +223,7 @@ def _spy_on_eigvalsh(monkeypatch):
 def test_physical_stacks_pass_on_pivots_alone(monkeypatch, device):
     # rank-1 Choi matrices (ideal channels) leave pivots of about tol; they
     # and the default Xmon's compiled channels pass without eigenvalues
-    cliffords = [e.spec for e in clifford_group()]
+    cliffords = clifford_group()
     named = [named_gate(name) for name in GATE_NAMES]
     stacks = [(specs, gate_superops(specs, noise))
               for specs in (cliffords, named) for noise in (None, device)]
@@ -335,13 +335,13 @@ def test_one_rate_grid_per_stacked_segment(monkeypatch, device):
 
 def test_stacked_compile_bit_equal_to_single(rng, device):
     group = clifford_group()
-    specs = [group[3].spec, group[16].spec, named_gate("Rz(pi)"),
+    specs = [group[3], group[16], named_gate("Rz(pi)"),
              random_spec(rng)]
     # I, Rz(pi) and Rz(pi/2) share a zero-drive first segment, and Rx(pi)
     # and Rx(pi/2) share one: each distinct first segment steps once
     shared = [named_gate(g) for g in ("I", "Rz(pi)", "Rz(pi/2)", "Rx(pi)",
                                       "Rx(pi/2)")]
-    assert len({synthesize(spec).segments[0] for spec in shared}) == 2
+    assert len({synthesize(spec)[0] for spec in shared}) == 2
     # 10/37 gives 37 steps per segment, not a multiple of the kernel's chunk,
     # and 10/3 gives 3, fewer than one chunk
     for dt in (0.01, 10 / 37, 10 / 3):
@@ -427,7 +427,7 @@ def _oracle_superop(schedule, t1_ns, t2_ns):
     """Superoperator from solve_ivp on d rho/dt in density-matrix form."""
     # the four matrix units |i><j|, evolved side by side
     y = np.eye(4, dtype=complex).reshape(-1)
-    for seg in schedule.segments:
+    for seg in schedule:
         sol = solve_ivp(_master_rhs(seg, t1_ns, t2_ns), (0.0, seg.duration),
                         y, method="DOP853", rtol=1e-12, atol=1e-14)
         assert sol.success
@@ -441,7 +441,7 @@ def _expm_superop(schedule, t1_ns, t2_ns):
     where each segment's generator L_k is constant; column j of L_k is vec
     of d rho/dt at the j-th matrix unit."""
     s = np.eye(4, dtype=complex)
-    for seg in schedule.segments:
+    for seg in schedule:
         rhs = _master_rhs(seg, t1_ns, t2_ns, constant=True)
         gen = np.column_stack([rhs(0.0, e) for e in np.eye(4, dtype=complex)])
         s = expm(gen * seg.duration) @ s
@@ -452,7 +452,7 @@ def _expm_superop(schedule, t1_ns, t2_ns):
 def test_stacked_compile_matches_ode_oracle(t1_us, t2_us):
     device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
     group = clifford_group()
-    specs = [group[k].spec for k in (1, 9, 16, 23)]
+    specs = [group[k] for k in (1, 9, 16, 23)]
     stack = gate_superops(specs, device)
     for spec, sop in zip(specs, stack):
         want = _oracle_superop(synthesize(spec, 10.0), t1_us * 1e3,
@@ -470,8 +470,8 @@ def test_kernel_constant_rate_matches_expm_oracle(rng, t1_us, t2_us):
         segments = [(h, np.full(w_full.shape, seg.peak_amplitude),
                      np.full(w_half.shape, seg.peak_amplitude), a, b)
                     for seg, (h, w_full, w_half, a, b) in zip(
-                        sched.segments,
-                        _lindblad_segments([sched.segments], device, 0.01))]
+                        sched,
+                        _lindblad_segments([sched], device, 0.01))]
         for s in rk4_steps(np.eye(4, dtype=complex)[None], segments):
             pass
         want = _expm_superop(sched, t1_us * 1e3, t2_us * 1e3)
@@ -487,7 +487,7 @@ def test_evolve_lindblad_trajectory_matches_ode_oracle(rng, t1_us, t2_us):
     y = rho0.reshape(-1).astype(complex)
     t_off = 0.0
     checked = 0
-    for seg in sched.segments:
+    for seg in sched:
         # every quarter of the segment, its end included
         local = np.linspace(0.0, seg.duration, 5)[1:]
         sol = solve_ivp(_master_rhs(seg, t1_us * 1e3, t2_us * 1e3),

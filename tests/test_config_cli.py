@@ -624,6 +624,43 @@ def test_cli_rb_unconverged_fit_exits_3_with_reports(tmp_path, capsys,
     assert inter["interleaved_converged"] is False
 
 
+@pytest.mark.parametrize("unconverged", [1, 0],
+                         ids=["interleaved", "reference"])
+def test_cli_rb_one_unconverged_fit_exits_3(tmp_path, capsys, monkeypatch,
+                                            unconverged):
+    # exactly one fit, counted in call order (the reference's first), reports
+    # no convergence: the run still writes every report, then exits 3
+    fit_decay = benchmarking.fit_decay
+    calls = []
+
+    def one_unconverged(*args, **kwargs):
+        fit = fit_decay(*args, **kwargs)
+        calls.append(fit)
+        if len(calls) - 1 == unconverged:
+            fit = dataclasses.replace(fit, converged=False)
+        return fit
+
+    monkeypatch.setattr(benchmarking, "fit_decay", one_unconverged)
+    # lengths long enough that both fits converge on their own
+    path = _write_config(tmp_path, {
+        "rb": {"lengths": [2, 50, 100, 200], "randomizations": 3,
+               "interleaved": ["H"]}})
+    out = tmp_path / "out"
+    assert cli.main(["rb", "--config", str(path), "--out", str(out)]) == 3
+    assert len(calls) == 2 and all(fit.converged for fit in calls)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "rb_interleaved_h.csv", "rb_interleaved_h_fit.json",
+        "rb_reference.csv", "rb_reference_fit.json"]
+    ref_line, inter_line = capsys.readouterr().out.splitlines()
+    printed = [line.rsplit(" converged=", 1)[1] == "True"
+               for line in (ref_line, inter_line)]
+    assert printed == [k != unconverged for k in range(2)]
+    ref = json.loads((out / "rb_reference_fit.json").read_text())
+    inter = json.loads((out / "rb_interleaved_h_fit.json").read_text())
+    assert ref["converged"] is inter["converged"] is printed[0]
+    assert inter["interleaved_converged"] is printed[1]
+
+
 def test_cli_unwritable_out_is_clean_error(tmp_path, capsys):
     path = _write_config(tmp_path, {"synth": {"gate": "H"}})
     blocker = tmp_path / "a_file"
@@ -1115,7 +1152,7 @@ def test_package_names_resolve_on_first_access(tmp_path):
     # import and each submodule name then load the module that defines it
     out = json.loads(_python(tmp_path, _EXPORT_PROBE))
     assert out["bare"] == []
-    assert out["star"] == out["all"] and len(out["all"]) == 33
+    assert out["star"] == out["all"] and len(out["all"]) == 31
     assert {"cli", "config", "selftest"} <= set(out["submodules"])
     assert out["wrong"] == []
     assert out["unknown"] == ("module 'geomgate' has no attribute "
@@ -1221,10 +1258,9 @@ def test_selftest_deterministic_hash():
 
 
 def test_selftest_corrupted_clifford_table_fails(monkeypatch):
-    # element 5 of the group the suite checks carries another gate's unitary
+    # element 5 of the group the suite checks is another gate's spec
     group = qcore.clifford_group()
-    bad = qcore.axis_angle_unitary(qcore.GateSpec(0.2, 0.1, 0.3))
-    group[5] = dataclasses.replace(group[5], unitary=bad)
+    group[5] = qcore.GateSpec(0.2, 0.1, 0.3)
     monkeypatch.setattr(qcore, "clifford_group", lambda: group)
     report = run_selftest(seed=0)
     assert not report.all_passed

@@ -169,7 +169,7 @@ def _assert_matches_scalar_oracle(segments, psi0, dt):
 def test_evolve_unitary_matches_scalar_oracle_named_gates(rng):
     for name in GATE_NAMES:
         spec = named_gate(name)
-        segments = synthesize(spec, 10.0).segments
+        segments = synthesize(spec, 10.0)
         plus, _ = axis_eigenstates(spec)
         for dt in _ORACLE_STEPS:
             _assert_matches_scalar_oracle(segments, plus, dt)
@@ -179,7 +179,7 @@ def test_evolve_unitary_matches_scalar_oracle_named_gates(rng):
 def test_evolve_unitary_matches_scalar_oracle_random(rng):
     for _ in range(8):
         spec = random_spec(rng)
-        segments = synthesize(spec, rng.uniform(8.0, 20.0)).segments
+        segments = synthesize(spec, rng.uniform(8.0, 20.0))
         for dt in _ORACLE_STEPS:
             _assert_matches_scalar_oracle(segments, _random_state(rng), dt)
 
@@ -326,7 +326,7 @@ def test_kernel_steps_any_square_generator():
     segments = [(*_segment_grid(segs, 0.01, 1),
                  np.array([-1j * _drive_matrix(seg) for seg in segs]),
                  np.zeros((2, 2)))
-                for segs in zip(*(s.segments for s in schedules))]
+                for segs in zip(*schedules)]
     y = np.repeat(KET0.reshape(1, 2, 1), 3, axis=0)
     for y in rk4_steps(y, segments):
         pass
@@ -377,7 +377,7 @@ def test_phase_decomposition_matches_sampled_trapezoid(rng):
     # written out here, t' the time since the segment's start
     for _ in range(6):
         spec = random_spec(rng)
-        segs = synthesize(spec, 10.0).segments
+        segs = synthesize(spec, 10.0)
         for dt, psi0 in itertools.product((0.003, 0.01, 0.05),
                                           axis_eigenstates(spec)):
             traj = evolve_unitary(segs, psi0, dt=dt)
@@ -413,7 +413,7 @@ def test_segment_boundaries_land_on_a_sample():
     t_seg, dt = 14.763532717729133, 0.05173163902050624
     sched = synthesize(named_gate("H"), t_seg)
     psi0, _ = axis_eigenstates(named_gate("H"))
-    starts = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+    starts = np.cumsum([0.0] + [seg.duration for seg in sched])
     for traj in (evolve_unitary(sched, psi0, dt=dt),
                  evolve_lindblad(sched, density_of(psi0), dt=dt)):
         assert len(traj.times) == 3 * 285 + 1
@@ -545,7 +545,8 @@ def test_bloch_csv(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["decay_without_samples", "short_t_ns",
-                                  "short_chi"])
+                                  "short_chi", "empty_t_ns", "empty_rho_t_ns",
+                                  "short_bloch_t_ns", "empty_bloch_t_ns"])
 def test_csv_writers_refuse_unequal_columns(tmp_path, case):
     # zip stops at the shortest column, so unequal columns would drop rows
     # silently; they are refused before the file is opened
@@ -558,8 +559,20 @@ def test_csv_writers_refuse_unequal_columns(tmp_path, case):
         elif case == "short_t_ns":
             trajectory_to_csv(traj, tmp_path / "traj.csv",
                               list(spell(traj.times))[:-1])
-        else:
+        elif case == "short_chi":
             chi_to_csv(np.eye(3, dtype=complex), tmp_path / "chi.csv")
+        elif case == "empty_t_ns":
+            # an empty spelled column is not an absent one
+            trajectory_to_csv(traj, tmp_path / "traj.csv", [])
+        elif case == "empty_rho_t_ns":
+            rho = evolve_lindblad(synthesize(named_gate("H"), 10.0),
+                                  density_of(KET0), dt=0.1)
+            trajectory_to_csv(rho, tmp_path / "rho.csv", [])
+        elif case == "short_bloch_t_ns":
+            bloch_path_to_csv(traj, tmp_path / "bloch.csv",
+                              list(spell(traj.times))[1:])
+        else:
+            bloch_path_to_csv(traj, tmp_path / "bloch.csv", [])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from geomgate.errors import InvalidDuration
 from geomgate.evolution import _segment_grid, schedule_propagator
-from geomgate.pulse import (PulseSchedule, PulseSegment, save_schedule,
-                            schedule_to_dict, segment_area, synthesize)
+from geomgate.pulse import (PulseSegment, save_schedule, schedule_to_dict,
+                            segment_area, synthesize)
 from geomgate.qcore import GateSpec, I2
 
 from conftest import random_spec
@@ -20,27 +20,27 @@ PI = math.pi
 
 def test_synthesize_rx_pi_example():
     sched = synthesize(GateSpec(PI / 2, 0.0, PI), 10.0)
-    areas = [segment_area(s) for s in sched.segments]
+    areas = [segment_area(s) for s in sched]
     assert areas == pytest.approx([PI / 4, PI / 2, PI / 4], abs=1e-15)
-    phases = [s.phase_offset for s in sched.segments]
+    phases = [s.phase_offset for s in sched]
     assert phases == pytest.approx([-PI / 2, 0.0, -PI / 2], abs=1e-15)
-    peaks = [s.peak_amplitude for s in sched.segments]
+    peaks = [s.peak_amplitude for s in sched]
     assert peaks == pytest.approx([PI / 20, PI / 10, PI / 20], abs=1e-15)
-    assert [s.duration for s in sched.segments] == [10.0, 10.0, 10.0]
+    assert [s.duration for s in sched] == [10.0, 10.0, 10.0]
 
 
 def test_synthesize_identity_example():
     sched = synthesize(GateSpec(0.0, 0.0, 0.0), 10.0)
-    areas = [segment_area(s) for s in sched.segments]
+    areas = [segment_area(s) for s in sched]
     assert areas == pytest.approx([0.0, PI / 2, PI / 2], abs=1e-15)
-    phases = [s.phase_offset for s in sched.segments]
+    phases = [s.phase_offset for s in sched]
     assert phases == pytest.approx([-PI / 2, PI / 2, -PI / 2], abs=1e-15)
     assert np.allclose(schedule_propagator(sched), I2, atol=1e-12)
 
 
 def test_synthesize_hadamard_middle_phase():
     sched = synthesize(GateSpec(PI / 4, 0.0, PI), 10.0)
-    assert sched.segments[1].phase_offset == pytest.approx(0.0, abs=1e-15)
+    assert sched[1].phase_offset == pytest.approx(0.0, abs=1e-15)
 
 
 def test_synthesize_invalid_duration():
@@ -49,7 +49,7 @@ def test_synthesize_invalid_duration():
         with pytest.raises(InvalidDuration):
             synthesize(GateSpec(0.1, 0.2, 0.3), duration)
     sched = synthesize(GateSpec(0.1, 0.2, 0.3), 1e-300)
-    assert sched.segments[1].peak_amplitude == PI / 1e-300
+    assert sched[1].peak_amplitude == PI / 1e-300
 
 
 def test_synthesize_deterministic():
@@ -129,26 +129,31 @@ def test_area_split_invariant(rng):
     for _ in range(50):
         spec = random_spec(rng)
         sched = synthesize(spec, 10.0)
-        a1, a2, a3 = [segment_area(s) for s in sched.segments]
+        a1, a2, a3 = [segment_area(s) for s in sched]
         assert a2 == pytest.approx(PI / 2, abs=1e-12)
         assert a1 + a3 == pytest.approx(PI / 2, abs=1e-12)
 
 
 def test_peaks_are_the_areas_over_the_envelope_areas(rng):
-    # a sin^2 segment of area a and duration T peaks at 2a / T, bit for bit
+    # a sin^2 segment of area a and duration T peaks at 2a / T, bit for bit,
+    # and each segment drives at its slice-path phase
     for _ in range(200):
         spec = random_spec(rng)
         duration = rng.uniform(0.1, 100.0)
         areas = (spec.theta / 2, PI / 2, PI / 2 - spec.theta / 2)
+        phases = (spec.phi - PI / 2, spec.phi - spec.gamma / 2 + PI / 2,
+                  spec.phi - PI / 2)
         sched = synthesize(spec, duration)
-        assert [s.peak_amplitude for s in sched.segments] == [
+        assert [s.peak_amplitude for s in sched] == [
             2.0 * a / duration for a in areas]
+        assert all(abs(s.phase_offset - p) <= 1e-12
+                   for s, p in zip(sched, phases, strict=True))
 
 
 def test_amplitude_vanishes_at_every_boundary(rng):
     spec = random_spec(rng)
     sched = synthesize(spec, 10.0)
-    for seg in sched.segments:
+    for seg in sched:
         assert amplitude_at(seg, 0.0) == 0.0
         assert amplitude_at(seg, seg.duration) == 0.0
 
@@ -160,38 +165,20 @@ def test_amplitude_vanishes_at_every_boundary(rng):
        duration=st.floats(1.0, 100.0))
 def test_synthesize_property(theta, phi, gamma, duration):
     sched = synthesize(GateSpec(theta, phi, gamma), duration)
-    assert all(s.peak_amplitude >= 0.0 for s in sched.segments)
-    assert all(s.duration == duration for s in sched.segments)
-    total = sum(s.duration for s in sched.segments)
+    assert all(s.peak_amplitude >= 0.0 for s in sched)
+    assert all(s.duration == duration for s in sched)
+    total = sum(s.duration for s in sched)
     assert total == pytest.approx(3.0 * duration)
 
 
-def test_schedule_rejects_inconsistent_data():
-    spec = GateSpec(PI / 2, 0.0, PI)
-    good = synthesize(spec, 10.0)
-    first = good.segments[0]
-    wrong_area = PulseSegment(10.0, 1.0, first.phase_offset)
-    wrong_phase = PulseSegment(10.0, first.peak_amplitude,
-                               first.phase_offset + 1e-9)
-    # a NaN area, set past the segment's own check, fails too
-    nan_area = PulseSegment(10.0, 0.1, first.phase_offset)
-    object.__setattr__(nan_area, "peak_amplitude", math.nan)
-    for bad, what in ((wrong_area, "areas"), (wrong_phase, "phases"),
-                      (nan_area, "areas")):
-        with pytest.raises(ValueError, match=what):
-            PulseSchedule(segments=(bad,) + good.segments[1:],
-                          source_spec=spec)
-    with pytest.raises(ValueError, match="3 segments"):
-        PulseSchedule(segments=good.segments[:2], source_spec=spec)
-
-
 def test_schedule_json_round_trip(tmp_path):
-    sched = synthesize(GateSpec(1.2, -0.4, 2.2), 10.0)
-    data = schedule_to_dict(sched)
+    spec = GateSpec(1.2, -0.4, 2.2)
+    sched = synthesize(spec, 10.0)
+    data = schedule_to_dict(spec, sched)
     assert set(data) == {"theta", "phi", "gamma", "T_ns", "segments"}
     assert len(data["segments"]) == 3
     assert set(data["segments"][0]) == {"duration_ns", "peak_rad_per_ns",
                                         "phase_rad", "envelope"}
     path = tmp_path / "schedule.json"
-    save_schedule(sched, path)
+    save_schedule(spec, sched, path)
     assert json.loads(path.read_text()) == data

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geomgate.benchmarking import _recoveries, sample_sequence
 from geomgate.errors import NonUnitaryInput, UnknownGateName
-from geomgate.qcore import (CliffordElement, GateSpec, I2, KET0,
+from geomgate.qcore import (GateSpec, I2, KET0,
                             PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             axis_angle_unitary, axis_eigenstates,
                             clifford_group, clifford_index_of,
@@ -186,17 +186,13 @@ def test_phase_distance_examples():
 def test_clifford_group_basics():
     group = clifford_group()
     assert len(group) == 24
-    assert all(isinstance(e, CliffordElement) for e in group)
-    assert np.allclose(group[0].unitary, I2, atol=0)
+    assert all(isinstance(e, GateSpec) for e in group)
+    assert np.allclose(axis_angle_unitary(group[0]), I2, atol=0)
     # pairwise distinct up to phase
     for i in range(24):
         for j in range(i + 1, 24):
-            assert phase_distance(group[i].unitary, group[j].unitary) > 1e-6
-
-
-def test_clifford_elements_match_their_specs():
-    for e in clifford_group():
-        assert phase_distance(e.unitary, axis_angle_unitary(e.spec)) < 1e-10
+            assert phase_distance(axis_angle_unitary(group[i]),
+                                  axis_angle_unitary(group[j])) > 1e-6
 
 
 def test_clifford_closure_and_inverse_exhaustive():
@@ -204,12 +200,13 @@ def test_clifford_closure_and_inverse_exhaustive():
     compose, inverse = clifford_tables()
     for i in range(24):
         for j in range(24):
-            prod = group[i].unitary @ group[j].unitary
+            prod = axis_angle_unitary(group[i]) @ axis_angle_unitary(group[j])
             k = int(compose[i, j])
-            assert phase_distance(prod, group[k].unitary) < 1e-10
+            assert phase_distance(prod, axis_angle_unitary(group[k])) < 1e-10
     for i in range(24):
         inv = int(inverse[i])
-        assert phase_distance(group[i].unitary @ group[inv].unitary, I2) < 1e-10
+        assert phase_distance(axis_angle_unitary(group[i])
+                              @ axis_angle_unitary(group[inv]), I2) < 1e-10
         assert compose[i, inv] == 0
 
 
@@ -233,8 +230,9 @@ def test_clifford_tables_match_pairwise_expansion():
     canon = [axis_angle_unitary(s) for s in specs]
 
     group = clifford_group()
-    assert [e.spec for e in group] == specs
-    assert all(np.array_equal(e.unitary, u) for e, u in zip(group, canon))
+    assert group == specs
+    assert all(np.array_equal(axis_angle_unitary(e), u)
+               for e, u in zip(group, canon))
 
     want_compose = np.array(
         [[int(np.argmin([phase_distance(a @ b, c) for c in canon]))
@@ -247,15 +245,16 @@ def test_clifford_tables_match_pairwise_expansion():
 
 
 def test_clifford_index_of_round_trip():
-    for e in clifford_group():
-        assert clifford_index_of(np.exp(0.3j) * e.unitary) == e.index
+    for k, e in enumerate(clifford_group()):
+        assert clifford_index_of(np.exp(0.3j) * axis_angle_unitary(e)) == k
     with pytest.raises(ValueError):
         clifford_index_of(axis_angle_unitary(GateSpec(0.3, 0.2, 0.7)))
 
 
 def _nearest_by_phase_distance(u):
     """Index and distance of the element nearest ``u``, one pair at a time."""
-    dists = [phase_distance(u, e.unitary) for e in clifford_group()]
+    dists = [phase_distance(u, axis_angle_unitary(e))
+             for e in clifford_group()]
     k = int(np.argmin(dists))
     return k, dists[k]
 
@@ -263,12 +262,12 @@ def _nearest_by_phase_distance(u):
 def test_clifford_index_of_equals_phase_distance_loop(rng):
     # a rotation by 1e-4 rad moves an element by 1.25e-9, well inside 1e-6
     nudge = axis_angle_unitary(GateSpec(0.3, 0.2, 1e-4))
-    for e in clifford_group():
+    for k, e in enumerate(clifford_group()):
         for phase in rng.uniform(-math.pi, math.pi, size=4):
-            for u in (np.exp(1j * phase) * e.unitary,
-                      np.exp(1j * phase) * nudge @ e.unitary):
+            for u in (np.exp(1j * phase) * axis_angle_unitary(e),
+                      np.exp(1j * phase) * nudge @ axis_angle_unitary(e)):
                 assert (clifford_index_of(u)
-                        == _nearest_by_phase_distance(u)[0] == e.index)
+                        == _nearest_by_phase_distance(u)[0] == k)
     for name, u in STANDARD_GATES.items():
         assert clifford_index_of(u) == _nearest_by_phase_distance(u)[0], name
     for _ in range(20):
@@ -294,7 +293,8 @@ def test_recovery_identity_and_single():
     assert _recovery([0]) == 0
     for i in range(24):
         rec = group[_recovery([i])]
-        assert phase_distance(rec.unitary @ group[i].unitary, I2) < 1e-10
+        assert phase_distance(axis_angle_unitary(rec)
+                              @ axis_angle_unitary(group[i]), I2) < 1e-10
     with pytest.raises(ValueError):
         sample_sequence(0, 0)
 
@@ -306,5 +306,5 @@ def test_recovery_random_length_100(rng):
         rec = group[_recovery(seq)]
         acc = I2
         for idx in seq:
-            acc = group[idx].unitary @ acc
-        assert phase_distance(rec.unitary @ acc, I2) < 1e-10
+            acc = axis_angle_unitary(group[idx]) @ acc
+        assert phase_distance(axis_angle_unitary(rec) @ acc, I2) < 1e-10
