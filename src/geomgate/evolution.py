@@ -322,15 +322,15 @@ _CSV_BLOCK = 512
 
 
 def spell(col):
-    """An iterator over a column's CSV text: str of labels, repr of numbers."""
-    return map(str if col.dtype.kind == "U" else repr, col.tolist())
+    """An iterator over a number column's CSV text: repr of each value."""
+    return map(repr, col.tolist())
 
 
 def _write_csv(path, header, columns) -> None:
-    # csv.writer spells .tolist() values with str, quoting neither numbers
-    # nor plain labels, so joining them writes the same bytes, faster (repr
-    # is str's text for numbers, and faster); a list column is text already.
-    # zip would stop at the shortest column, so unequal ones are refused
+    # csv.writer spells .tolist() values with str, quoting no number, so
+    # joining repr's text, the same as str's for numbers but faster, writes
+    # the same bytes; a list column is text already. zip would stop at the
+    # shortest column, so unequal ones are refused
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"unequal CSV columns: {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
@@ -341,23 +341,17 @@ def _write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def trajectory_to_csv(traj: Trajectory, path, t_ns=None) -> None:
-    """Pure: t_ns, re_c0, im_c0, re_c1, im_c1. Density: the 4 real dof.
-    ``t_ns``, here and in bloch_path_to_csv, may be list(spell(traj.times))."""
+def trajectory_to_csv(traj: Trajectory, path, t_ns: list) -> None:
+    """Columns t_ns, re_c0, im_c0, re_c1, im_c1 of a pure trajectory;
+    ``t_ns``, here and in bloch_path_to_csv, is list(spell(traj.times))."""
+    if not traj.is_pure:
+        raise ValueError("trajectory CSV requires a pure-state trajectory")
     st = traj.states
-    # [] is a column, too short to write, not a missing one
-    t_ns = traj.times if t_ns is None else t_ns
-    if traj.is_pure:
-        _write_csv(path, ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
-                   (t_ns, st[:, 0].real, st[:, 0].imag,
-                    st[:, 1].real, st[:, 1].imag))
-    else:
-        _write_csv(path, ["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"],
-                   (t_ns, st[:, 0, 0].real, st[:, 0, 1].real,
-                    st[:, 0, 1].imag, st[:, 1, 1].real))
+    _write_csv(path, ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
+               (t_ns, st[:, 0].real, st[:, 0].imag,
+                st[:, 1].real, st[:, 1].imag))
 
 
-def bloch_path_to_csv(traj: Trajectory, path, t_ns=None) -> None:
+def bloch_path_to_csv(traj: Trajectory, path, t_ns: list) -> None:
     """Columns t_ns, x, y, z of the Bloch path of a pure trajectory."""
-    t_ns = traj.times if t_ns is None else t_ns
     _write_csv(path, ["t_ns", "x", "y", "z"], (t_ns, *bloch_trajectory(traj).T))

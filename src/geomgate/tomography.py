@@ -36,24 +36,23 @@ def qpt_specs(gates) -> list[GateSpec]:
             + [named_gate(n) for n in PREP_GATE_NAMES])
 
 
-def measure_expectations(rho: np.ndarray, shots: int | None = None,
-                         readout=None, rng=None) -> np.ndarray:
+def measure_expectations(rho: np.ndarray, shots: int | None, readout,
+                         rng=None) -> np.ndarray:
     """(<sx>, <sy>, <sz>) of each state of a ``(..., 2, 2)`` stack, exactly
     or from sampled measurements.
 
     Shot mode simulates basis-rotated binary measurements: for each axis the
     +1-eigenstate outcome maps to readout "0". Every state and axis is
     sampled by one ``sample_outcomes`` call, in (state, axis) order, through
-    the confusion matrix ``readout`` (``confusion(None)``, perfect readout,
-    by default), and corrected by its one inverse, so the estimate is
-    unbiased in expectation.
+    the confusion matrix ``readout`` (``confusion(None)`` is perfect
+    readout), and corrected by its one inverse, so the estimate is unbiased
+    in expectation.
     """
     exact = np.trace(np.asarray(rho)[..., None, :, :] @ PAULIS[1:],
                      axis1=-2, axis2=-1).real
     shots = _shots(shots)
     if shots is None:
         return exact
-    readout = confusion(None) if readout is None else readout
     est = sample_outcomes(np.stack([1.0 + exact, 1.0 - exact], -1) / 2.0,
                           shots, np.random.default_rng(rng), readout,
                           np.linalg.inv(readout))
@@ -154,10 +153,10 @@ def run_qpt(gate, device: DeviceParams | None = None, shots: int | None = None,
 # ---------------------------------------------------------------------------
 # reports
 
-def qpt_report(result: QptResult, gate_name: str | None = None) -> dict:
+def qpt_report(result: QptResult, gate_name: str) -> dict:
     spec = result.gate
     return {
-        "gate": gate_name or f"({spec.theta}, {spec.phi}, {spec.gamma})",
+        "gate": gate_name,
         "theta": spec.theta,
         "phi": spec.phi,
         "gamma": spec.gamma,
@@ -175,7 +174,6 @@ def qpt_report(result: QptResult, gate_name: str | None = None) -> dict:
 
 def chi_to_csv(chi: np.ndarray, path) -> None:
     """Bar-chart-ready rows: row label, col label, re, im."""
-    labels = np.array(PAULI_LABELS)
     _write_csv(path, ["row", "col", "re", "im"],
-               (np.repeat(labels, 4), np.tile(labels, 4), chi.real.ravel(),
-                chi.imag.ravel()))
+               ([r for r in PAULI_LABELS for _ in PAULI_LABELS],
+                list(PAULI_LABELS) * 4, chi.real.ravel(), chi.imag.ravel()))

@@ -641,22 +641,24 @@ def _average_survival(lengths, cliffords, target=None, target_index=0):
     """Mean survival over all 24**m Clifford sequences of each length m,
     after Magesan, Gambetta & Emerson, PRL 106, 180504 (2011); no sequence
     is drawn. ``v[g]`` sums the noisy vec(rho) of the sequences whose ideal
-    product is g; one step sends ``S_c v[g] / 24``, then ``target``, to
-    ``compose[t, compose[c, g]]``, and the recovery of g is inverse[g]."""
+    product is g; one step applies the 96 x 96 transfer map
+    M[(h, i), (g, j)] = sum_c [dest[c, g] = h] (T S_c)[i, j] / 24, with T
+    the ``target`` channel (the identity if None) and dest[c, g] =
+    compose[t, compose[c, g]], and the recovery of g is inverse[g]."""
     compose, inverse = clifford_tables()
     dest = compose[target_index][compose]  # dest[c, g]
-    v = np.zeros((24, 4), dtype=complex)
-    v[0] = density_of(KET0).reshape(4)
+    steps = cliffords if target is None else target @ cliffords  # T S_c
+    hits = (dest[:, None, :] == np.arange(24)[:, None]).astype(float)
+    transfer = np.einsum("chg,cij->higj", hits, steps).reshape(96, 96) / 24
+    v = np.zeros(96, dtype=complex)
+    v[:4] = density_of(KET0).reshape(4)  # v[g = 0]
     means, done = [], 0
     for m in lengths:
         for _ in range(m - done):
-            step = np.einsum("cij,gj->cgi", cliffords, v) / 24
-            if target is not None:
-                step = step @ target.T
-            v = np.zeros_like(v)
-            np.add.at(v, dest, step)
+            v = transfer @ v
         done = m
-        means.append(np.einsum("gj,gj->", cliffords[inverse, 0], v).real)
+        means.append(np.einsum("gj,gj->", cliffords[inverse, 0],
+                               v.reshape(24, 4)).real)
     return np.array(means)
 
 

@@ -513,7 +513,7 @@ def test_trajectory_csv_pure(tmp_path):
     sched = synthesize(GateSpec(1.0, 0.0, 1.0), 10.0)
     traj = evolve_unitary(sched, KET0, dt=0.1)
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
+    trajectory_to_csv(traj, path, list(spell(traj.times)))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"]
@@ -522,14 +522,13 @@ def test_trajectory_csv_pure(tmp_path):
 
 
 def test_trajectory_csv_density(tmp_path, device):
+    # the trajectory CSV holds state vectors; a Lindblad trajectory is
+    # refused before the file is opened
     idle = [PulseSegment(10.0, 0.0, 0.0)]
     traj = evolve_lindblad(idle, density_of(KET1), device, dt=0.1)
-    path = tmp_path / "rho.csv"
-    trajectory_to_csv(traj, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"]
-    assert float(rows[1][4]) == 1.0
+    with pytest.raises(ValueError, match="trajectory CSV requires"):
+        trajectory_to_csv(traj, tmp_path / "rho.csv", list(spell(traj.times)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bloch_csv(tmp_path):
@@ -537,7 +536,7 @@ def test_bloch_csv(tmp_path):
     plus = np.array([1.0, 1.0]) / SQ2
     traj = evolve_unitary(sched, plus, dt=0.1)
     path = tmp_path / "bloch.csv"
-    bloch_path_to_csv(traj, path)
+    bloch_path_to_csv(traj, path, list(spell(traj.times)))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_ns", "x", "y", "z"]
@@ -545,8 +544,8 @@ def test_bloch_csv(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["decay_without_samples", "short_t_ns",
-                                  "short_chi", "empty_t_ns", "empty_rho_t_ns",
-                                  "short_bloch_t_ns", "empty_bloch_t_ns"])
+                                  "short_chi", "empty_t_ns", "short_bloch_t_ns",
+                                  "empty_bloch_t_ns"])
 def test_csv_writers_refuse_unequal_columns(tmp_path, case):
     # zip stops at the shortest column, so unequal columns would drop rows
     # silently; they are refused before the file is opened
@@ -562,12 +561,7 @@ def test_csv_writers_refuse_unequal_columns(tmp_path, case):
         elif case == "short_chi":
             chi_to_csv(np.eye(3, dtype=complex), tmp_path / "chi.csv")
         elif case == "empty_t_ns":
-            # an empty spelled column is not an absent one
             trajectory_to_csv(traj, tmp_path / "traj.csv", [])
-        elif case == "empty_rho_t_ns":
-            rho = evolve_lindblad(synthesize(named_gate("H"), 10.0),
-                                  density_of(KET0), dt=0.1)
-            trajectory_to_csv(rho, tmp_path / "rho.csv", [])
         elif case == "short_bloch_t_ns":
             bloch_path_to_csv(traj, tmp_path / "bloch.csv",
                               list(spell(traj.times))[1:])
@@ -585,33 +579,20 @@ def _repr_rows(path, header, rows):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _check_writers(tmp_path, times, states, dens):
+def _check_writers(tmp_path, times, states):
     traj = Trajectory(times, states, ())
-    trajectory_to_csv(traj, tmp_path / "pure.csv")
+    t_ns = list(spell(times))
+    trajectory_to_csv(traj, tmp_path / "pure.csv", t_ns)
     _repr_rows(tmp_path / "pure_ref.csv",
                ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
                [(t, s[0].real, s[0].imag, s[1].real, s[1].imag)
                 for t, s in zip(times, states)])
-    bloch_path_to_csv(traj, tmp_path / "bloch.csv")
+    bloch_path_to_csv(traj, tmp_path / "bloch.csv", t_ns)
     _repr_rows(tmp_path / "bloch_ref.csv", ["t_ns", "x", "y", "z"],
                [(t, *v) for t, v in zip(times, bloch_trajectory(traj))])
-    trajectory_to_csv(Trajectory(times, dens, ()), tmp_path / "rho.csv")
-    _repr_rows(tmp_path / "rho_ref.csv",
-               ["t_ns", "rho00", "re_rho01", "im_rho01", "rho11"],
-               [(t, r[0, 0].real, r[0, 1].real, r[0, 1].imag, r[1, 1].real)
-                for t, r in zip(times, dens)])
-
-    # a caller may pass the time column already spelled: same bytes
-    t_ns = list(spell(times))
-    trajectory_to_csv(traj, tmp_path / "pure_t.csv", t_ns)
-    bloch_path_to_csv(traj, tmp_path / "bloch_t.csv", t_ns)
-    trajectory_to_csv(Trajectory(times, dens, ()), tmp_path / "rho_t.csv",
-                      t_ns)
-
-    for stem in ("pure", "bloch", "rho"):
+    for stem in ("pure", "bloch"):
         want = (tmp_path / f"{stem}_ref.csv").read_bytes()
         assert (tmp_path / f"{stem}.csv").read_bytes() == want, stem
-        assert (tmp_path / f"{stem}_t.csv").read_bytes() == want, stem
     return (tmp_path / "pure.csv").read_text()
 
 
@@ -627,28 +608,21 @@ def test_csv_writers_match_per_row_repr(tmp_path, rng):
     with np.errstate(invalid="ignore"):  # 0 * inf in the complex products
         pure = special + 1j * special[::-1]
         states = np.column_stack([pure, rng.normal(size=n) * 1e-7 + 1j * pure])
-        dens = (rng.normal(size=(n, 2, 2))
-                + 1j * rng.normal(size=(n, 2, 2))) * 1e-6
-        dens[:, 0, 0] = special
-        dens[:, 0, 1] = special[::-1] - 1j * special
-        dens[:, 1, 1] = -special
-        text = _check_writers(tmp_path, times, states, dens)
+        text = _check_writers(tmp_path, times, states)
     for spelled in ("-0.0", "1e-05", "2.5e-300", "1e+16", "3.7e+17", "-2.5e+20",
                     "nan", "inf", "-inf"):
         assert spelled in text
     # a one-row trajectory
-    text = _check_writers(tmp_path, times[4:5], states[4:5], dens[4:5])
+    text = _check_writers(tmp_path, times[4:5], states[4:5])
     assert len(text.splitlines()) == 2
     # a full-size synthesis trajectory: 3,001 rows at the default step
     spec = named_gate("H")
     traj = evolve_unitary(synthesize(spec, 10.0), axis_eigenstates(spec)[0])
-    lind = evolve_lindblad(synthesize(spec, 10.0), density_of(KET0), device=None)
-    assert len(traj.times) == len(lind.times) == 3001
-    text = _check_writers(tmp_path, traj.times, traj.states, lind.states)
+    assert len(traj.times) == 3001
+    text = _check_writers(tmp_path, traj.times, traj.states)
     assert len(text.splitlines()) == 3002
     # a whole number of write blocks
-    text = _check_writers(tmp_path, traj.times[:1024], traj.states[:1024],
-                          lind.states[:1024])
+    text = _check_writers(tmp_path, traj.times[:1024], traj.states[:1024])
     assert len(text.splitlines()) == 1025
 
 

@@ -54,16 +54,19 @@ def test_prepare_input_states_informationally_complete():
 # measurement
 
 def test_measure_expectations_exact():
-    assert np.allclose(measure_expectations(density_of(KET0)), [0, 0, 1],
-                       atol=1e-15)
-    assert np.allclose(measure_expectations(np.eye(2, dtype=complex) / 2.0),
+    assert np.allclose(measure_expectations(density_of(KET0), None,
+                                            confusion(None)),
+                       [0, 0, 1], atol=1e-15)
+    assert np.allclose(measure_expectations(np.eye(2, dtype=complex) / 2.0,
+                                            None, confusion(None)),
                        [0, 0, 0], atol=1e-15)
 
 
 def test_measure_expectations_refuses_bad_shots():
     for shots in (2.5, True, 0):
         with pytest.raises(ValueError, match="shots") as err:
-            measure_expectations(density_of(KET0), shots=shots, rng=1)
+            measure_expectations(density_of(KET0), shots=shots,
+                                 readout=confusion(None), rng=1)
         assert repr(shots) in str(err.value)
 
 
@@ -439,3 +442,14 @@ def test_chi_csv(tmp_path):
     # chi_xx entry of the Hadamard channel is 1/2
     xx = [r for r in rows if r[0] == "X" and r[1] == "X"][0]
     assert float(xx[2]) == pytest.approx(0.5, abs=1e-9)
+    # the whole file, byte for byte: labels row-major over I, X, Y, Z, and
+    # numbers spelled by repr
+    ref = tmp_path / "chi_ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "re", "im"])
+        for i, r in enumerate("IXYZ"):
+            for j, c in enumerate("IXYZ"):
+                writer.writerow([r, c, repr(float(res.chi[i, j].real)),
+                                 repr(float(res.chi[i, j].imag))])
+    assert path.read_bytes() == ref.read_bytes()
