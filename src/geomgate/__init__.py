@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 # every submodule and its public names, each imported on first use (PEP 562)
 _EXPORTS = {
-    "benchmarking": ("DecayCurve", "DecayFit", "RbResult", "fit_decay",
-                     "run_rb"),
+    "benchmarking": ("DecayCurve", "DecayFit", "fit_decay", "run_rb"),
     "channels": ("DepolarizingNoise", "GateChannelCache"),
     "cli": (), "config": ("RbConfig",), "errors": ("GeomgateError",),
     "evolution": ("DeviceParams", "PhaseReport", "Trajectory",

@@ -5,8 +5,10 @@ fits the mean survival to F(m) = A p^m + B; interleaved RB inserts a fixed
 target after every random Clifford. Every Clifford (and the recovery) is
 realized as a single three-segment schedule of duration 3T via axis-angle
 extraction, so all gates cost the same wall-clock time under noise.
-``run_rb`` runs the reference and every interleaved target as one batch;
-``run_reference_rb`` and ``run_interleaved_rb`` are single-curve calls of it.
+``run_rb`` runs the reference and every interleaved target as one batch and
+returns a ``(curve, fit)`` pair per curve; ``run_reference_rb`` and
+``run_interleaved_rb`` are single-curve calls of it. ``fit_report`` derives
+the figures r, F_avg, p_g and F_g from the reference and interleaved fits.
 
 Execution composes per-gate channel superoperators, which is exactly
 equivalent to concatenated master-equation integration (the dynamics are
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +55,7 @@ class DecayCurve:
     lengths: tuple[int, ...]
     means: np.ndarray
     stderrs: np.ndarray
-    samples: list[np.ndarray] = field(default_factory=list)
+    samples: list[np.ndarray]
 
 
 @dataclass
@@ -67,26 +69,6 @@ class DecayFit:
     converged: bool
     degenerate: bool = False
     iterations: int = 0
-
-
-@dataclass
-class RbResult:
-    """Figures derived from the fits: r = (1 - p)/2, F_avg = 1 - r, and for
-    an interleaved target p_g and F_g = 1 - (1 - p_g / p)/2."""
-
-    reference: DecayFit
-    interleaved: DecayFit | None = None
-    r: float = field(init=False)
-    F_avg: float = field(init=False)
-    p_g: float | None = field(init=False, default=None)
-    F_g: float | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        self.r = (1.0 - self.reference.p) / 2.0
-        self.F_avg = 1.0 - self.r
-        if self.interleaved is not None:
-            self.p_g = self.interleaved.p
-            self.F_g = 1.0 - (1.0 - self.p_g / self.reference.p) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +371,7 @@ def fit_decay(curve: DecayCurve, weighted: bool = False) -> DecayFit:
 
 def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
            channels: GateChannelCache | None = None
-           ) -> list[tuple[DecayCurve, DecayFit, RbResult]]:
+           ) -> list[tuple[DecayCurve, DecayFit]]:
     """Reference RB plus one interleaved RB curve per target, fitted.
 
     Each target is a gate name, or a ``(name, superop)`` pair whose superop,
@@ -402,7 +384,7 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
     channels of any noise model, says otherwise. Every curve runs the same
     sequences, drawn once per (length, randomization), and a sampled run
     reads each out through ``confusion(device)``, corrected by its inverse
-    when ``readout_correction``. Returns ``(curve, fit, result)`` for the
+    when ``readout_correction``. Returns ``(curve, fit)`` for the
     reference, then for each target in order.
     """
     channels = channels or GateChannelCache()
@@ -457,14 +439,12 @@ def run_rb(config: RbConfig, targets=(), device: DeviceParams | None = None,
                          samples=list(survival[c]))
               for c in range(len(target_indices))]
     weighted = config.shots is not None
-    (curve, fit), *rest = [(c, fit_decay(c, weighted)) for c in curves]
-    return [(curve, fit, RbResult(fit))] + [
-        (icurve, ifit, RbResult(fit, ifit)) for icurve, ifit in rest]
+    return [(curve, fit_decay(curve, weighted)) for curve in curves]
 
 
 def run_reference_rb(config: RbConfig, device: DeviceParams | None = None,
                      channels: GateChannelCache | None = None
-                     ) -> tuple[DecayCurve, DecayFit, RbResult]:
+                     ) -> tuple[DecayCurve, DecayFit]:
     """Reference RB: sample, execute, average, and fit the decay."""
     (reference,) = run_rb(config, (), device, channels)
     return reference
@@ -474,7 +454,7 @@ def run_interleaved_rb(config: RbConfig, target: str,
                        device: DeviceParams | None = None,
                        target_superop: np.ndarray | None = None,
                        channels: GateChannelCache | None = None
-                       ) -> tuple[DecayCurve, DecayFit, RbResult]:
+                       ) -> tuple[DecayCurve, DecayFit]:
     """Interleaved RB of gate ``target``: the ``run_rb`` entry of that one
     target, whose superop ``target_superop`` overrides when not None."""
     return run_rb(config, [(target, target_superop)], device, channels)[1]
@@ -489,20 +469,25 @@ def decay_to_csv(curve: DecayCurve, path) -> None:
                 np.array([len(vals) for vals in curve.samples])))
 
 
-def fit_report(result: RbResult) -> dict:
-    ref = result.reference
+def fit_report(reference: DecayFit, interleaved: DecayFit | None = None
+               ) -> dict:
+    """The fits' report with the figures derived from them: r = (1 - p)/2,
+    F_avg = 1 - r, and for an interleaved fit p_g and
+    F_g = 1 - (1 - p_g / p)/2."""
+    r = (1.0 - reference.p) / 2.0
     out = {
-        "A": ref.A, "B": ref.B, "p": ref.p,
-        "r": result.r, "F_avg": result.F_avg,
-        "converged": ref.converged, "degenerate": ref.degenerate,
-        "residual": ref.residual_norm,
+        "A": reference.A, "B": reference.B, "p": reference.p,
+        "r": r, "F_avg": 1.0 - r,
+        "converged": reference.converged, "degenerate": reference.degenerate,
+        "residual": reference.residual_norm,
     }
-    if result.interleaved is not None:
+    if interleaved is not None:
+        p_g = interleaved.p
         out.update({
-            "p_g": result.p_g, "F_g": result.F_g,
-            "interleaved_A": result.interleaved.A,
-            "interleaved_B": result.interleaved.B,
-            "interleaved_converged": result.interleaved.converged,
-            "interleaved_residual": result.interleaved.residual_norm,
+            "p_g": p_g, "F_g": 1.0 - (1.0 - p_g / reference.p) / 2.0,
+            "interleaved_A": interleaved.A,
+            "interleaved_B": interleaved.B,
+            "interleaved_converged": interleaved.converged,
+            "interleaved_residual": interleaved.residual_norm,
         })
     return out

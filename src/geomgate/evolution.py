@@ -71,19 +71,14 @@ class DeviceParams:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Evolution under ``segments``, sampled at t = 0 and after every step.
-
-    ``states`` has shape (N, 2) for pure states or (N, 2, 2) for density
-    matrices; ``segments`` is the schedule's tuple of pulse segments.
+    """Pure-state evolution under ``segments``, sampled at t = 0 and after
+    every step: ``states`` has shape (N, 2), and ``segments`` is the
+    schedule's tuple of pulse segments.
     """
 
     times: np.ndarray
     states: np.ndarray
     segments: tuple[PulseSegment, ...]
-
-    @property
-    def is_pure(self) -> bool:
-        return self.states.ndim == 2
 
 
 @dataclass(frozen=True)
@@ -242,35 +237,32 @@ def evolve_unitary(segments, psi0: np.ndarray, dt: float = 0.01) -> Trajectory:
 
 def evolve_lindblad(segments, rho0: np.ndarray,
                     device: DeviceParams | None = None,
-                    dt: float = 0.01) -> Trajectory:
+                    dt: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the master equation over a sequence of segments.
 
     d rho/dt = -i[H, rho] + G1 D[s-] rho + (Gphi/2) D[sz] rho, G1 = 1/T1,
-    Gphi = 1/T2*, no dissipation for ``device=None``. The samples and the
+    Gphi = 1/T2*, no dissipation for ``device=None``. Returns the sample
+    times and the (N, 2, 2) density matrices at them; the samples and the
     ``rk4_steps`` run of vec(rho), a (1, 4, 1) stack, share one input list.
     """
     segments = tuple(segments)
     built = list(_lindblad_segments([segments], device, dt))
-    times = _sample_times(segments, built)
     y0 = np.asarray(rho0, dtype=complex).reshape(1, 4, 1)
     states = np.array([y0, *rk4_steps(y0, built)])
-    return Trajectory(times=times, states=states.reshape(-1, 2, 2),
-                      segments=segments)
+    return _sample_times(segments, built), states.reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
 # trajectory analysis
 
 def phase_decomposition(traj: Trajectory) -> PhaseReport:
-    """Split the cyclic phase of a pure trajectory.
+    """Split the cyclic phase of a trajectory.
 
     total = arg<psi(0)|psi(tau)>, dynamical = -integral <psi|H|psi> dt,
     geometric = total - dynamical wrapped to [-pi, pi). Inside segment k,
     H = w(t) K_k commutes with K_k, so the integral there is area_k times
     <psi_k|K_k|psi_k>, psi_k the state at the segment's start.
     """
-    if not traj.is_pure:
-        raise ValueError("phase decomposition requires a pure-state trajectory")
     overlap = np.vdot(traj.states[0], traj.states[-1])
     defect = 1.0 - abs(overlap)
     if not defect <= CYCLIC_TOL:  # a NaN state fails too
@@ -286,9 +278,7 @@ def phase_decomposition(traj: Trajectory) -> PhaseReport:
 
 
 def bloch_trajectory(traj: Trajectory) -> np.ndarray:
-    """(N, 3) array of Bloch vectors (<sx>, <sy>, <sz>) of a pure trajectory."""
-    if not traj.is_pure:
-        raise ValueError("bloch trajectory requires a pure-state trajectory")
+    """(N, 3) array of Bloch vectors (<sx>, <sy>, <sz>) of a trajectory."""
     c0 = traj.states[:, 0]
     c1 = traj.states[:, 1]
     cross = c0.conj() * c1
@@ -342,10 +332,8 @@ def _write_csv(path, header, columns) -> None:
 
 
 def trajectory_to_csv(traj: Trajectory, path, t_ns: list) -> None:
-    """Columns t_ns, re_c0, im_c0, re_c1, im_c1 of a pure trajectory;
-    ``t_ns``, here and in bloch_path_to_csv, is list(spell(traj.times))."""
-    if not traj.is_pure:
-        raise ValueError("trajectory CSV requires a pure-state trajectory")
+    """Columns t_ns, re_c0, im_c0, re_c1, im_c1 of a trajectory; ``t_ns``,
+    here and in bloch_path_to_csv, is list(spell(traj.times))."""
     st = traj.states
     _write_csv(path, ["t_ns", "re_c0", "im_c0", "re_c1", "im_c1"],
                (t_ns, st[:, 0].real, st[:, 0].imag,
@@ -353,5 +341,5 @@ def trajectory_to_csv(traj: Trajectory, path, t_ns: list) -> None:
 
 
 def bloch_path_to_csv(traj: Trajectory, path, t_ns: list) -> None:
-    """Columns t_ns, x, y, z of the Bloch path of a pure trajectory."""
+    """Columns t_ns, x, y, z of the Bloch path of a trajectory."""
     _write_csv(path, ["t_ns", "x", "y", "z"], (t_ns, *bloch_trajectory(traj).T))

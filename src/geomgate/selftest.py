@@ -8,33 +8,11 @@ hash), so repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import (benchmarking, channels, config, evolution, pulse, qcore,
                tomography)
-
-
-@dataclass
-class SelftestReport:
-    lines: list[str] = field(default_factory=list)
-    failures: int = 0
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-    @property
-    def digest(self) -> str:
-        # imported here, so that no other command pays for it at start-up
-        import hashlib
-
-        return hashlib.sha256(self.text.encode()).hexdigest()
 
 
 def _check(ok, msg: str) -> None:
@@ -116,12 +94,12 @@ def _suite_lindblad(seed):
     device = evolution.DeviceParams.default_xmon()
     idle = [pulse.PulseSegment(duration=50.0, peak_amplitude=0.0,
                                phase_offset=0.0)]
-    traj = evolution.evolve_lindblad(idle, qcore.density_of(qcore.KET1),
-                                     device, dt=0.05)
+    _, rhos = evolution.evolve_lindblad(idle, qcore.density_of(qcore.KET1),
+                                        device, dt=0.05)
     want = math.exp(-50.0 / (device.T1_us * 1000.0))
-    got = traj.states[-1][1, 1].real
+    got = rhos[-1][1, 1].real
     _check(abs(got - want) < 1e-9, "T1 decay")
-    traces = np.einsum("tii->t", traj.states).real
+    traces = np.einsum("tii->t", rhos).real
     _check(np.abs(traces - 1.0).max() < 1e-9, "trace conservation")
 
 
@@ -134,10 +112,10 @@ def _suite_qpt(seed):
 def _suite_rb(seed):
     cfg = config.RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3,
                           seed=seed)
-    _, fit, _ = benchmarking.run_rb(cfg, (), None)[0]
+    _, fit = benchmarking.run_rb(cfg, (), None)[0]
     _check(1.0 - fit.p < 1e-6, "noiseless RB decay")
     lam = 0.05
-    _, fit, _ = benchmarking.run_rb(cfg, (), channels.DepolarizingNoise(lam))[0]
+    _, fit = benchmarking.run_rb(cfg, (), channels.DepolarizingNoise(lam))[0]
     _check(abs(fit.p - (1.0 - lam)) < 1e-4, "depolarizing equivalence")
 
 
@@ -172,19 +150,20 @@ SUITES = (
 )
 
 
-def run_selftest(seed: int = 0) -> SelftestReport:
-    """Run every suite and report one line per suite."""
-    report = SelftestReport()
+def run_selftest(seed: int = 0) -> tuple[str, int]:
+    """Run every suite; return the report, one line per suite and a summary
+    line, and the number of suites that failed."""
+    lines, failures = [], 0
     for name, fn in SUITES:
         try:
             fn(seed)
         except Exception as err:  # a suite that raises fails, the rest still run
-            report.failures += 1
+            failures += 1
             what = (err if isinstance(err, AssertionError)
                     else f"{type(err).__name__}: {err}")
-            report.lines.append(f"FAIL {name}: {what}")
+            lines.append(f"FAIL {name}: {what}")
         else:
-            report.lines.append(f"PASS {name}")
-    report.lines.append(
-        f"{len(SUITES) - report.failures}/{len(SUITES)} suites passed (seed={seed})")
-    return report
+            lines.append(f"PASS {name}")
+    lines.append(
+        f"{len(SUITES) - failures}/{len(SUITES)} suites passed (seed={seed})")
+    return "\n".join(lines) + "\n", failures

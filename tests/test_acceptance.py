@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from geomgate.benchmarking import (DecayCurve, DecayFit, RbConfig, RbResult,
-                                   fit_decay, run_interleaved_rb, run_rb,
-                                   run_reference_rb, sample_sequence)
+from geomgate.benchmarking import (DecayCurve, DecayFit, RbConfig, fit_decay,
+                                   fit_report, run_rb, run_reference_rb,
+                                   sample_sequence)
 from geomgate.channels import (GateChannelCache, depolarizing_superop,
                                unitary_superop)
 from geomgate.evolution import (DeviceParams, bloch_trajectory,
@@ -135,18 +135,19 @@ def test_criterion_06_reference_rb_matches_experiment_band():
     # seed 2 is representative: the ensemble over seeds gives
     # r = 0.00153(4), and this seed sits at the ensemble mean
     config = RbConfig(sequence_lengths=DENSE_LENGTHS, randomizations=50, seed=2)
-    _, fit, result = run_reference_rb(config, DEVICE)
+    _, fit = run_reference_rb(config, DEVICE)
     assert fit.converged
     assert 0.990 <= fit.p <= 0.998, f"p = {fit.p}"
-    assert 0.0015 <= result.r <= 0.006, f"r = {result.r}"
+    r = fit_report(fit)["r"]
+    assert 0.0015 <= r <= 0.006, f"r = {r}"
 
-    anchored = RbResult(
+    anchored = fit_report(
         DecayFit(A=0.5, B=0.5, p=0.994, residual_norm=0.0, converged=True))
-    assert anchored.r == pytest.approx(0.003, abs=1e-12)
-    assert anchored.F_avg == pytest.approx(0.997, abs=1e-12)
+    assert anchored["r"] == pytest.approx(0.003, abs=1e-12)
+    assert anchored["F_avg"] == pytest.approx(0.997, abs=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    _report(6, f"p = {fit.p:.5f}, r = {result.r:.5f}; identities at p=0.994 "
+    _report(6, f"p = {fit.p:.5f}, r = {r:.5f}; identities at p=0.994 "
                f"give r=0.003, F=99.7%; {elapsed:.1f}s")
 
 
@@ -158,16 +159,16 @@ def test_criterion_07_interleaved_rb():
                       seed=5)
     target_sop = (depolarizing_superop(lam)
                   @ unitary_superop(axis_angle_unitary(named_gate("H"))))
-    _, _, synthetic = run_interleaved_rb(config, "H", None,
-                                         target_superop=target_sop)
-    err = abs(synthetic.F_g - (1.0 - lam / 2.0))
+    (_, ref), (_, inter) = run_rb(config, [("H", target_sop)], None)
+    err = abs(fit_report(ref, inter)["F_g"] - (1.0 - lam / 2.0))
     assert err < 1e-3, f"synthetic F_g error {err}"
 
     # device-limited interleaved RB over the full gate set
     cache = GateChannelCache()
     ref_cfg = RbConfig(sequence_lengths=DENSE_LENGTHS, randomizations=50, seed=2)
-    _, *interleaved = run_rb(ref_cfg, GATE_NAMES, DEVICE, channels=cache)
-    fgs = [res.F_g for _, _, res in interleaved]
+    (_, ref), *interleaved = run_rb(ref_cfg, GATE_NAMES, DEVICE,
+                                    channels=cache)
+    fgs = [fit_report(ref, fit)["F_g"] for _, fit in interleaved]
     mean = float(np.mean(fgs))
     assert 0.994 <= mean <= 0.999, f"mean F_g {mean}"
     elapsed = time.perf_counter() - start

@@ -8,7 +8,7 @@ import pytest
 
 from geomgate import benchmarking
 from geomgate.benchmarking import (DecayCurve, DecayFit, RbConfig,
-                                   RbResult, _draw_sequences,
+                                   _draw_sequences,
                                    _philox_words, _recoveries, _stream_keys,
                                    _stream_opener, decay_to_csv, fit_decay,
                                    fit_report, run_interleaved_rb, run_rb,
@@ -223,7 +223,7 @@ def _assert_shot_samples_continue_lone_streams(config, device):
     if config.shots is None:
         return
     cache = GateChannelCache()
-    curve, _, _ = run_reference_rb(config, device, channels=cache)
+    curve, _ = run_reference_rb(config, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(config, cache, device))
 
 
@@ -263,7 +263,7 @@ def test_true_rejection_redraws_its_stream(device, shots):
                       seed=217057, shots=shots)
     assert _assert_draws_equal_lone_streams(config) == 1
     cache = GateChannelCache()
-    curve, _, _ = run_reference_rb(config, device, channels=cache)
+    curve, _ = run_reference_rb(config, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(config, cache, device))
 
 
@@ -297,7 +297,7 @@ def _survivals(lengths, noise, randomizations, seed=0):
     """Per-randomization survivals of a reference RB run, one row per length."""
     cfg = RbConfig(sequence_lengths=lengths, randomizations=randomizations,
                    seed=seed)
-    curve, _, _ = run_reference_rb(cfg, noise)
+    curve, _ = run_reference_rb(cfg, noise)
     return dict(zip(lengths, curve.samples))
 
 
@@ -423,10 +423,10 @@ def test_fit_decay_binomial_calibration(rng):
 
 def test_reference_rb_noiseless():
     cfg = RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3, seed=1)
-    curve, fit, result = run_reference_rb(cfg, None)
+    curve, fit = run_reference_rb(cfg, None)
     assert np.allclose(curve.means, 1.0, atol=1e-9)
     assert 1.0 - fit.p < 1e-6
-    assert result.F_avg == pytest.approx(1.0, abs=1e-6)
+    assert fit_report(fit)["F_avg"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reference_rb_reproducible(device):
@@ -443,31 +443,31 @@ def test_reference_rb_depolarizing_equivalence():
     lam = 0.02
     cfg = RbConfig(sequence_lengths=(1, 2, 4, 6, 8, 12, 16, 24, 32, 48),
                    randomizations=5, seed=3)
-    _, fit, result = run_reference_rb(cfg, DepolarizingNoise(lam))
+    _, fit = run_reference_rb(cfg, DepolarizingNoise(lam))
     assert abs(fit.p - (1.0 - lam)) < 1e-4
-    assert result.r == pytest.approx(lam / 2.0, abs=1e-4)
+    assert fit_report(fit)["r"] == pytest.approx(lam / 2.0, abs=1e-4)
 
 
 def test_rb_result_identities():
     ref = DecayFit(A=0.5, B=0.5, p=0.994, residual_norm=0.0, converged=True)
-    result = RbResult(ref)
-    assert result.r == pytest.approx(0.003, abs=1e-12)
-    assert result.F_avg == pytest.approx(0.997, abs=1e-12)
+    report = fit_report(ref)
+    assert report["r"] == pytest.approx(0.003, abs=1e-12)
+    assert report["F_avg"] == pytest.approx(0.997, abs=1e-12)
     inter = DecayFit(A=0.5, B=0.5, p=0.992, residual_norm=0.0, converged=True)
-    result = RbResult(ref, inter)
-    assert result.p_g == 0.992
-    assert result.F_g == pytest.approx(1.0 - (1.0 - 0.992 / 0.994) / 2.0,
-                                       abs=1e-12)
+    report = fit_report(ref, inter)
+    assert report["p_g"] == 0.992
+    assert report["F_g"] == pytest.approx(1.0 - (1.0 - 0.992 / 0.994) / 2.0,
+                                          abs=1e-12)
 
 
 def test_reference_rb_shot_mode_with_readout(device):
     cfg = RbConfig(sequence_lengths=(1, 2, 4), randomizations=4, seed=2,
                    shots=4096)
-    curve, fit, _ = run_reference_rb(cfg, device)
+    curve, fit = run_reference_rb(cfg, device)
     assert np.all(curve.means > 0.9)
     assert np.all(curve.stderrs >= 0.0)
     # same seed reproduces bit-identically
-    curve2, _, _ = run_reference_rb(cfg, device)
+    curve2, _ = run_reference_rb(cfg, device)
     assert np.array_equal(curve.means, curve2.means)
 
 
@@ -476,8 +476,8 @@ def test_reference_rb_shot_mode_with_readout(device):
 
 def test_interleaved_identity_noiseless():
     cfg = RbConfig(sequence_lengths=(1, 2, 4, 8), randomizations=3, seed=4)
-    _, fit, result = run_interleaved_rb(cfg, "I", None)
-    assert result.F_g == pytest.approx(1.0, abs=1e-6)
+    (_, ref), (_, fit) = run_rb(cfg, ["I"], None)
+    assert fit_report(ref, fit)["F_g"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_interleaved_depolarizing_target_recovers_half_lambda():
@@ -486,18 +486,18 @@ def test_interleaved_depolarizing_target_recovers_half_lambda():
                    randomizations=6, seed=5)
     target_sop = (depolarizing_superop(lam)
                   @ unitary_superop(axis_angle_unitary(named_gate("H"))))
-    _, fit, result = run_interleaved_rb(cfg, "H", None,
-                                        target_superop=target_sop)
-    assert abs(result.F_g - (1.0 - lam / 2.0)) < 1e-3
-    assert abs(result.p_g - (1.0 - lam)) < 1e-6
+    (_, ref), (_, fit) = run_rb(cfg, [("H", target_sop)], None)
+    report = fit_report(ref, fit)
+    assert abs(report["F_g"] - (1.0 - lam / 2.0)) < 1e-3
+    assert abs(report["p_g"] - (1.0 - lam)) < 1e-6
 
 
 def test_interleaved_device_gate_fidelity(device):
     cfg = RbConfig(sequence_lengths=(2, 8, 16, 32, 64), randomizations=8,
                    seed=6)
     cache = GateChannelCache()
-    _, _, result = run_interleaved_rb(cfg, "H", device, channels=cache)
-    assert 0.99 < result.F_g <= 1.0
+    (_, ref), (_, fit) = run_rb(cfg, ["H"], device, channels=cache)
+    assert 0.99 < fit_report(ref, fit)["F_g"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -575,26 +575,24 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
     cfg = RbConfig(sequence_lengths=(1, 2, 5, 9), randomizations=5, seed=11,
                    shots=shots)
     cache = GateChannelCache()
-    curve, ref_fit, _ = run_reference_rb(cfg, device, channels=cache)
+    curve, ref_fit = run_reference_rb(cfg, device, channels=cache)
     _assert_curve_equals_plain(curve, _plain_samples(cfg, cache, device))
 
     # by the target rule, H runs its Clifford's channel and Rz(pi) its own
     # pulse
     for name in ("H", "Rz(pi)"):
-        icurve, _, _ = run_interleaved_rb(cfg, name, device, channels=cache)
+        icurve, _ = run_interleaved_rb(cfg, name, device, channels=cache)
         target = (name, _target_channel(cache, name, device))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
 
     override = (depolarizing_superop(0.01)
                 @ unitary_superop(axis_angle_unitary(named_gate("Rx(pi/2)"))))
-    # no reference given: it runs in the same batch as the target
-    icurve, _, iresult = run_interleaved_rb(cfg, "Rx(pi/2)", device,
-                                            target_superop=override,
-                                            channels=cache)
+    # a given superop runs in place of the target's channel
+    icurve, _ = run_interleaved_rb(cfg, "Rx(pi/2)", device,
+                                   target_superop=override, channels=cache)
     _assert_curve_equals_plain(
         icurve, _plain_samples(cfg, cache, device, ("Rx(pi/2)", override)))
-    assert iresult.reference.p == ref_fit.p
 
     # one run of every curve on shared draws equals each curve on its own
     targets = ["H", "Rz(pi)", ("Rx(pi/2)", override)]
@@ -602,12 +600,13 @@ def test_batched_rb_equals_per_sequence_loop(device, shots):
     assert len(runs) == 1 + len(targets)
     _assert_curve_equals_plain(runs[0][0], _plain_samples(cfg, cache, device))
     assert runs[0][1].p == ref_fit.p
-    for target, (icurve, ifit, iresult) in zip(targets, runs[1:]):
+    for target, (icurve, ifit) in zip(targets, runs[1:]):
         if isinstance(target, str):
             target = (target, _target_channel(cache, target, device))
         _assert_curve_equals_plain(
             icurve, _plain_samples(cfg, cache, device, target))
-        assert iresult.p_g == ifit.p and iresult.reference.p == ref_fit.p
+        report = fit_report(runs[0][1], ifit)
+        assert report["p_g"] == ifit.p and report["p"] == ref_fit.p
 
 
 def test_out_of_band_survival_is_non_physical():
@@ -625,13 +624,13 @@ def test_interleaved_rb_equals_its_run_rb_entry(device):
     cfg = RbConfig(sequence_lengths=(1, 2, 4, 8, 16), randomizations=4,
                    seed=3)
     cache = GateChannelCache()
-    (_, ref_fit, _), _, (curve, fit, result) = run_rb(
+    (_, ref_fit), _, (curve, fit) = run_rb(
         cfg, ["Rz(pi)", "H"], device, channels=cache)
-    icurve, ifit, iresult = run_interleaved_rb(cfg, "H", device,
-                                               channels=cache)
+    icurve, ifit = run_interleaved_rb(cfg, "H", device, channels=cache)
     assert np.array_equal(icurve.means, curve.means)
     assert np.array_equal(icurve.stderrs, curve.stderrs)
-    assert ifit == fit and iresult == result
+    assert ifit == fit
+    assert run_reference_rb(cfg, device, channels=cache)[1] == ref_fit
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +673,7 @@ def test_sampled_rb_means_match_the_exact_ensemble_average(device):
                for name in GATE_NAMES]
     cfg = RbConfig(sequence_lengths=tuple(range(2, 102, 2)),
                    randomizations=50, seed=2)
-    curves = [curve for curve, _, _ in run_rb(cfg, targets, device, cache)]
+    curves = [curve for curve, _ in run_rb(cfg, targets, device, cache)]
     exact = [_average_survival(cfg.sequence_lengths, cliffords)] + [
         _average_survival(cfg.sequence_lengths, cliffords, sop,
                           _target_index(name)) for name, sop in targets]
@@ -704,7 +703,7 @@ def test_exact_ensemble_average_of_depolarizing_gates_is_closed_form():
 
 def test_decay_csv_round_trip(tmp_path):
     cfg = RbConfig(sequence_lengths=(1, 2, 4), randomizations=3, seed=0)
-    curve, _, _ = run_reference_rb(cfg, None)
+    curve, _ = run_reference_rb(cfg, None)
     path = tmp_path / "decay.csv"
     decay_to_csv(curve, path)
     with open(path) as fh:
@@ -717,13 +716,12 @@ def test_decay_csv_round_trip(tmp_path):
 def test_fit_report_round_trip(tmp_path):
     ref = DecayFit(A=0.5, B=0.5, p=0.994, residual_norm=1e-8, converged=True)
     inter = DecayFit(A=0.49, B=0.5, p=0.990, residual_norm=2e-8, converged=True)
-    result = RbResult(ref, inter)
     path = tmp_path / "fit.json"
-    _write_json(fit_report(result), path)
+    _write_json(fit_report(ref, inter), path)
     data = json.loads(path.read_text())
     assert data["p"] == 0.994
     assert data["r"] == pytest.approx(0.003)
     assert data["F_avg"] == pytest.approx(0.997)
     assert data["p_g"] == 0.990
-    assert data["F_g"] == result.F_g
+    assert data["F_g"] == 1.0 - (1.0 - 0.990 / 0.994) / 2.0
     assert data["converged"] is True

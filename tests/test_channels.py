@@ -60,7 +60,7 @@ def test_schedule_superop_matches_direct_lindblad(rng, device):
     (sop,) = gate_superops([spec], device, 10.0, dt=0.01)
     for _ in range(3):
         rho0 = _random_density(rng)
-        direct = evolve_lindblad(sched, rho0, device, dt=0.01).states[-1]
+        direct = evolve_lindblad(sched, rho0, device, dt=0.01)[1][-1]
         assert np.abs((sop @ vec(rho0)).reshape(2, 2) - direct).max() < 1e-12
 
 
@@ -149,10 +149,10 @@ def test_results_do_not_depend_on_what_the_cache_ran_before(device):
     run_qpt("H", device=device, channels=shared)
     run_qpt("Rx(pi)", device=device, channels=shared)
     after_qpt = run_rb(config, targets, device, channels=shared)
-    for (curve, fit, result), (want, want_fit, want_result) in zip(
-            after_qpt, fresh_rb, strict=True):
+    for (curve, fit), (want, want_fit) in zip(after_qpt, fresh_rb,
+                                              strict=True):
         assert np.array_equal(curve.means, want.means)
-        assert fit == want_fit and result == want_result
+        assert fit == want_fit
     fresh_qpt = run_qpt("H", device=device, channels=GateChannelCache())
     shared = GateChannelCache()
     run_rb(config, targets, device, channels=shared)
@@ -374,11 +374,11 @@ def test_evolve_lindblad_every_step_bit_equal_to_loop(rng, device):
     rho0 = _random_density(rng)
     sched = synthesize(spec, 10.0)
     for dt in (0.01, 10 / 37, 10 / 3):
-        traj = evolve_lindblad(sched, rho0, device, dt=dt)
+        _, rhos = evolve_lindblad(sched, rho0, device, dt=dt)
         want = np.array(_loop_steps(sched, vec(rho0).reshape(4, 1),
                                     device, dt)).reshape(-1, 2, 2)
-        assert traj.states.shape == want.shape
-        assert np.array_equal(traj.states, want), dt
+        assert rhos.shape == want.shape
+        assert np.array_equal(rhos, want), dt
 
 
 def test_stacked_compile_rejects_unequal_durations():
@@ -483,7 +483,7 @@ def test_evolve_lindblad_trajectory_matches_ode_oracle(rng, t1_us, t2_us):
     device = DeviceParams(T1_us=t1_us, T2_star_us=t2_us)
     sched = synthesize(random_spec(rng), 10.0)
     rho0 = _random_density(rng)
-    traj = evolve_lindblad(sched, rho0, device, dt=0.01)
+    times, rhos = evolve_lindblad(sched, rho0, device, dt=0.01)
     y = rho0.reshape(-1).astype(complex)
     t_off = 0.0
     checked = 0
@@ -495,9 +495,9 @@ def test_evolve_lindblad_trajectory_matches_ode_oracle(rng, t1_us, t2_us):
                         t_eval=local, rtol=1e-12, atol=1e-14)
         assert sol.success
         for t, y_t in zip(local, sol.y.T):
-            k = int(np.argmin(np.abs(traj.times - (t_off + t))))
-            assert abs(traj.times[k] - (t_off + t)) < 1e-9
-            assert np.abs(traj.states[k] - y_t.reshape(2, 2)).max() < 1e-8
+            k = int(np.argmin(np.abs(times - (t_off + t))))
+            assert abs(times[k] - (t_off + t)) < 1e-9
+            assert np.abs(rhos[k] - y_t.reshape(2, 2)).max() < 1e-8
             checked += 1
         y = sol.y[:, -1]
         t_off += seg.duration

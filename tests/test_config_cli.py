@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -573,6 +574,28 @@ def test_cli_rb_noiseless(tmp_path, capsys):
     assert (out / "rb_reference.csv").exists()
     inter = json.loads((out / "rb_interleaved_i_fit.json").read_text())
     assert inter["F_g"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_cli_rb_prints_its_fit_reports_figures(tmp_path, capsys):
+    # every figure on stdout is its report's value at 6 decimals
+    path = _write_config(tmp_path, {
+        "rb": {"lengths": [2, 50, 100, 200], "randomizations": 3,
+               "interleaved": ["H", "Rz(pi)"]}})
+    out = tmp_path / "out"
+    assert cli.main(["rb", "--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    interleaved = (("p_g", "F_g"), "interleaved_converged")
+    reports = [("rb_reference_fit.json", (("p", "r", "F_avg"), "converged")),
+               ("rb_interleaved_h_fit.json", interleaved),
+               ("rb_interleaved_rz_pi_fit.json", interleaved)]
+    assert len(lines) == len(reports)
+    for line, (name, (keys, converged)) in zip(lines, reports):
+        report = json.loads((out / name).read_text())
+        printed = dict(word.split("=") for word in line.split() if "=" in word)
+        assert list(printed) == [*keys, "converged"]
+        for key in keys:
+            assert printed[key] == f"{report[key]:.6f}", (name, key)
+        assert printed["converged"] == str(report[converged])
 
 
 def test_cli_rb_curves_independent_of_batch_and_reproducible(tmp_path,
@@ -1152,7 +1175,7 @@ def test_package_names_resolve_on_first_access(tmp_path):
     # import and each submodule name then load the module that defines it
     out = json.loads(_python(tmp_path, _EXPORT_PROBE))
     assert out["bare"] == []
-    assert out["star"] == out["all"] and len(out["all"]) == 31
+    assert out["star"] == out["all"] and len(out["all"]) == 30
     assert {"cli", "config", "selftest"} <= set(out["submodules"])
     assert out["wrong"] == []
     assert out["unknown"] == ("module 'geomgate' has no attribute "
@@ -1226,11 +1249,19 @@ def test_cli_synth_takes_no_mode(tmp_path, capsys):
 
 
 def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
-    from geomgate.selftest import SelftestReport
-
-    failing = SelftestReport(lines=["FAIL fake: boom"], failures=1)
-    monkeypatch.setattr(selftest, "run_selftest", lambda seed: failing)
+    monkeypatch.setattr(selftest, "run_selftest",
+                        lambda seed: ("FAIL fake: boom\n", 1))
     assert cli.main(["selftest"]) == 4
+
+
+def test_cli_selftest_prints_the_sha256_of_its_report(capsys):
+    assert cli.main(["selftest", "--seed", "0"]) == 0
+    *report, last = capsys.readouterr().out.splitlines(keepends=True)
+    digest = hashlib.sha256("".join(report).encode()).hexdigest()
+    assert last == f"report sha256: {digest}\n"
+    assert len(report) == len(selftest.SUITES) + 1
+    assert digest == ("c42bc4c0f6ceaef7af9f762a70d3275134ce59fb"
+                      "4614d3efe9bfa8784890c3a9")
 
 
 def test_cli_selftest_reports_a_raising_suite(monkeypatch, capsys):
@@ -1250,11 +1281,9 @@ def test_cli_selftest_reports_a_raising_suite(monkeypatch, capsys):
 # selftest module
 
 def test_selftest_deterministic_hash():
-    a = run_selftest(seed=3)
-    b = run_selftest(seed=3)
-    assert a.all_passed
-    assert a.digest == b.digest
-    assert a.text == b.text
+    text, failures = run_selftest(seed=3)
+    assert failures == 0
+    assert run_selftest(seed=3) == (text, failures)
 
 
 def test_selftest_corrupted_clifford_table_fails(monkeypatch):
@@ -1262,11 +1291,11 @@ def test_selftest_corrupted_clifford_table_fails(monkeypatch):
     group = qcore.clifford_group()
     group[5] = qcore.GateSpec(0.2, 0.1, 0.3)
     monkeypatch.setattr(qcore, "clifford_group", lambda: group)
-    report = run_selftest(seed=0)
-    assert not report.all_passed
+    text, failures = run_selftest(seed=0)
+    assert failures == 1
     # the first failing product in row-major order, as a pair-by-pair scan
     # of the corrupted list finds it
-    assert "FAIL clifford-group: closure fails at (1, 1)" in report.lines
+    assert "FAIL clifford-group: closure fails at (1, 1)" in text.splitlines()
 
 
 _FAILING_QPT_PROBE = """

@@ -242,43 +242,43 @@ def test_lindblad_noiseless_matches_unitary(device):
     spec = GateSpec(1.3, -0.8, 2.4)
     sched = synthesize(spec, 10.0)
     psi0, _ = axis_eigenstates(spec)
-    rho_final = evolve_lindblad(sched, density_of(psi0), None, dt=0.01).states[-1]
+    rho_final = evolve_lindblad(sched, density_of(psi0), None, dt=0.01)[1][-1]
     psi_final = evolve_unitary(sched, psi0, dt=0.01).states[-1]
     assert np.abs(rho_final - density_of(psi_final)).max() < 1e-8
 
 
 def test_lindblad_idle_t1_decay(device):
     idle = [PulseSegment(duration=200.0, peak_amplitude=0.0, phase_offset=0.0)]
-    traj = evolve_lindblad(idle, density_of(KET1), device, dt=0.05)
+    _, rhos = evolve_lindblad(idle, density_of(KET1), device, dt=0.05)
     g1 = device.gamma1_per_ns
     want = math.exp(-200.0 * g1)
-    assert abs(traj.states[-1][1, 1].real - want) < 1e-10
+    assert abs(rhos[-1][1, 1].real - want) < 1e-10
 
 
 def test_lindblad_idle_coherence_decay(device):
     plus = np.array([1.0, 1.0]) / SQ2
     idle = [PulseSegment(duration=200.0, peak_amplitude=0.0, phase_offset=0.0)]
-    traj = evolve_lindblad(idle, density_of(plus), device, dt=0.05)
+    _, rhos = evolve_lindblad(idle, density_of(plus), device, dt=0.05)
     rate = 0.5 * device.gamma1_per_ns + device.gamma_phi_per_ns
     want = 0.5 * math.exp(-200.0 * rate)
-    assert abs(abs(traj.states[-1][0, 1]) - want) < 1e-10
+    assert abs(abs(rhos[-1][0, 1]) - want) < 1e-10
 
 
 def test_lindblad_trace_and_positivity(device):
     spec = GateSpec(1.0, 0.5, 1.5)
-    traj = evolve_lindblad(synthesize(spec, 10.0), density_of(KET0), device,
-                           dt=0.01)
-    traces = np.einsum("tii->t", traj.states).real
+    _, rhos = evolve_lindblad(synthesize(spec, 10.0), density_of(KET0),
+                              device, dt=0.01)
+    traces = np.einsum("tii->t", rhos).real
     assert np.abs(traces - 1.0).max() < 1e-9
-    eigs = np.linalg.eigvalsh(traj.states)
+    eigs = np.linalg.eigvalsh(rhos)
     assert eigs.min() > -1e-9
 
 
 def test_lindblad_idle_purity_monotone(device):
     plus = np.array([1.0, 1.0]) / SQ2
     idle = [PulseSegment(duration=100.0, peak_amplitude=0.0, phase_offset=0.0)]
-    traj = evolve_lindblad(idle, density_of(plus), device, dt=0.05)
-    purity = np.einsum("tij,tji->t", traj.states, traj.states).real
+    _, rhos = evolve_lindblad(idle, density_of(plus), device, dt=0.05)
+    purity = np.einsum("tij,tji->t", rhos, rhos).real
     assert np.all(np.diff(purity) <= 1e-12)
 
 
@@ -414,10 +414,10 @@ def test_segment_boundaries_land_on_a_sample():
     sched = synthesize(named_gate("H"), t_seg)
     psi0, _ = axis_eigenstates(named_gate("H"))
     starts = np.cumsum([0.0] + [seg.duration for seg in sched])
-    for traj in (evolve_unitary(sched, psi0, dt=dt),
-                 evolve_lindblad(sched, density_of(psi0), dt=dt)):
-        assert len(traj.times) == 3 * 285 + 1
-        assert np.array_equal(traj.times[[285, 570]], starts[1:3])
+    for times in (evolve_unitary(sched, psi0, dt=dt).times,
+                  evolve_lindblad(sched, density_of(psi0), dt=dt)[0]):
+        assert len(times) == 3 * 285 + 1
+        assert np.array_equal(times[[285, 570]], starts[1:3])
 
 
 def test_phase_decomposition_zero_hamiltonian():
@@ -521,16 +521,6 @@ def test_trajectory_csv_pure(tmp_path):
     assert float(rows[1][1]) == 1.0
 
 
-def test_trajectory_csv_density(tmp_path, device):
-    # the trajectory CSV holds state vectors; a Lindblad trajectory is
-    # refused before the file is opened
-    idle = [PulseSegment(10.0, 0.0, 0.0)]
-    traj = evolve_lindblad(idle, density_of(KET1), device, dt=0.1)
-    with pytest.raises(ValueError, match="trajectory CSV requires"):
-        trajectory_to_csv(traj, tmp_path / "rho.csv", list(spell(traj.times)))
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_bloch_csv(tmp_path):
     sched = synthesize(GateSpec(PI / 2, 0.0, PI), 10.0)
     plus = np.array([1.0, 1.0]) / SQ2
@@ -553,7 +543,7 @@ def test_csv_writers_refuse_unequal_columns(tmp_path, case):
     with pytest.raises(ValueError, match="unequal CSV columns"):
         if case == "decay_without_samples":
             decay_to_csv(DecayCurve((1, 2, 4), np.array([0.9, 0.8, 0.7]),
-                                    np.array([0.01, 0.02, 0.03])),
+                                    np.array([0.01, 0.02, 0.03]), samples=[]),
                          tmp_path / "rb.csv")
         elif case == "short_t_ns":
             trajectory_to_csv(traj, tmp_path / "traj.csv",
@@ -624,17 +614,6 @@ def test_csv_writers_match_per_row_repr(tmp_path, rng):
     # a whole number of write blocks
     text = _check_writers(tmp_path, traj.times[:1024], traj.states[:1024])
     assert len(text.splitlines()) == 1025
-
-
-def test_pure_state_analyses_refuse_a_density_matrix_trajectory():
-    # the phase split and the Bloch path read state vectors; a Lindblad
-    # trajectory holds density matrices
-    traj = evolve_lindblad(synthesize(named_gate("H"), 10.0), density_of(KET0))
-    assert not traj.is_pure
-    with pytest.raises(ValueError, match="phase decomposition requires"):
-        phase_decomposition(traj)
-    with pytest.raises(ValueError, match="bloch trajectory requires"):
-        bloch_trajectory(traj)
 
 
 def test_device_params_validation():
